@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--jobs", type=int, default=1, help="worker count (output is identical for any value)")
     parser.add_argument("--config", help="key=value file with flag defaults")
-    parser.add_argument("--max-nodes", type=int, default=None, help="search node cap (default RAMSEY_MAX_NODES)")
+    parser.add_argument("--max-nodes", type=int, default=None, help="cap on color assignments, branched or forced, per decision (default RAMSEY_MAX_NODES)")
     parser.add_argument("--max-colorings", type=int, default=None, help="cap on complete colorings examined per decision")
     parser.add_argument("--normalize", action="store_true", help="canonicalize non-canonical tree inputs on load")
     sub = parser.add_subparsers(dest="command")

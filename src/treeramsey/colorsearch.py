@@ -6,11 +6,30 @@ does every b-coloring leave some edge monochromatic?  Equivalently: is there a
 "proper" coloring, one in which every edge sees at least two colors?  The
 verdict "holds" means no proper coloring exists.
 
-The pruned engine dedups edges, drops supersets of other edges (a proper
-coloring of the minimal edges is proper for all), orders vertices by how
-constrained they are, pins the first vertex's color, and propagates forced
-colors through almost-complete edges.  An independent plain checker with none
-of those devices backs every verdict.
+find_proper_coloring dedups the edges and drops supersets of other edges (a
+proper coloring of the minimal edges is proper for all).  It then searches by
+backtracking with unit propagation, on an explicit stack rather than by
+recursion:
+
+- every vertex keeps a domain, the bitmask of the colors it may still take;
+- every minimal edge counts its unassigned vertices and, per color, its
+  vertices of that color;
+- when an edge has one unassigned vertex left and all its other vertices
+  have color c, c leaves that vertex's domain; a one-color domain forces the
+  vertex, and an empty domain (or a fully colored monochromatic edge) is a
+  conflict;
+- the search branches on the first unassigned vertex in a static
+  most-constrained-first order (vertices on many small edges first), tries
+  the colors of its domain in turn, and pins color 0 on the first decision;
+- a trail of assignments and domain changes undoes a refuted branch.
+
+stats.nodes counts assignments, branched and forced alike; rather than make
+more than max_nodes of them the search raises ResourceCapExceeded carrying its
+stats.  stats.colorings_examined counts complete assignments, which the
+propagation only ever reaches with a proper coloring.
+
+The plain checker and the literal enumerator share none of these devices;
+they are the independent oracles the solver is tested against.
 """
 
 from __future__ import annotations
@@ -32,9 +51,9 @@ def max_nodes_default() -> int:
 @dataclass
 class SearchStats:
     vertices: int = 0
-    edges: int = 0
-    nodes: int = 0
-    colorings_examined: int = 0
+    edges: int = 0  # distinct edges
+    nodes: int = 0  # color assignments, branched or forced
+    colorings_examined: int = 0  # complete assignments
 
 
 @dataclass
@@ -50,11 +69,21 @@ class SearchResult:
 
 
 def _minimal_edges(edges: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """The distinct edges containing no other edge, shortest first.
+
+    A kept edge inside a candidate starts at one of the candidate's vertices,
+    so kept edges are indexed by their smallest vertex and a candidate is
+    tested only against those indexed by its own vertices.
+    """
     uniq = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
+    if uniq and not uniq[0]:
+        return uniq[:1]  # the empty edge lies inside every edge
     kept: list[frozenset[int]] = []
+    by_min: dict[int, list[frozenset[int]]] = {}
     for e in uniq:
-        if not any(k <= e for k in kept):
+        if not any(k < e for v in e for k in by_min.get(v, ())):
             kept.append(e)
+            by_min.setdefault(min(e), []).append(e)
     return kept
 
 
@@ -73,10 +102,10 @@ def find_proper_coloring(
     max_nodes: Optional[int] = None,
     max_colorings: Optional[int] = None,
 ) -> SearchResult:
-    """Pruned backtracking search for a coloring with every edge non-monochromatic.
+    """Propagating backtracking search for a coloring with every edge non-monochromatic.
 
-    max_nodes caps branch nodes, max_colorings caps fully assigned colorings
-    reached; exceeding either raises ResourceCapExceeded.
+    max_nodes caps assignments, max_colorings caps complete assignments;
+    exceeding either raises ResourceCapExceeded with the stats so far.
     """
     cap = max_nodes if max_nodes is not None else max_nodes_default()
     stats = SearchStats(vertices=n_vertices, edges=len(set(edges)))
@@ -84,57 +113,106 @@ def find_proper_coloring(
     if any(len(e) <= 1 for e in minimal):
         return SearchResult(None, stats)  # an edge of at most one vertex is always monochromatic
     if not minimal:
-        result = tuple([0] * n_vertices)
         stats.colorings_examined = 1
-        return SearchResult(result, stats)
-    if b == 1:
-        stats.colorings_examined = 1
+        return SearchResult(tuple([0] * n_vertices), stats)
+    if b <= 1:
+        stats.colorings_examined = 1 if b == 1 else 0
         return SearchResult(None, stats)
 
     # Static most-constrained-first order: vertices on many (small) edges first.
     weight = [0.0] * n_vertices
-    for e in minimal:
+    incident: list[list[int]] = [[] for _ in range(n_vertices)]
+    for i, e in enumerate(minimal):
         for v in e:
             weight[v] += 1.0 / len(e)
+            incident[v].append(i)
     order = sorted(range(n_vertices), key=lambda v: (-weight[v], v))
-    rank = {v: i for i, v in enumerate(order)}
-    edges_by_last = [[] for _ in range(n_vertices)]  # edge becomes checkable at its last vertex
-    for e in minimal:
-        edges_by_last[max(rank[v] for v in e)].append(tuple(sorted(e, key=lambda v: rank[v])))
 
+    size = [len(e) for e in minimal]
+    free = size[:]  # unassigned vertices per edge
+    count = [0] * (len(minimal) * b)  # count[i * b + c]: vertices of edge i with color c
+    domain = [(1 << b) - 1] * n_vertices
     colors = [-1] * n_vertices
+    assigned: list[int] = []  # trail of assigned vertices
+    narrowed: list[tuple[int, int]] = []  # trail of (vertex, domain before a removal)
 
-    def extend(i: int) -> Optional[tuple[int, ...]]:
-        if stats.nodes >= cap:
-            raise ResourceCapExceeded(f"coloring search exceeded {cap} nodes")
-        if i == n_vertices:
-            return tuple(colors)
-        v = order[i]
-        choices = range(1) if i == 0 else range(b)  # pin the first vertex's color
-        for c in choices:
+    def assign(v: int, c: int) -> bool:
+        """Color v with c, then every vertex this forces; False on a conflict."""
+        pending = [(v, c)]
+        while pending:
+            v, c = pending.pop()
+            if stats.nodes >= cap:
+                raise ResourceCapExceeded(f"coloring search exceeded {cap} nodes", stats)
             stats.nodes += 1
-            if i == n_vertices - 1:  # a complete assignment is about to be tested
+            colors[v] = c
+            assigned.append(v)
+            if len(assigned) == n_vertices:
                 stats.colorings_examined += 1
                 if max_colorings is not None and stats.colorings_examined > max_colorings:
                     raise ResourceCapExceeded(
-                        f"coloring search exceeded {max_colorings} examined colorings"
+                        f"coloring search exceeded {max_colorings} examined colorings", stats
                     )
-            colors[v] = c
+            bit = 1 << c
             ok = True
-            for e in edges_by_last[i]:
-                first = colors[e[0]]
-                if all(colors[u] == first for u in e[1:]):
-                    ok = False
-                    break
-            if ok:
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-        colors[v] = -1
-        return None
+            for i in incident[v]:  # every counter of v is updated, so undo can revert them all
+                left = free[i] - 1
+                free[i] = left
+                k = i * b + c
+                same = count[k] + 1
+                count[k] = same
+                if ok and left <= 1 and same + left == size[i]:
+                    if not left:
+                        ok = False  # fully colored and monochromatic
+                        continue
+                    for u in minimal[i]:
+                        if colors[u] < 0:
+                            break
+                    d = domain[u]
+                    if d & bit:
+                        narrowed.append((u, d))
+                        d ^= bit
+                        domain[u] = d
+                        if not d:
+                            ok = False
+                        elif not d & (d - 1):
+                            pending.append((u, d.bit_length() - 1))
+            if not ok:
+                return False
+        return True
 
-    proper = extend(0)
-    return SearchResult(proper, stats)
+    def undo(n_assigned: int, n_narrowed: int) -> None:
+        while len(assigned) > n_assigned:
+            v = assigned.pop()
+            c = colors[v]
+            colors[v] = -1
+            for i in incident[v]:
+                free[i] += 1
+                count[i * b + c] -= 1
+        while len(narrowed) > n_narrowed:
+            u, d = narrowed.pop()
+            domain[u] = d
+
+    decisions: list[list[int]] = []  # [vertex, untried colors, trail lengths, order position]
+    pos = 0
+    while True:
+        while pos < n_vertices and colors[order[pos]] >= 0:
+            pos += 1
+        if pos == n_vertices:
+            return SearchResult(tuple(colors), stats)
+        v = order[pos]
+        options = domain[v] if decisions else 1  # pin color 0 on the first decision
+        c = (options & -options).bit_length() - 1
+        decisions.append([v, options ^ (1 << c), len(assigned), len(narrowed), pos])
+        while not assign(v, c):
+            while decisions and not decisions[-1][1]:
+                decisions.pop()
+            if not decisions:
+                return SearchResult(None, stats)
+            decision = decisions[-1]
+            v, options, n_assigned, n_narrowed, pos = decision
+            undo(n_assigned, n_narrowed)
+            c = (options & -options).bit_length() - 1
+            decision[1] = options ^ (1 << c)
 
 
 def find_proper_coloring_plain(
@@ -145,7 +223,7 @@ def find_proper_coloring_plain(
 ) -> SearchResult:
     """Straightforward checker: vertex order 0..n-1, no dedup, no pinning, no ordering.
 
-    Complete and independent of the pruned engine; a branch is abandoned only
+    Complete and independent of find_proper_coloring; a branch is abandoned only
     when a fully assigned edge is monochromatic.
     """
     cap = max_nodes if max_nodes is not None else max_nodes_default()

@@ -62,7 +62,11 @@ class NotFoundWithinBound(TreeRamseyError):
 
 
 class ResourceCapExceeded(TreeRamseyError):
-    pass
+    """A search stopped at a cap; stats, when given, say how far it got."""
+
+    def __init__(self, message: str = "", stats=None):
+        super().__init__(message)
+        self.stats = stats
 
 
 class PrerequisiteFailed(TreeRamseyError):

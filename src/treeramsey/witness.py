@@ -140,10 +140,10 @@ def _decide(
         result = colorsearch.find_proper_coloring(
             len(vertices), edges, b, max_nodes=max_nodes, max_colorings=max_colorings
         )
-    except ResourceCapExceeded:
+    except ResourceCapExceeded as exc:
         return WitnessReport(
             "cap_exceeded", b, mode, s.parent, t.parent, u.parent, None,
-            SearchStats(vertices=len(vertices), edges=len(set(edges))),
+            exc.stats,  # how far the search got
             time.monotonic() - start,
         )
     verdict = "holds" if result.holds else "fails"
@@ -179,7 +179,7 @@ def check_witness_sealed(
 
 
 def replay_report(report: WitnessReport) -> bool:
-    """Re-verify a report without the pruned search.
+    """Re-verify a report without find_proper_coloring.
 
     fails: the stored coloring must leave every edge polychromatic.  holds:
     re-decided by the plain checker (there is no succinct certificate).

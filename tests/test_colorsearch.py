@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeramsey import trees, witness
 from treeramsey.colorsearch import (
+    _minimal_edges,
     find_proper_coloring,
     find_proper_coloring_enumerate,
     find_proper_coloring_plain,
@@ -49,6 +51,27 @@ def test_node_cap():
         find_proper_coloring(12, edges, 2, max_nodes=3)
 
 
+def test_forced_colors_count_as_nodes():
+    # the first decision forces the rest of the path: one node per vertex, no branching
+    edges = [frozenset({i, i + 1}) for i in range(9)]
+    res = find_proper_coloring(10, edges, 2)
+    assert res.proper is not None and not has_monochromatic_edge(res.proper, edges)
+    assert res.stats.nodes == 10 and res.stats.colorings_examined == 1
+
+
+def test_long_odd_cycle_holds_without_recursion():
+    n = 1501
+    edges = [frozenset({i, (i + 1) % n}) for i in range(n)]
+    assert find_proper_coloring(n, edges, 2).holds
+
+
+def test_long_path_colored_without_recursion():
+    n = 1500
+    edges = [frozenset({i, i + 1}) for i in range(n - 1)]
+    res = find_proper_coloring(n, edges, 2)
+    assert res.proper is not None and not has_monochromatic_edge(res.proper, edges)
+
+
 @st.composite
 def hypergraphs(draw):
     n = draw(st.integers(min_value=1, max_value=7))
@@ -63,6 +86,16 @@ def hypergraphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(hypergraphs())
+def test_minimal_edges_are_the_inclusion_minimal_ones(case):
+    _, edges, _ = case
+    distinct = set(edges)
+    expected = {e for e in distinct if not any(k < e for k in distinct)}
+    kept = _minimal_edges(edges)
+    assert len(kept) == len(set(kept)) and set(kept) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs())
 def test_engines_agree(case):
     n, edges, b = case
     pruned = find_proper_coloring(n, edges, b)
@@ -72,3 +105,23 @@ def test_engines_agree(case):
     for res in (pruned, plain, table):
         if res.proper is not None:
             assert not has_monochromatic_edge(res.proper, edges)
+
+
+def test_engines_agree_on_small_witness_hypergraphs():
+    # sealed mode with U of 5 to 7 vertices is where a solver that reverts
+    # only part of an assignment's counters goes wrong
+    s = trees.chain(2)
+    groups = [
+        (witness._mn_hypergraph, trees.chain(4)),
+        (witness._sealed_hypergraph, trees.tree([None, 0, 1, 1])),
+    ]
+    for build, t in groups:
+        for n in range(1, 8):
+            for u in trees.all_trees(n):
+                vertices, edges = build(s, t, u)
+                for b in (2, 3):
+                    solved = find_proper_coloring(len(vertices), edges, b)
+                    plain = find_proper_coloring_plain(len(vertices), edges, b)
+                    assert solved.holds == plain.holds, (build.__name__, u.parent, b)
+                    if solved.proper is not None:
+                        assert not has_monochromatic_edge(solved.proper, edges)

@@ -94,11 +94,33 @@ def test_search_chain_minimal_m_fixture():
     # stability across two independent runs
     u2, rep2 = wit.search_witness(2, C2, C3, mode="chain", max_vertices=7)
     assert u2 == u and serialize.report_to_json(rep2) == serialize.report_to_json(rep)
+    # the first entry's node count is the work of the engine that recorded it;
+    # every other field is a property of the instance
+    stored = serialize.load_fixtures(FIXTURES)["entries"]["chain minimal m b=2 k=2 l=3"]
+    computed = {"m": u.n, "report": serialize.report_to_json(rep)}
+    del stored["report"]["stats"]["nodes"], computed["report"]["stats"]["nodes"]
+    assert computed == stored
     serialize.record_fixture(
         FIXTURES,
-        "chain minimal m b=2 k=2 l=3",
+        "chain minimal m b=2 k=2 l=3 propagating",
         {"m": u.n, "report": serialize.report_to_json(rep)},
     )
+
+
+def test_chain_witnesses_beyond_the_minimal_m():
+    # a witness stays one on every longer chain, so the fixture's m = 6 decides these
+    minimal = serialize.load_fixtures(FIXTURES)["entries"]["chain minimal m b=2 k=2 l=3"]["m"]
+    for m in (7, 8, 9):
+        rep = wit.check_witness_mn(2, C2, C3, trees.chain(m), max_nodes=10_000)
+        assert m >= minimal and rep.verdict == "holds"
+
+
+def test_cap_hit_keeps_partial_stats():
+    # the instance fails, and a proper coloring assigns all 127 vertices, so
+    # the cap stops the search whatever it branches on
+    rep = wit.check_witness_mn(2, C2, trees.chain(4), trees.chain(8), max_nodes=50)
+    assert rep.verdict == "cap_exceeded"
+    assert rep.stats.nodes == 50 and rep.stats.vertices == 127
 
 
 def test_search_not_found():
