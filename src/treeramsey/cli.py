@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success / verdict holds, 1 verdict fails or nothing found within
-bounds, 2 usage or input error, 3 resource cap hit.  All output is
-deterministic: identical invocations print identical bytes, for any --jobs
-value.  RAMSEY_MAX_NODES sets the default search-node cap; --config FILE reads
-key=value lines used as flag defaults.
+Exit codes: 0 success / verdict holds, 1 verdict fails, nothing found within
+bounds or a computed result failed its verification, 2 usage or input error,
+3 resource cap hit.  All output is deterministic: identical invocations print
+identical bytes, for any --jobs value.  RAMSEY_MAX_NODES sets the default
+search-node cap; --config FILE reads key=value lines used as flag defaults
+(true and false read as booleans, digits as integers).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from typing import Optional, Sequence
@@ -27,6 +27,7 @@ from .errors import (
     ResourceCapExceeded,
     SchemaError,
     TreeRamseyError,
+    VerificationFailed,
 )
 from .maps import classify, compose, injection_of, rigid_from_embedding
 from .trees import (
@@ -322,16 +323,6 @@ def cmd_hj(args) -> int:
 # witness
 
 
-def _eval_candidate(payload: tuple) -> dict:
-    b, mode, s_par, t_par, u_par, max_nodes, max_colorings = payload
-    s = OrderedTree(s_par)
-    t = OrderedTree(t_par)
-    u = OrderedTree(u_par)
-    check = witness.check_witness_sealed if mode == "sealed" else witness.check_witness_mn
-    rep = check(b, s, t, u, max_nodes=max_nodes, max_colorings=max_colorings)
-    return serialize.report_to_json(rep)
-
-
 def cmd_witness(args) -> int:
     if args.wit_cmd == "check":
         s = _load_tree(args.s, args.normalize)
@@ -352,12 +343,11 @@ def cmd_witness(args) -> int:
         else:
             s = _load_tree(args.s, args.normalize)
             t = _load_tree(args.t, args.normalize)
-        found = _search_parallel(args, s, t)
-        if found is None:
-            raise NotFoundWithinBound(
-                f"no witness tree with at most {args.max_vertices} vertices"
-            )
-        payload = found
+        _, rep = witness.search_witness(
+            args.b, s, t, mode=args.mode, max_vertices=args.max_vertices,
+            max_nodes=args.max_nodes, max_colorings=args.max_colorings, jobs=args.jobs,
+        )
+        payload = serialize.report_to_json(rep)
         if args.fixtures:
             key = (
                 f"search mode={args.mode} b={args.b} "
@@ -374,27 +364,6 @@ def cmd_witness(args) -> int:
         _emit(args, {"reproduced": ok, "verdict": rep.verdict}, f"{rep.verdict} reproduced: {ok}")
         return 0 if ok else 1
     raise SchemaError(f"unknown witness subcommand {args.wit_cmd!r}")
-
-
-def _search_parallel(args, s: OrderedTree, t: OrderedTree) -> Optional[dict]:
-    mode = "sealed" if args.mode == "sealed" else "mn"
-    for n in range(1, args.max_vertices + 1):
-        candidates = [chain(n)] if args.mode == "chain" else list(all_trees(n))
-        payloads = [
-            (args.b, mode, s.parent, t.parent, u.parent, args.max_nodes, args.max_colorings)
-            for u in candidates
-        ]
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_eval_candidate, payloads))
-        else:
-            reports = [_eval_candidate(p) for p in payloads]
-        for rep in reports:  # first in enumeration order wins, independent of jobs
-            if rep["verdict"] == "cap_exceeded":
-                raise ResourceCapExceeded("a candidate hit the node cap; result inconclusive")
-            if rep["verdict"] == "holds":
-                return rep
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +556,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Seque
             key, val = line.split("=", 1)
             key = key.strip().replace("-", "_")
             val = val.strip()
-            defaults[key] = int(val) if val.lstrip("-").isdigit() else val
+            if val.lower() in ("true", "false"):
+                defaults[key] = val.lower() == "true"
+            elif val.lstrip("-").isdigit():
+                defaults[key] = int(val)
+            else:
+                defaults[key] = val
     parser.set_defaults(**defaults)
     return argv
 
@@ -619,6 +593,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapExceeded as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3
+    except VerificationFailed as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
     except (OSError, json.JSONDecodeError, SchemaError, TreeRamseyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -224,7 +224,9 @@ def find_proper_coloring_plain(
     """Straightforward checker: vertex order 0..n-1, no dedup, no pinning, no ordering.
 
     Complete and independent of find_proper_coloring; a branch is abandoned only
-    when a fully assigned edge is monochromatic.
+    when a fully assigned edge is monochromatic.  The depth-first search keeps
+    its state in colors alone (the color tried at each level), so it needs no
+    recursion at any size.
     """
     cap = max_nodes if max_nodes is not None else max_nodes_default()
     stats = SearchStats(vertices=n_vertices, edges=len(edges))
@@ -239,27 +241,30 @@ def find_proper_coloring_plain(
         return SearchResult(tuple([0] * n_vertices), stats)
     colors = [-1] * n_vertices
 
-    def extend(v: int) -> Optional[tuple[int, ...]]:
+    def check_cap() -> None:  # before the search enters each level
         if stats.nodes >= cap:
             raise ResourceCapExceeded(f"plain coloring search exceeded {cap} nodes")
-        if v == n_vertices:
-            return tuple(colors)
-        for c in range(b):
-            stats.nodes += 1
-            if v == n_vertices - 1:
-                stats.colorings_examined += 1
-            colors[v] = c
-            if not any(
-                all(colors[u] == colors[e[0]] for u in e) for e in by_last[v]
-            ):
-                found = extend(v + 1)
-                if found is not None:
-                    return found
-        colors[v] = -1
-        return None
 
-    proper = extend(0)
-    return SearchResult(proper, stats)
+    check_cap()
+    v = 0
+    while v >= 0:
+        c = colors[v] + 1  # the next color at this level
+        if c == b:
+            colors[v] = -1
+            v -= 1
+            continue
+        stats.nodes += 1
+        if v == n_vertices - 1:
+            stats.colorings_examined += 1
+        colors[v] = c
+        if not any(
+            all(colors[u] == colors[e[0]] for u in e) for e in by_last[v]
+        ):
+            check_cap()
+            if v == n_vertices - 1:
+                return SearchResult(tuple(colors), stats)
+            v += 1
+    return SearchResult(None, stats)
 
 
 def find_proper_coloring_enumerate(

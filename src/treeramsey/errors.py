@@ -75,3 +75,7 @@ class PrerequisiteFailed(TreeRamseyError):
 
 class SchemaError(TreeRamseyError):
     """JSON artifact fails schema or version validation."""
+
+
+class VerificationFailed(TreeRamseyError):
+    """A computed result failed the check that certifies it."""

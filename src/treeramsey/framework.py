@@ -101,10 +101,6 @@ class DomainElement:
         )
 
 
-def element_from_map(m: TreeMap, amb_dom: Ambient, amb_cod: Ambient) -> DomainElement:
-    return DomainElement(amb_dom, m.dom.n - 1, amb_cod, m.cod.n - 1, m.values)
-
-
 def is_composable(g: DomainElement, f: DomainElement) -> bool:
     """g * f defined: dom(f) is an initial subtree of cod(g) in the same ambient."""
     return f.amb_dom.tag == g.amb_cod.tag and f.cut_dom <= g.cut_cod

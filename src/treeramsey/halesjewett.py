@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
+    BlockConditionViolated,
     NotFoundWithinBound,
     NotSealed,
     ResourceCapExceeded,
-    BlockConditionViolated,
+    VerificationFailed,
 )
 from .enumeration import all_embeddings, enum_colorings
 from .maps import (
@@ -40,12 +41,12 @@ from .maps import (
 from .trees import (
     OrderedForest,
     OrderedTree,
-    QIndex,
     QPoint,
     TensorIndex,
     TensorPoint,
     all_forests,
     all_trees,
+    chain,
     one_plus,
     oplus,
     q_set,
@@ -69,7 +70,6 @@ __all__ = [
     "build_pi",
     "build_r",
     "build_r_plain",
-    "verify_transfer",
     "lp_pipeline",
 ]
 
@@ -385,95 +385,241 @@ class PointFlags:
     very_good: bool
 
 
-class TransferContext:
-    """Shared tables for one (forest, alphabet size, A size, word map) instance.
+TOP = object()  # the value of a symbolic sealed rho at its cut
 
-    The word map p is a full value tuple over the chain A + (Q x I) with the
-    block condition; the identification of Q x I with S x I is positional.
+
+class TransferCell:
+    """Transfer tables for one (forest, alphabet size, A size) cell.
+
+    A word map p is a full value tuple over the chain A + (Q x I) with the
+    block condition; Q x I is identified with S x I positionally.  All of p's
+    transfer structure is read off its block first-hit minima: the very good
+    word of a vertex is forced level by level, a point is leading iff its
+    last letter is its block's first hit, and good iff p hits its own block
+    and the word below the top letter is the very good word's.
+    check_word_map decides the transfer identities symbolically over opaque
+    rho-values, so one pass covers every sealed (and every plain) rho exactly.
     """
 
-    def __init__(self, s: OrderedForest, i_size: int, a_size: int, p: Sequence[int]):
-        self.s = s
-        self.i = i_size
-        self.a = a_size
-        self.tensor: TensorIndex = tensor(s, i_size)
-        self.q: QIndex = q_set(s, i_size)
-        if not check_block_condition(p, a_size, len(self.q.points), i_size):
-            raise BlockConditionViolated("p does not satisfy the block condition")
-        self.p = tuple(p)
+    def __init__(self, s: OrderedForest, i_size: int, a_size: int):
+        self.s, self.i, self.a = s, i_size, a_size
+        self.tensor = tensor(s, i_size)
+        self.q = q_set(s, i_size)
+        self.nq = len(self.q.points)
+        self.n_block = self.tensor.forest.n
+        self.q_of_pos = [0] * self.n_block
+        self.block_pos = [[0] * i_size for _ in range(self.nq)]
+        for pos, pt in enumerate(self.tensor.points):
+            qq = self.q.position_of[QPoint(pt.s, pt.t[:-1])]
+            self.q_of_pos[pos] = qq
+            self.block_pos[qq][pt.t[-1]] = pos
+        self.chains = []
+        for v in range(s.n):
+            path = []
+            w: Optional[int] = v
+            while w is not None:
+                path.append(w)
+                w = s.parent[w]
+            path.reverse()
+            self.chains.append(path)
+        self.dom_tree = oplus(a_size, self.tensor.forest)
+        self.cod_tree = oplus(a_size, s)
+        self.dom_anc = self.dom_tree.anc_mask
+        m = a_size + s.n
+        self.cod_meet = [[self.cod_tree.meet(x, y) for y in range(m)] for x in range(m)]
 
-    def p_at(self, tensor_pos: int) -> int:
-        """Value of p at a tensor vertex: an A element (< a) or a + q position."""
-        return self.p[self.a + tensor_pos]
+    def word_count(self) -> int:
+        return count_block_maps(self.a, self.nq, self.i)
 
-    def q_pos(self, s_vertex: int, word: tuple[int, ...]) -> int:
-        return self.q.position_of[QPoint(s_vertex, word)]
-
-    def tensor_pos(self, s_vertex: int, word: tuple[int, ...]) -> int:
-        return self.tensor.vertex_of[TensorPoint(s_vertex, word)]
-
-    def is_leading(self, s_vertex: int, word: tuple[int, ...]) -> bool:
-        q = self.q_pos(s_vertex, word[:-1])
-        if self.p_at(self.tensor_pos(s_vertex, word)) != self.a + q:
-            return False
-        for j in range(word[-1]):
-            if self.p_at(self.tensor_pos(s_vertex, word[:-1] + (j,))) == self.a + q:
-                return False
-        return True
-
-    def prefixes(self, s_vertex: int, word: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """All (s', word') with s' below s_vertex and word' an initial segment, deepest last."""
-        chain = []
-        v: Optional[int] = s_vertex
-        while v is not None:
-            chain.append(v)
-            v = self.s.parent[v]
-        chain.reverse()
-        return [(chain[k], word[: k + 1]) for k in range(len(chain))]
-
-    def flags(self, s_vertex: int, word: tuple[int, ...]) -> PointFlags:
-        prefixes = self.prefixes(s_vertex, word)
-        proper_leading = all(self.is_leading(sv, w) for sv, w in prefixes[:-1])
-        self_leading = self.is_leading(s_vertex, word)
-        q = self.q_pos(s_vertex, word[:-1])
-        hits = self.p_at(self.tensor_pos(s_vertex, word)) == self.a + q
-        return PointFlags(
-            leading=self_leading,
-            good=hits and proper_leading,
-            very_good=self_leading and proper_leading,
-        )
-
-    def very_good_word(self, s_vertex: int) -> tuple[int, ...]:
-        """The unique word making (s, word) very good, built level by level."""
-        chain = []
-        v: Optional[int] = s_vertex
-        while v is not None:
-            chain.append(v)
-            v = self.s.parent[v]
-        chain.reverse()
-        word: tuple[int, ...] = ()
-        for sv in chain:
-            q = self.q_pos(sv, word)
-            for j in range(self.i):
-                if self.p_at(self.tensor_pos(sv, word + (j,))) == self.a + q:
-                    word = word + (j,)
+    def structure(self, p: Sequence[int]):
+        """(min hit per block, very good word positions and words per vertex)."""
+        a, i = self.a, self.i
+        minhit = [0] * self.nq
+        for qq in range(self.nq):
+            target = a + qq
+            for j in range(i):
+                if p[a + self.block_pos[qq][j]] == target:
+                    minhit[qq] = j
                     break
             else:
-                raise BlockConditionViolated(f"block at {sv} never hits its target")
-        return word
+                raise BlockConditionViolated(f"block {qq} never hits its target")
+        words = []
+        vg_pos = []
+        for v in range(self.s.n):
+            word: tuple[int, ...] = ()
+            for sv in self.chains[v]:
+                qq = self.q.position_of[QPoint(sv, word)]
+                word = word + (minhit[qq],)
+            words.append(word)
+            vg_pos.append(self.tensor.vertex_of[TensorPoint(v, word)])
+        return minhit, words, vg_pos
+
+    def transfer_maps(self, p: Sequence[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+        """(values of pi_p on A + (S x I), values of j_p on A + S, very good
+        words of p); build_pi says what pi_p and j_p are."""
+        a = self.a
+        _, words, vg_pos = self.structure(p)
+        points = self.q.points
+        pi_vals = list(range(a))
+        for pos in range(self.n_block):
+            pv = p[a + pos]
+            if pv < a:
+                pi_vals.append(pv)
+                continue
+            qq = pv - a
+            sv = points[qq].s
+            if qq == self.q_of_pos[pos] and points[qq].u == words[sv][:-1]:
+                pi_vals.append(a + sv)
+            else:
+                pi_vals.append(0)  # min A
+        return pi_vals, list(range(a)) + [a + pos for pos in vg_pos], words
+
+    def check_word_map(self, p: Sequence[int], deep: bool = False) -> None:
+        """Verify the full executable transfer lemma for one word map.
+
+        Raises VerificationFailed on any violation.  With deep=True the
+        rigidity of pi is additionally recomputed through the generic
+        fiberwise-meet classifier instead of the witness checks.
+        """
+        a, s = self.a, self.s
+        pi_vals, j_vals, words = self.transfer_maps(p)
+        for v in range(s.n):  # prefix coherence of very good words
+            par = s.parent[v]
+            if par is not None and words[par] != words[v][: s.height[par]]:
+                raise VerificationFailed(f"very good words of {par} and {v} are not prefix coherent")
+
+        # witness verification: pi o j = id, j o pi below id, j a morphism
+        n = self.n_block
+        for x in range(a + s.n):
+            if pi_vals[j_vals[x]] != x:
+                raise VerificationFailed(f"pi o j moves {x}")
+        anc = self.dom_anc
+        for w in range(a + n):
+            if not (anc[w] >> j_vals[pi_vals[w]]) & 1:
+                raise VerificationFailed(f"j o pi is not below the identity at {w}")
+        for x in range(a + s.n):  # monotone + meets + root
+            if x and j_vals[x - 1] >= j_vals[x]:
+                raise VerificationFailed("injection candidate not monotone")
+            for y in range(x + 1, a + s.n):
+                common = anc[j_vals[x]] & anc[j_vals[y]]
+                if j_vals[self.cod_meet[x][y]] != common.bit_length() - 1:
+                    raise VerificationFailed(f"j does not preserve the meet of {x} and {y}")
+        if j_vals[0] != 0:
+            raise VerificationFailed("j moves the root")
+        if deep:
+            pi_map = TreeMap(self.dom_tree, self.cod_tree, tuple(pi_vals))
+            if injection_of(pi_map).values != tuple(j_vals):
+                raise VerificationFailed("the classifier's injection of pi differs from j")
+
+        # transfer identity with symbolic rho, sealed variant for every cut vertex
+        for v in range(s.n):
+            x_v = self.q.position_of[QPoint(v, words[v][:-1])]
+            for w in range(a, j_vals[a + v] + 1):
+                pv = p[w]
+                if pv < a:
+                    lhs = pv
+                else:
+                    qq = pv - a
+                    if qq == x_v:
+                        lhs = TOP
+                    else:
+                        qpt = self.q.points[qq]
+                        lhs = ("rho", qpt.s) if words[qpt.s][:-1] == qpt.u else 0
+                image = pi_vals[w]
+                if image < a:
+                    rhs = image
+                else:
+                    sv = image - a
+                    rhs = TOP if sv == v else ("rho", sv)
+                if a == 1:
+                    lhs = TOP if lhs is TOP else 0
+                    rhs = TOP if rhs is TOP else 0
+                if lhs != rhs:
+                    raise VerificationFailed(f"sealed transfer identity fails at v={v}, w={w}")
+
+        # plain variant over the whole domain
+        for w in range(a, a + n):
+            pv = p[w]
+            if pv < a:
+                lhs = pv
+            else:
+                qpt = self.q.points[pv - a]
+                lhs = ("rho", qpt.s) if words[qpt.s][:-1] == qpt.u else 0
+            image = pi_vals[w]
+            rhs = image if image < a else ("rho", image - a)
+            if a == 1:
+                lhs, rhs = 0, 0
+            if lhs != rhs:
+                raise VerificationFailed(f"plain transfer identity fails at w={w}")
+
+
+    def reduced_family(self) -> Iterator[tuple[int, ...]]:
+        """Deterministic structurally complete sample for over-budget cells.
+
+        Every vector of block hit minima appears (those determine the very
+        good structure), combined with block patterns at both membership
+        extremes (single hit / all hit) plus an alternating mix, and two
+        fills for the A-valued slots (constant minimum / cycling).
+        """
+        a, i, nq = self.a, self.i, self.nq
+        fills = [lambda slot: 0, lambda slot: slot % a]
+        patterns = ("single", "full", "mixed")
+        for mins in itertools.product(range(i), repeat=nq):
+            for pattern in patterns:
+                for fill in fills:
+                    vals = list(range(a))
+                    for qq in range(nq):
+                        full = pattern == "full" or (pattern == "mixed" and qq % 2 == 0)
+                        for j in range(i):
+                            if j == mins[qq] or (full and j > mins[qq]):
+                                vals.append(a + qq)
+                            else:
+                                vals.append(fill(a * qq + j))
+                    yield tuple(vals)
+
+
+def _checked_cell(s: OrderedForest, i_size: int, a_size: int, p: Sequence[int]) -> TransferCell:
+    """The cell of (s, i_size, a_size), after checking p's block condition."""
+    cell = TransferCell(s, i_size, a_size)
+    if not check_block_condition(p, a_size, cell.nq, i_size):
+        raise BlockConditionViolated("p does not satisfy the block condition")
+    return cell
 
 
 def classify_point(
     s: OrderedForest, i_size: int, a_size: int, p: Sequence[int], point: tuple[int, tuple[int, ...]]
 ) -> PointFlags:
-    ctx = TransferContext(s, i_size, a_size, p)
-    return ctx.flags(point[0], tuple(point[1]))
+    """The leading / good / very good flags of a point (vertex, word) of S x I under p."""
+    cell = _checked_cell(s, i_size, a_size, p)
+    minhit, words, _ = cell.structure(p)
+    sv, word = point[0], tuple(point[1])
+    pos = cell.tensor.vertex_of[TensorPoint(sv, word)]
+    qq = cell.q_of_pos[pos]
+    leading = word[-1] == minhit[qq]
+    on_path = word[:-1] == words[sv][:-1]
+    return PointFlags(
+        leading=leading,
+        good=p[a_size + pos] == a_size + qq and on_path,
+        very_good=leading and on_path,
+    )
 
 
 def very_good_word(
     s: OrderedForest, i_size: int, a_size: int, p: Sequence[int], s_vertex: int
 ) -> tuple[int, ...]:
-    return TransferContext(s, i_size, a_size, p).very_good_word(s_vertex)
+    """The unique word making (s_vertex, word) very good."""
+    return _checked_cell(s, i_size, a_size, p).structure(p)[1][s_vertex]
+
+
+def _pi_and_j(cell: TransferCell, p: Sequence[int]) -> tuple[TreeMap, TreeMap, list[tuple[int, ...]]]:
+    """pi_p and j_p as tree maps, verified to be a rigid surjection with that
+    exact injection, and the very good words of p."""
+    pi_vals, j_vals, words = cell.transfer_maps(p)
+    pi = TreeMap(cell.dom_tree, cell.cod_tree, tuple(pi_vals))
+    j = TreeMap(cell.cod_tree, cell.dom_tree, tuple(j_vals))
+    if injection_of(pi) != j:  # raises NotRigid when pi is not rigid
+        raise BlockConditionViolated("transfer map's injection differs from the very-good embedding")
+    return pi, j, words
 
 
 def build_pi(
@@ -486,42 +632,18 @@ def build_pi(
     vertex to its very good point.  The pair is verified to be a rigid
     surjection with that exact injection.
     """
-    ctx = TransferContext(s, i_size, a_size, p)
-    return _build_pi_ctx(ctx)
-
-
-def _build_pi_ctx(ctx: TransferContext) -> tuple[TreeMap, TreeMap]:
-    a, s = ctx.a, ctx.s
-    dom = oplus(a, ctx.tensor.forest)
-    cod = oplus(a, s)
-    pi_vals = list(range(a))
-    for pos, pt in enumerate(ctx.tensor.points):
-        v = ctx.p_at(pos)
-        if v < a:
-            pi_vals.append(v)
-        elif ctx.flags(pt.s, pt.t).good:
-            pi_vals.append(a + pt.s)
-        else:
-            pi_vals.append(0)  # min A
-    j_vals = list(range(a))
-    for sv in range(s.n):
-        j_vals.append(a + ctx.tensor_pos(sv, ctx.very_good_word(sv)))
-    pi = TreeMap(dom, cod, tuple(pi_vals))
-    j = TreeMap(cod, dom, tuple(j_vals))
-    if injection_of(pi) != j:  # raises NotRigid when pi is not rigid
-        raise BlockConditionViolated("transfer map's injection differs from the very-good embedding")
+    pi, j, _ = _pi_and_j(_checked_cell(s, i_size, a_size, p), p)
     return pi, j
 
 
-def _r_values(ctx: TransferContext, q_prefix_len: int, rho_of) -> list:
-    """Values of r on the Q part below the cut: rho(s) when some extension is very
-    good, min A otherwise; rho_of is a callable so callers can pass symbols."""
-    out = []
-    for qq in range(q_prefix_len):
-        qpt = ctx.q.points[qq]
-        ext_very_good = ctx.very_good_word(qpt.s)[:-1] == qpt.u
-        out.append(rho_of(qpt.s) if ext_very_good else 0)
-    return out
+def _r_values(cell: TransferCell, words: list[tuple[int, ...]], rho: TreeMap, length: int) -> list[int]:
+    """Values of r on the first `length` cuts of Q: rho(s) when the cut lies on
+    the very good word of its vertex s, min A otherwise."""
+    a = cell.a
+    return [
+        rho.values[a + qpt.s] if words[qpt.s][:-1] == qpt.u else 0
+        for qpt in cell.q.points[:length]
+    ]
 
 
 def build_r(
@@ -537,25 +659,20 @@ def build_r(
     rho must be a sealed identity-on-A map from A + S^v onto A + 1; the
     identity is verified pointwise before returning.
     """
-    ctx = TransferContext(s, i_size, a_size, p)
+    cell = _checked_cell(s, i_size, a_size, p)
     a = a_size
     exp_dom = oplus(a, _forest_prefix(s, v))
     if rho.dom != exp_dom or rho.cod.n != a + 1 or not classify(rho).sealed:
         raise NotSealed("rho must be a sealed identity-on-A map from A + S^v onto A + 1")
     if any(rho.values[k] != k for k in range(a)):
         raise NotSealed("rho must fix A pointwise")
-    t_v = ctx.very_good_word(v)
-    x_v = ctx.q_pos(v, t_v[:-1])
-    q_cut_tree = oplus(a, _chain_prefix_as_forest(len(ctx.q.points), x_v))
-    r_vals = (
-        list(range(a)) + _r_values(ctx, x_v, lambda sv: rho.values[a + sv]) + [a]
-    )
-    r = TreeMap(q_cut_tree, rho.cod, tuple(r_vals))
+    pi, _, words = _pi_and_j(cell, p)
+    x_v = cell.q.position_of[QPoint(v, words[v][:-1])]
+    r_vals = tuple(range(a)) + tuple(_r_values(cell, words, rho, x_v)) + (a,)
+    r = TreeMap(chain(a + x_v + 1), rho.cod, r_vals)
     # verify the transfer identity pointwise; p lives on the chain A + (Q x I),
     # pi on the tree A + (S x I), equal as linear orders, so compare values
-    pi, j = _build_pi_ctx(ctx)
-    p_map = _p_as_chain_map(ctx)
-    left = compose(r, restrict_initial(p_map, a + x_v))
+    left = compose(r, restrict_initial(_p_as_chain_map(cell, p), a + x_v))
     right = compose(rho, restrict_initial(pi, a + v))
     if left.values != right.values:
         raise BlockConditionViolated("transfer identity fails")
@@ -566,140 +683,25 @@ def build_r_plain(
     s: OrderedForest, i_size: int, a_size: int, p: Sequence[int], rho: TreeMap
 ) -> TreeMap:
     """The companion r: A + Q -> A with r o p = rho o pi_p, for rho: A + S -> A."""
-    ctx = TransferContext(s, i_size, a_size, p)
+    cell = _checked_cell(s, i_size, a_size, p)
     a = a_size
     if rho.dom != oplus(a, s) or rho.cod.n != a or any(rho.values[k] != k for k in range(a)):
         raise NotSealed("rho must be an identity-on-A map from A + S to A")
-    nq = len(ctx.q.points)
-    r_vals = list(range(a)) + _r_values(ctx, nq, lambda sv: rho.values[a + sv])
-    r = TreeMap(oplus(a, _chain_prefix_as_forest(nq, nq - 1)), rho.cod, tuple(r_vals))
-    pi, _ = _build_pi_ctx(ctx)
-    if compose(r, _p_as_chain_map(ctx)).values != compose(rho, pi).values:
+    pi, _, words = _pi_and_j(cell, p)
+    r_vals = tuple(range(a)) + tuple(_r_values(cell, words, rho, cell.nq))
+    r = TreeMap(chain(a + cell.nq), rho.cod, r_vals)
+    if compose(r, _p_as_chain_map(cell, p)).values != compose(rho, pi).values:
         raise BlockConditionViolated("plain transfer identity fails")
     return r
 
 
-def _p_as_chain_map(ctx: TransferContext) -> TreeMap:
+def _p_as_chain_map(cell: TransferCell, p: Sequence[int]) -> TreeMap:
     """p as a map of chains A + (Q x I) -> A + Q (the word-side view of p)."""
-    from .trees import chain
-
-    nq = len(ctx.q.points)
-    return TreeMap(chain(ctx.a + nq * ctx.i), chain(ctx.a + nq), ctx.p)
+    return TreeMap(chain(cell.a + cell.nq * cell.i), chain(cell.a + cell.nq), tuple(p))
 
 
 def _forest_prefix(s: OrderedForest, v: int) -> OrderedForest:
     return OrderedForest(s.parent[: v + 1])
-
-
-def _chain_prefix_as_forest(total: int, cut: int) -> OrderedForest:
-    """The chain forest 0..cut (cut < total kept for interface clarity)."""
-    assert 0 <= cut < total
-    return OrderedForest((None,) + tuple(range(cut)))
-
-
-TOP = object()
-
-
-def verify_transfer(s: OrderedForest, i_size: int, a_size: int, p: Sequence[int]) -> None:
-    """Full executable content of the transfer lemma for one word map p.
-
-    Checks: prefix coherence of very good words; the good-implies-shared-prefix
-    law; pi_p is rigid with injection j_p; and the transfer identity for every
-    cut vertex v and EVERY sealed rho (and every plain rho in the uncut
-    variant), decided symbolically: both sides are evaluated to expressions
-    over opaque rho-values, so equality holds for all rho iff the expressions
-    match (exact for |A| >= 2; |A| = 1 is compared concretely since all
-    A-values collapse).  Raises AssertionError on any violation.
-    """
-    ctx = TransferContext(s, i_size, a_size, p)
-    a = a_size
-    words = {sv: ctx.very_good_word(sv) for sv in range(s.n)}
-    for sv, word in words.items():
-        flags = ctx.flags(sv, word)
-        assert flags.very_good and flags.leading and flags.good
-        parent = s.parent[sv]
-        if parent is not None:  # prefix coherence along the forest order
-            assert words[parent] == word[: s.height[parent]]
-        # uniqueness: no other word is very good at sv
-        h = s.height[sv]
-        for other in itertools.product(range(i_size), repeat=h):
-            if other != word:
-                assert not ctx.flags(sv, other).very_good
-    for pos, pt in enumerate(ctx.tensor.points):  # good => agrees with the very good word
-        fl = ctx.flags(pt.s, pt.t)
-        if fl.good:
-            assert words[pt.s][:-1] == pt.t[:-1]
-    pi, j = _build_pi_ctx(ctx)  # raises if pi is not rigid with injection j
-    flags_j = classify(j)
-    assert flags_j.embedding
-    for pos, pt in enumerate(ctx.tensor.points):  # j o pi sits below the identity
-        image = pi.values[a + pos]
-        assert pi.dom.below(j.values[image], a + pos)
-
-    def symbolic_sides(v: int) -> None:
-        t_v = words[v]
-        x_v = ctx.q_pos(v, t_v[:-1])
-        dom_cut = a + ctx.tensor_pos(v, t_v)
-        lhs = []
-        rhs = []
-        for w in range(dom_cut + 1):
-            if w < a:
-                lhs.append(w)
-                rhs.append(w)
-                continue
-            pos = w - a
-            pt = ctx.tensor.points[pos]
-            pv = ctx.p_at(pos)
-            # left side: r(p(w)) with r built from a symbolic sealed rho
-            if pv < a:
-                lhs.append(pv)
-            else:
-                qq = pv - a
-                if qq == x_v:
-                    lhs.append(TOP)
-                else:
-                    qpt = ctx.q.points[qq]
-                    wq = words[qpt.s]
-                    lhs.append(("rho", qpt.s) if wq[:-1] == qpt.u else 0)
-            # right side: rho(pi(w)) with rho symbolic, sealed at v
-            image = pi.values[w]
-            if image < a:
-                rhs.append(image)
-            else:
-                sv = image - a
-                rhs.append(TOP if sv == v else ("rho", sv))
-        if a == 1:  # all A-values and rho-values collapse to 0
-            collapse = lambda t: t if t is TOP else 0
-            assert [collapse(t) for t in lhs] == [collapse(t) for t in rhs], (v, lhs, rhs)
-        else:
-            assert lhs == rhs, (v, lhs, rhs)
-
-    for v in range(s.n):
-        symbolic_sides(v)
-
-    # plain variant: r o p = rho o pi for symbolic rho: A + S -> A
-    lhs = []
-    rhs = []
-    for w in range(a + ctx.tensor.forest.n):
-        if w < a:
-            lhs.append(w)
-            rhs.append(w)
-            continue
-        pos = w - a
-        pv = ctx.p_at(pos)
-        if pv < a:
-            lhs.append(pv)
-        else:
-            qpt = ctx.q.points[pv - a]
-            wq = words[qpt.s]
-            lhs.append(("rho", qpt.s) if wq[:-1] == qpt.u else 0)
-        image = pi.values[w]
-        rhs.append(image if image < a else ("rho", image - a))
-    if a == 1:
-        collapse = lambda t: 0
-        assert [collapse(t) for t in lhs] == [collapse(t) for t in rhs]
-    else:
-        assert lhs == rhs, (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +731,14 @@ def _sealed_word_of_map(u: TreeMap, a: int) -> SealedWord:
     """Read a sealed identity-on-A map onto A + 1 back into word form."""
     cut = u.dom.n - 1 - a
     vals = u.values[a : a + cut]
-    assert u.values[u.dom.n - 1] == a and all(v < a for v in vals)
+    if u.values[u.dom.n - 1] != a or any(v >= a for v in vals):
+        raise VerificationFailed(f"{u.values} is not a sealed identity-on-A map onto A + 1")
     return SealedWord(cut, tuple(vals))
 
 
 def _sealed_tree_map(a: int, forest_prefix: OrderedForest, vals: Sequence[int]) -> TreeMap:
     """The sealed identity-on-A map A + F^v -> A + 1 with the given free values."""
-    dom = oplus(a, forest_prefix)
-    from .trees import chain
-
-    return TreeMap(dom, chain(a + 1), tuple(range(a)) + tuple(vals) + (a,))
+    return TreeMap(oplus(a, forest_prefix), chain(a + 1), tuple(range(a)) + tuple(vals) + (a,))
 
 
 def lp_pipeline(
@@ -764,7 +764,6 @@ def lp_pipeline(
     if forests[0].n == 0:
         raise ValueError("the first forest must be non-empty")
     host = monochromatic_host_search(forests[0], b, max_host_size)
-    assert isinstance(host, OrderedForest)
     bases = [host] + list(forests[1:])
     for i_size in range(1, max_i + 1):
         qs = [q_set(f, i_size) for f in bases]
@@ -822,7 +821,7 @@ def _assemble_certificate(
         [
             tuple(
                 compose(
-                    TreeMap(oplus(a_sizes[k], bases[k]), _a_chain(a_sizes[k]), tuple(range(a_sizes[k])) + tuple(rv)),
+                    TreeMap(oplus(a_sizes[k], bases[k]), chain(a_sizes[k]), tuple(range(a_sizes[k])) + tuple(rv)),
                     pis[k],
                 ).values[a_sizes[k] :]
             )
@@ -839,7 +838,8 @@ def _assemble_certificate(
             first = _sealed_word_of_map(compose(s1, restrict_initial(pis[0], a1 + v)), a1)
             for rest in itertools.product(*later_choices):
                 colors.add(color_of[(first, *rest)])
-        assert len(colors) == 1, "transfer failed to make the color depend on the vertex only"
+        if len(colors) != 1:
+            raise VerificationFailed("transfer failed to make the color depend on the vertex only")
         host_color[v] = colors.pop()
 
     embedding = next(
@@ -863,7 +863,7 @@ def _assemble_certificate(
                 compose(
                     TreeMap(
                         oplus(a_sizes[k], forests[k]),
-                        _a_chain(a_sizes[k]),
+                        chain(a_sizes[k]),
                         tuple(range(a_sizes[k])) + tuple(rv),
                     ),
                     t_maps[k],
@@ -880,7 +880,8 @@ def _assemble_certificate(
             first = _sealed_word_of_map(compose(s1, restrict_initial(t1, a1 + w)), a1)
             for rest in itertools.product(*later_composed):
                 final_colors.add(color_of[(first, *rest)])
-    assert len(final_colors) == 1, "pipeline output is not monochromatic"
+    if len(final_colors) != 1:
+        raise VerificationFailed("pipeline output is not monochromatic")
     return PipelineCertificate(
         coloring,
         tuple(tuple(p) for p in p_tuple),
@@ -889,201 +890,11 @@ def _assemble_certificate(
     )
 
 
-def _a_chain(a: int) -> OrderedTree:
-    from .trees import chain
-
-    return chain(a)
-
-
 # ---------------------------------------------------------------------------
 # batched verification of the transfer lemma over whole word-map families
 
 
-class TransferCell:
-    """Precomputed tables for one (forest, alphabet size, A size) cell.
-
-    check_word_map re-derives the per-map structure from block hit minima:
-    the very good word of a vertex is forced level by level, a point is
-    leading iff its last letter is its block's first hit, and good iff p hits
-    and the word below the top letter is the parent's very good word.  The
-    transfer identities are decided symbolically over opaque rho-values, so
-    one pass covers every sealed (and every plain) rho exactly.
-    """
-
-    def __init__(self, s: OrderedForest, i_size: int, a_size: int):
-        self.s, self.i, self.a = s, i_size, a_size
-        self.tensor = tensor(s, i_size)
-        self.q = q_set(s, i_size)
-        self.nq = len(self.q.points)
-        self.n_block = self.tensor.forest.n
-        self.q_of_pos = [0] * self.n_block
-        self.letter_of_pos = [0] * self.n_block
-        self.block_pos = [[0] * i_size for _ in range(self.nq)]
-        for pos, pt in enumerate(self.tensor.points):
-            qq = self.q.position_of[QPoint(pt.s, pt.t[:-1])]
-            self.q_of_pos[pos] = qq
-            self.letter_of_pos[pos] = pt.t[-1]
-            self.block_pos[qq][pt.t[-1]] = pos
-        self.chains = []
-        for v in range(s.n):
-            chain = []
-            w: Optional[int] = v
-            while w is not None:
-                chain.append(w)
-                w = s.parent[w]
-            chain.reverse()
-            self.chains.append(chain)
-        self.dom_tree = oplus(a_size, self.tensor.forest)
-        self.cod_tree = oplus(a_size, s) if s.n else None
-        self.dom_anc = self.dom_tree.anc_mask
-        m = a_size + s.n
-        self.cod_meet = [[0] * m for _ in range(m)]
-        cod = oplus(a_size, s)
-        for x in range(m):
-            for y in range(m):
-                self.cod_meet[x][y] = cod.meet(x, y)
-
-    def word_count(self) -> int:
-        return count_block_maps(self.a, self.nq, self.i)
-
-    def structure(self, p: Sequence[int]):
-        """(min hit per block, very good word positions and words per vertex)."""
-        a, i = self.a, self.i
-        minhit = [0] * self.nq
-        for qq in range(self.nq):
-            target = a + qq
-            for j in range(i):
-                if p[a + self.block_pos[qq][j]] == target:
-                    minhit[qq] = j
-                    break
-            else:
-                raise BlockConditionViolated(f"block {qq} never hits its target")
-        words = []
-        vg_pos = []
-        for v in range(self.s.n):
-            word: tuple[int, ...] = ()
-            for sv in self.chains[v]:
-                qq = self.q.position_of[QPoint(sv, word)]
-                word = word + (minhit[qq],)
-            words.append(word)
-            vg_pos.append(self.tensor.vertex_of[TensorPoint(v, word)])
-        return minhit, words, vg_pos
-
-    def check_word_map(self, p: Sequence[int], deep: bool = False) -> None:
-        """Assert the full executable transfer lemma for one word map.
-
-        With deep=True the rigidity of pi is additionally recomputed through
-        the generic fiberwise-meet classifier instead of the witness checks.
-        """
-        a, i, s = self.a, self.i, self.s
-        minhit, words, vg_pos = self.structure(p)
-        for v in range(s.n):  # prefix coherence of very good words
-            par = s.parent[v]
-            if par is not None:
-                assert words[par] == words[v][: s.height[par]]
-
-        # pi and j from the block structure
-        n = self.n_block
-        pi_vals = list(range(a))
-        for pos in range(n):
-            pv = p[a + pos]
-            if pv < a:
-                pi_vals.append(pv)
-                continue
-            qq = pv - a
-            sv = self.q.points[qq].s
-            # good: hits its own block (pv == q of pos) and the word below the
-            # top letter is the parent's very good word
-            if qq == self.q_of_pos[pos] and self.q.points[qq].u == words[sv][:-1]:
-                pi_vals.append(a + sv)
-            else:
-                pi_vals.append(0)
-        j_vals = list(range(a)) + [a + pos for pos in vg_pos]
-
-        # witness verification: pi o j = id, j o pi below id, j a morphism
-        for x in range(a + s.n):
-            assert pi_vals[j_vals[x]] == x
-        anc = self.dom_anc
-        for w in range(a + n):
-            jw = j_vals[pi_vals[w]]
-            assert (anc[w] >> jw) & 1
-        for x in range(a + s.n):  # monotone + meets + root
-            if x and j_vals[x - 1] >= j_vals[x]:
-                raise AssertionError("injection candidate not monotone")
-            for y in range(x + 1, a + s.n):
-                jm = j_vals[self.cod_meet[x][y]]
-                common = anc[j_vals[x]] & anc[j_vals[y]]
-                assert jm == common.bit_length() - 1
-        assert j_vals[0] == 0
-        if deep:
-            pi_map = TreeMap(self.dom_tree, oplus(a, s), tuple(pi_vals))
-            j_map = injection_of(pi_map)
-            assert j_map.values == tuple(j_vals)
-
-        # transfer identity with symbolic rho, sealed variant for every cut vertex
-        for v in range(s.n):
-            x_v = self.q.position_of[QPoint(v, words[v][:-1])]
-            dom_cut = a + vg_pos[v]
-            for w in range(a, dom_cut + 1):
-                pos = w - a
-                pv = p[w]
-                if pv < a:
-                    lhs = pv
-                else:
-                    qq = pv - a
-                    if qq == x_v:
-                        lhs = TOP
-                    else:
-                        qpt = self.q.points[qq]
-                        lhs = ("rho", qpt.s) if words[qpt.s][:-1] == qpt.u else 0
-                image = pi_vals[w]
-                if image < a:
-                    rhs = image
-                else:
-                    sv = image - a
-                    rhs = TOP if sv == v else ("rho", sv)
-                if self.a == 1:
-                    lhs = TOP if lhs is TOP else 0
-                    rhs = TOP if rhs is TOP else 0
-                assert lhs == rhs, (v, w, lhs, rhs)
-
-        # plain variant over the whole domain
-        for w in range(a, a + n):
-            pv = p[w]
-            if pv < a:
-                lhs = pv
-            else:
-                qpt = self.q.points[pv - a]
-                lhs = ("rho", qpt.s) if words[qpt.s][:-1] == qpt.u else 0
-            image = pi_vals[w]
-            rhs = image if image < a else ("rho", image - a)
-            if self.a == 1:
-                lhs, rhs = 0, 0
-            assert lhs == rhs, (w, lhs, rhs)
-
-    def reduced_family(self) -> Iterator[tuple[int, ...]]:
-        """Deterministic structurally complete sample for over-budget cells.
-
-        Every vector of block hit minima appears (those determine the very
-        good structure), combined with block patterns at both membership
-        extremes (single hit / all hit) plus an alternating mix, and two
-        fills for the A-valued slots (constant minimum / cycling).
-        """
-        a, i, nq = self.a, self.i, self.nq
-        fills = [lambda slot: 0, lambda slot: slot % a]
-        patterns = ("single", "full", "mixed")
-        for mins in itertools.product(range(i), repeat=nq):
-            for pattern in patterns:
-                for fill in fills:
-                    vals = list(range(a))
-                    for qq in range(nq):
-                        full = pattern == "full" or (pattern == "mixed" and qq % 2 == 0)
-                        for j in range(i):
-                            if j == mins[qq] or (full and j > mins[qq]):
-                                vals.append(a + qq)
-                            else:
-                                vals.append(fill(a * qq + j))
-                    yield tuple(vals)
+DEEP_CHECK_EVERY = 97  # every this-many-th word map also goes through the generic classifier
 
 
 def verify_transfer_cell(
@@ -1091,20 +902,19 @@ def verify_transfer_cell(
     i_size: int,
     a_size: int,
     exhaustive_budget: int = 200_000,
-    deep_every: int = 97,
 ) -> tuple[int, bool]:
     """Run the transfer verification over a whole (S, I, A) cell.
 
     Returns (maps checked, exhausted): exhausted is True when every word map
     was checked; otherwise the deterministic structurally complete family was
-    used (the cell's full count exceeds the budget).  Every deep_every-th map
-    is also pushed through the generic rigidity classifier.
+    used (the cell's full count exceeds the budget).  Every DEEP_CHECK_EVERY-th
+    map is also pushed through the generic rigidity classifier.
     """
     cell = TransferCell(s, i_size, a_size)
     exhaustive = cell.word_count() <= exhaustive_budget
     source = block_condition_maps(a_size, cell.nq, i_size) if exhaustive else cell.reduced_family()
     count = 0
     for p in source:
-        cell.check_word_map(p, deep=(count % deep_every == 0))
+        cell.check_word_map(p, deep=(count % DEEP_CHECK_EVERY == 0))
         count += 1
     return count, exhaustive

@@ -235,14 +235,6 @@ def canonicalize(parent: ParentArray) -> tuple[OrderedTree, tuple[int, ...]]:
     return OrderedTree(tuple(new_parent)), tuple(perm)
 
 
-def is_canonical(parent: ParentArray) -> bool:
-    try:
-        OrderedTree(tuple(parent))
-        return True
-    except (NotATree, NotCanonical):
-        return False
-
-
 def initial_subtree(t: OrderedTree, v: int) -> OrderedTree:
     """T^v = all vertices lexicographically below-or-equal v, as a canonical tree.
 
@@ -300,14 +292,6 @@ class OrderedForest:
     def minima(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.parent) if p is None)
 
-    def max_height(self) -> int:
-        return max(self.height, default=0)
-
-    def parent_of(self, v: int) -> Optional[int]:
-        if not (0 <= v < self.n):
-            raise VertexOutOfRange(f"vertex {v} not in forest of size {self.n}")
-        return self.parent[v]
-
 
 def forest(parent: Iterable[Optional[int]]) -> OrderedForest:
     return OrderedForest(tuple(parent))
@@ -344,11 +328,6 @@ class LinearOrder:
     def __post_init__(self):
         if self.size < 0:
             raise EmptyLinearOrder("negative size")
-
-    def as_tree(self) -> OrderedTree:
-        if self.size == 0:
-            raise EmptyLinearOrder("the empty order is not a tree")
-        return chain(self.size)
 
     def __len__(self) -> int:
         return self.size

@@ -9,9 +9,10 @@ search.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import colorsearch
 from .colorsearch import SearchStats
@@ -20,6 +21,7 @@ from .errors import (
     NotFoundWithinBound,
     PrerequisiteFailed,
     ResourceCapExceeded,
+    VerificationFailed,
 )
 from .maps import (
     TreeMap,
@@ -41,7 +43,6 @@ __all__ = [
     "replay_report",
     "bridge_prvo",
     "leeb_transport",
-    "leeb_extract",
     "leeb_contract_check",
     "gr_compatibility",
     "assemble_plus",
@@ -199,6 +200,11 @@ def replay_report(report: WitnessReport) -> bool:
     return True
 
 
+def _decide_candidate(job: tuple) -> WitnessReport:
+    """One search_witness decision; module level so worker processes can run it."""
+    return _decide(*job)
+
+
 def search_witness(
     b: int,
     s: OrderedTree,
@@ -206,20 +212,44 @@ def search_witness(
     mode: str = "mn",
     max_vertices: int = 8,
     max_nodes: Optional[int] = None,
+    max_colorings: Optional[int] = None,
+    jobs: int = 1,
 ) -> tuple[OrderedTree, WitnessReport]:
-    """First tree in enumeration order (chains only in chain mode) passing the check."""
+    """First tree in enumeration order (chains only in chain mode) passing the check.
+
+    With jobs > 1 (at most the cpu count) the candidates of each size are
+    decided in that many worker processes; the first holding candidate in
+    enumeration order wins, so the result is the same for every jobs value.
+    """
     if mode not in ("mn", "sealed", "chain"):
         raise ValueError("mode must be mn, sealed or chain")
-    for n in range(1, max_vertices + 1):
-        candidates: Iterable[OrderedTree] = [chain(n)] if mode == "chain" else all_trees(n)
-        for u in candidates:
-            rep = _decide(b, "sealed" if mode == "sealed" else "mn", s, t, u, max_nodes)
-            if rep.verdict == "cap_exceeded":
-                raise ResourceCapExceeded(
-                    f"candidate with {u.n} vertices hit the node cap; result inconclusive"
-                )
-            if rep.holds:
-                return u, rep
+    decide_mode = "sealed" if mode == "sealed" else "mn"
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    pool = None
+    if jobs > 1:
+        # imported here so that single-process searches load no pool machinery;
+        # spawned workers inherit no threads or locks from this process
+        import concurrent.futures
+        import multiprocessing
+
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        )
+    try:
+        for n in range(1, max_vertices + 1):
+            candidates = [chain(n)] if mode == "chain" else all_trees(n)
+            decisions = [(b, decide_mode, s, t, u, max_nodes, max_colorings) for u in candidates]
+            reports = (pool.map if pool else map)(_decide_candidate, decisions)
+            for u, rep in zip(candidates, reports):
+                if rep.verdict == "cap_exceeded":
+                    raise ResourceCapExceeded(
+                        f"candidate with {u.n} vertices hit the node cap; result inconclusive"
+                    )
+                if rep.holds:
+                    return u, rep
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     raise NotFoundWithinBound(f"no witness tree with at most {max_vertices} vertices")
 
 
@@ -257,10 +287,6 @@ def leeb_transport(
         raise ValueError("coloring length differs from the number of embeddings")
     color_of = {e.values: c for e, c in zip(embeddings, emb_coloring)}
     return [color_of[injection_of(f).values] for f in all_rigid_surjections(u, s)]
-
-
-def leeb_extract(g0: TreeMap) -> TreeMap:
-    return injection_of(g0)
 
 
 def leeb_contract_check(
@@ -310,17 +336,20 @@ def lift_sealed(f: TreeMap) -> TreeMap:
     """Extend a rigid surjection T -> S to the sealed map T+ -> S+ sending top to top.
 
     The old top of T is conjugate to the old top of S through the lift, and
-    truncating the lift along that pair gives f back; both are asserted.
+    truncating the lift along that pair gives f back; both are verified.
     """
     s_plus, s_new = assemble_plus(f.cod)
     t_plus, _ = assemble_plus(f.dom)
     lifted = TreeMap(t_plus, s_plus, f.values + (s_new,))
-    assert is_sealed(lifted)
+    if not is_sealed(lifted):
+        raise VerificationFailed(f"the lift {lifted.values} is not sealed")
     old_top_s = f.cod.n - 1
     if old_top_s in s_plus.leaves:  # degenerate for one-vertex codomains (old top = root)
-        assert conjugate_leaf(injection_of(lifted), old_top_s) == f.dom.n - 1
+        if conjugate_leaf(injection_of(lifted), old_top_s) != f.dom.n - 1:
+            raise VerificationFailed("the old tops are not conjugate through the lift")
         back = restrict_conjugate(lifted, old_top_s)
-        assert back.values == f.values and back.dom == f.dom and back.cod == f.cod
+        if back.values != f.values or back.dom != f.dom or back.cod != f.cod:
+            raise VerificationFailed("truncating the lift does not give the map back")
     return lifted
 
 
@@ -356,7 +385,8 @@ def assemble_V(u: OrderedTree) -> Assembly:
         inc = TreeMap(
             initial_subtree(u, y), v_tree, (0,) + tuple(range(base, base + y))
         )
-        assert injection_of(pi) == inc  # rigid, with the inclusion as injection
+        if injection_of(pi) != inc:  # rigid, with the inclusion as injection
+            raise VerificationFailed(f"the projection onto U^{y} does not have the inclusion as injection")
         projections[y] = pi
         inclusions[y] = inc
     return Assembly(v_tree, leaves, projections, inclusions)

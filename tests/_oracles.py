@@ -58,3 +58,28 @@ def definitional_positions(parent) -> list[int]:
     for v in range(n):
         ranks.append(sum(1 for w in range(n) if less(w, v)))
     return ranks
+
+
+def definitional_point_flags(parent, a, p, q_pos, t_pos, s_vertex, word):
+    """(leading, good, very good) of the point (s_vertex, word) under the word map p.
+
+    p is the full value tuple over A + (Q x I); q_pos and t_pos map (vertex,
+    word) to positions in Q and in S x I.  A point is leading when p hits its
+    block's target there and nowhere earlier in the block, good when p hits
+    the target there and every proper prefix point is leading, and very good
+    when it is itself leading as well.
+    """
+
+    def hits(sv, w):
+        return p[a + t_pos[(sv, w)]] == a + q_pos[(sv, w[:-1])]
+
+    def leading(sv, w):
+        return hits(sv, w) and not any(hits(sv, w[:-1] + (j,)) for j in range(w[-1]))
+
+    path = [s_vertex]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    prefixes = all(leading(sv, word[: k + 1]) for k, sv in enumerate(path[:-1]))
+    own = leading(s_vertex, word)
+    return own, hits(s_vertex, word) and prefixes, own and prefixes

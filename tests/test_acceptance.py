@@ -7,7 +7,6 @@ Every bound and tolerance is pinned here; nothing is configurable.
 import itertools
 import subprocess
 import sys
-from pathlib import Path
 
 from treeramsey import framework as fw
 from treeramsey import halesjewett as hj
@@ -26,7 +25,7 @@ from treeramsey.maps import (
     rigid_from_embedding,
 )
 
-FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures" / "witnesses.json")
+from _fixtures import assert_fixture, stored_fixture
 
 T5 = [t for n in range(1, 6) for t in trees.all_trees(n)]
 T6 = T5 + list(trees.all_trees(6))
@@ -239,12 +238,11 @@ def test_acceptance_5_witness_fixtures():
     assert wit.replay_report(rep1)
     # the first entry's node count is the work of the engine that recorded it;
     # every other field is a property of the instance
-    stored = serialize.load_fixtures(FIXTURES)["entries"]["chain minimal m b=2 k=2 l=3"]
+    stored = stored_fixture("chain minimal m b=2 k=2 l=3")
     computed = {"m": u1.n, "report": serialize.report_to_json(rep1)}
     del stored["report"]["stats"]["nodes"], computed["report"]["stats"]["nodes"]
     assert computed == stored
-    serialize.record_fixture(
-        FIXTURES,
+    assert_fixture(
         "chain minimal m b=2 k=2 l=3 propagating",
         {"m": u1.n, "report": serialize.report_to_json(rep1)},
     )

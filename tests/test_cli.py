@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treeramsey import serialize, trees
+from treeramsey import halesjewett, serialize, trees
 from treeramsey.cli import main
 from treeramsey.maps import TreeMap
 
@@ -160,6 +160,30 @@ def test_config_file_defaults(files, capsys, tmp_path):
         "--s", files["c2"], "--t", files["c3"], "--u", files["c3"],
     )
     assert code == 3  # the configured cap applies
+
+
+@pytest.mark.parametrize("value, expected", [("false", "2\n"), ("true", '{\n  "count": 2\n}\n')])
+def test_config_file_booleans(capsys, tmp_path, value, expected):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"json={value}\n")
+    code, out = run(capsys, "--config", str(cfg), "enum", "trees", "--n", "3", "--count-only")
+    assert code == 0 and out == expected
+
+
+def test_verification_failure_exits_1(capsys, tmp_path, monkeypatch):
+    forest = tmp_path / "pt.json"
+    serialize.save_json(str(forest), serialize.tree_to_json(trees.point_forest(1)))
+    init = halesjewett.TransferCell.__init__
+
+    def corrupted(self, *args):
+        init(self, *args)
+        self.cod_meet = [[0] * len(row) for row in self.cod_meet]
+
+    monkeypatch.setattr(halesjewett.TransferCell, "__init__", corrupted)
+    code = main(["hj", "verify-transfer", "--forest", str(forest), "--alphabet", "2", "--a-size", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("verification failed: ")
 
 
 def test_bridge_commands(files, capsys):

@@ -65,6 +65,14 @@ def test_long_odd_cycle_holds_without_recursion():
     assert find_proper_coloring(n, edges, 2).holds
 
 
+def test_plain_checker_long_odd_cycle_holds_without_recursion():
+    # witness replay re-decides every holds report with the plain checker
+    n = 1501
+    edges = [frozenset({i, (i + 1) % n}) for i in range(n)]
+    res = find_proper_coloring_plain(n, edges, 2)
+    assert res.holds
+
+
 def test_long_path_colored_without_recursion():
     n = 1500
     edges = [frozenset({i, i + 1}) for i in range(n - 1)]

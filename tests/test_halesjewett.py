@@ -1,13 +1,22 @@
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from treeramsey import halesjewett as hj
-from treeramsey import maps, serialize, trees
-from treeramsey.errors import NotFoundWithinBound, ResourceCapExceeded, BlockConditionViolated
+from treeramsey import maps, trees
+from treeramsey.errors import (
+    BlockConditionViolated,
+    NotFoundWithinBound,
+    ResourceCapExceeded,
+    VerificationFailed,
+)
 
-FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures" / "witnesses.json")
+from _fixtures import assert_fixture
+from _oracles import definitional_point_flags
 
 PT = trees.point_forest(1)
 TWO_PT = trees.point_forest(2)
@@ -66,14 +75,14 @@ def test_hj_trivial_parameters():
 def test_hj_derived_minimum_small():
     cert = hj.hj_search(1, 2, 2, 3)
     assert cert.i_size == 1
-    serialize.record_fixture(FIXTURES, "hj a=1 l=2 b=2 minimal i", cert.i_size)
+    assert_fixture("hj a=1 l=2 b=2 minimal i", cert.i_size)
 
 
 def test_hj_derived_minimum_nontrivial():
     cert = hj.hj_search(2, 2, 2, 3)
     assert cert.i_size == 2
     assert len(cert.witnesses) == 2 ** 14  # one witness per pinned coloring
-    serialize.record_fixture(FIXTURES, "hj a=2 l=2 b=2 minimal i", cert.i_size)
+    assert_fixture("hj a=2 l=2 b=2 minimal i", cert.i_size)
 
 
 def test_hj_witnesses_satisfy_block_condition():
@@ -97,9 +106,7 @@ def test_hj_product_direct_and_reduction_agree():
     direct = hj.hj_product_search([1, 1], [1, 1], 2, 3, mode="direct")
     reduced = hj.hj_product_search([1, 1], [1, 1], 2, 3, mode="reduction")
     assert direct.i_size == reduced.i_size
-    serialize.record_fixture(
-        FIXTURES, "hj-product a=(1,1) l=(1,1) b=2 minimal i", direct.i_size
-    )
+    assert_fixture("hj-product a=(1,1) l=(1,1) b=2 minimal i", direct.i_size)
 
 
 def test_hj_product_reduction_with_nontrivial_bottom_chain():
@@ -199,6 +206,13 @@ def test_build_r_examples():
     assert r2.values[0] == 0
 
 
+def test_build_r_plain_empty_forest():
+    # Q is empty, so r is the identity of A
+    empty = trees.forest([])
+    rho = maps.TreeMap(trees.oplus(2, empty), trees.chain(2), (0, 1))
+    assert hj.build_r_plain(empty, 2, 2, (0, 1), rho).values == (0, 1)
+
+
 def test_build_r_all_small_instances():
     for f in trees.all_forests(2):
         for a in (1, 2):
@@ -219,23 +233,14 @@ def test_fast_cell_flags_match_definitional():
     for f in list(trees.all_forests(1)) + list(trees.all_forests(2)):
         for a in (1, 2):
             for isz in (1, 2):
-                cell = hj.TransferCell(f, isz, a)
-                for p in hj.block_condition_maps(a, cell.nq, isz):
-                    ctx = hj.TransferContext(f, isz, a, p)
-                    minhit, words, vg_pos = cell.structure(p)
-                    for v in range(f.n):
-                        assert words[v] == ctx.very_good_word(v)
-                    for pt in cell.tensor.points:
-                        defn = ctx.flags(pt.s, pt.t)
-                        pos = cell.tensor.vertex_of[pt]
-                        qq = cell.q_of_pos[pos]
-                        fast_leading = pt.t[-1] == minhit[qq]
-                        fast_good = (
-                            p[a + pos] == a + qq and pt.t[:-1] == words[pt.s][:-1]
-                        )
-                        assert defn.leading == fast_leading
-                        assert defn.good == fast_good
-                        assert defn.very_good == (pt.t == words[pt.s])
+                ti, q = trees.tensor(f, isz), trees.q_set(f, isz)
+                t_pos = {(pt.s, pt.t): k for k, pt in enumerate(ti.points)}
+                q_pos = {(qp.s, qp.u): k for k, qp in enumerate(q.points)}
+                for p in hj.block_condition_maps(a, len(q.points), isz):
+                    for pt in ti.points:
+                        defn = definitional_point_flags(f.parent, a, p, q_pos, t_pos, pt.s, pt.t)
+                        assert hj.classify_point(f, isz, a, p, pt) == hj.PointFlags(*defn)
+                        assert defn[2] == (pt.t == hj.very_good_word(f, isz, a, p, pt.s))
 
 
 def test_verify_transfer_cells_small():
@@ -247,6 +252,36 @@ def test_verify_transfer_cells_small():
                     assert exhausted and count == hj.count_block_maps(
                         a, len(trees.q_set(f, isz).points), isz
                     )
+
+
+# A cell whose codomain meet table is zeroed: the meet of 1 and 2 in the chain
+# A + S = 0 < 1 < 2 reads 0, so j seems not to preserve meets.
+CORRUPT_CELL = """
+from treeramsey import halesjewett as hj, trees
+cell = hj.TransferCell(trees.point_forest(1), 2, 2)
+cell.cod_meet = [[0] * len(row) for row in cell.cod_meet]
+cell.check_word_map(next(hj.block_condition_maps(2, cell.nq, 2)))
+"""
+
+
+def test_corrupted_cell_raises_verification_failed():
+    with pytest.raises(VerificationFailed):
+        exec(CORRUPT_CELL, {})
+
+
+def test_corrupted_cell_raises_under_optimize():
+    # python -O strips assert statements; the verification must not depend on them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\nfrom treeramsey.errors import VerificationFailed\n"
+        f"try:\n    exec({CORRUPT_CELL!r}, {{}})\nexcept VerificationFailed:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert proc.stdout == "raised 1\n", proc.stderr
 
 
 def test_reduced_family_members_satisfy_block_condition():

@@ -1,5 +1,6 @@
+import concurrent.futures
 import itertools
-from pathlib import Path
+import os
 
 import pytest
 
@@ -8,7 +9,7 @@ from treeramsey.enumeration import all_embeddings, all_rigid_surjections
 from treeramsey.errors import NotFoundWithinBound, PrerequisiteFailed
 from treeramsey.maps import TreeMap, classify, compose, identity, injection_of, is_sealed
 
-FIXTURES = str(Path(__file__).resolve().parent.parent / "fixtures" / "witnesses.json")
+from _fixtures import assert_fixture, stored_fixture
 
 C1, C2, C3 = trees.chain(1), trees.chain(2), trees.chain(3)
 Y = trees.tree([None, 0, 0])
@@ -52,9 +53,7 @@ def test_sealed_single_vertex_codomain():
 
 def test_sealed_small_fixture():
     rep = wit.check_witness_sealed(2, C2, C2, C2)
-    serialize.record_fixture(
-        FIXTURES, "sealed check b=2 s=[2] t=[2] v=[2]", rep.verdict
-    )
+    assert_fixture("sealed check b=2 s=[2] t=[2] v=[2]", rep.verdict)
     assert rep.verdict in ("holds", "fails")
     assert wit.replay_report(rep)
 
@@ -96,12 +95,11 @@ def test_search_chain_minimal_m_fixture():
     assert u2 == u and serialize.report_to_json(rep2) == serialize.report_to_json(rep)
     # the first entry's node count is the work of the engine that recorded it;
     # every other field is a property of the instance
-    stored = serialize.load_fixtures(FIXTURES)["entries"]["chain minimal m b=2 k=2 l=3"]
+    stored = stored_fixture("chain minimal m b=2 k=2 l=3")
     computed = {"m": u.n, "report": serialize.report_to_json(rep)}
     del stored["report"]["stats"]["nodes"], computed["report"]["stats"]["nodes"]
     assert computed == stored
-    serialize.record_fixture(
-        FIXTURES,
+    assert_fixture(
         "chain minimal m b=2 k=2 l=3 propagating",
         {"m": u.n, "report": serialize.report_to_json(rep)},
     )
@@ -109,7 +107,7 @@ def test_search_chain_minimal_m_fixture():
 
 def test_chain_witnesses_beyond_the_minimal_m():
     # a witness stays one on every longer chain, so the fixture's m = 6 decides these
-    minimal = serialize.load_fixtures(FIXTURES)["entries"]["chain minimal m b=2 k=2 l=3"]["m"]
+    minimal = stored_fixture("chain minimal m b=2 k=2 l=3")["m"]
     for m in (7, 8, 9):
         rep = wit.check_witness_mn(2, C2, C3, trees.chain(m), max_nodes=10_000)
         assert m >= minimal and rep.verdict == "holds"
@@ -121,6 +119,27 @@ def test_cap_hit_keeps_partial_stats():
     rep = wit.check_witness_mn(2, C2, trees.chain(4), trees.chain(8), max_nodes=50)
     assert rep.verdict == "cap_exceeded"
     assert rep.stats.nodes == 50 and rep.stats.vertices == 127
+
+
+def test_search_jobs_clamped_to_cpu_count(monkeypatch):
+    # a stand-in pool records its size and decides in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        map = staticmethod(map)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    u1, rep1 = wit.search_witness(2, C2, C3, mode="chain", max_vertices=7)
+    u64, rep64 = wit.search_witness(2, C2, C3, mode="chain", max_vertices=7, jobs=64)
+    assert sizes == [2]
+    assert u64 == u1 and serialize.report_to_json(rep64) == serialize.report_to_json(rep1)
 
 
 def test_search_not_found():
@@ -264,8 +283,7 @@ def test_derive_mn_from_sealed_end_to_end():
     u, _ = wit.search_witness(2, *[wit.assemble_plus(C2)[0]] * 2, mode="sealed", max_vertices=5)
     assembled, report = wit.derive_mn_from_sealed(2, C2, C2, u)
     assert report.holds
-    serialize.record_fixture(
-        FIXTURES,
+    assert_fixture(
         "derived witness b=2 s=[2] t=[2]",
         {"sealed": list(u.parent), "assembled": list(assembled.parent)},
     )
