@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     BlockConditionViolated,
@@ -224,32 +225,79 @@ def _tuple_objects(
     return [tuple([s0, *rest]) for s0 in slot0 for rest in itertools.product(*later)]
 
 
-def _conclusion_holds(
+def _check_sizes(a_sizes: Sequence[int], l_sizes: Sequence[int]) -> None:
+    """Reject size lists the word lemma is not stated for, before any enumeration."""
+    if not a_sizes or len(a_sizes) != len(l_sizes):
+        raise ValueError("need non-empty A and L size lists of the same length")
+    if any(a < 0 for a in a_sizes) or any(l < 0 for l in l_sizes):
+        raise ValueError("A and L sizes must be non-negative")
+
+
+def _conclusion_classes(
     p_tuple: Sequence[Sequence[int]],
     a_sizes: Sequence[int],
     l_sizes: Sequence[int],
     i: int,
-    color_of: dict,
-) -> bool:
-    """Colors of (r1 o p1^x, r2 o p2, ..., rn o pn) depend only on x."""
-    n = len(a_sizes)
-    later_rs = [
-        list(itertools.product(range(a_sizes[k]), repeat=l_sizes[k]))
-        for k in range(1, n)
-    ]
+    index: dict,
+) -> tuple[tuple[int, ...], ...]:
+    """One class per cut x of slot 0: the indices of the objects
+    (r1 o p1^x, r2 o p2, ..., rn o pn) over every choice of the r's.
+
+    p_tuple satisfies the lemma's conclusion for a coloring iff every class
+    is monochromatic (an empty class trivially is).
+    """
     later_composites = [
-        [compose_plain_word(p_tuple[k], a_sizes[k], l_sizes[k], i, rv) for rv in later_rs[k - 1]]
-        for k in range(1, n)
+        [
+            compose_plain_word(p_tuple[k], a_sizes[k], l_sizes[k], i, rv)
+            for rv in itertools.product(range(a_sizes[k]), repeat=l_sizes[k])
+        ]
+        for k in range(1, len(a_sizes))
     ]
-    for x in range(l_sizes[0]):
-        seen = set()
-        for r_vals in itertools.product(range(a_sizes[0]), repeat=x):
-            first = compose_sealed_word(p_tuple[0], a_sizes[0], i, SealedWord(x, r_vals))
-            for rest in itertools.product(*later_composites):
-                seen.add(color_of[(first, *rest)])
-                if len(seen) > 1:
-                    return False
-    return True
+    return tuple(
+        tuple(
+            index[(compose_sealed_word(p_tuple[0], a_sizes[0], i, SealedWord(x, r_vals)), *rest)]
+            for r_vals in itertools.product(range(a_sizes[0]), repeat=x)
+            for rest in itertools.product(*later_composites)
+        )
+        for x in range(l_sizes[0])
+    )
+
+
+def _first_witnesses(
+    objects: list,
+    candidates: Iterable[tuple[tuple[int, ...], ...]],
+    a_sizes: Sequence[int],
+    l_sizes: Sequence[int],
+    i: int,
+    b: int,
+    pin_first: bool,
+) -> Optional[list[tuple[tuple[int, ...], ...]]]:
+    """The first candidate whose conclusion holds, for every b-coloring of the
+    objects in enumeration order, or None once a coloring defeats every
+    candidate.
+
+    Each candidate is compiled once: its classes are monochromatic iff every
+    object of a class has the color of the class's smallest index, so the
+    check is one comparison of two tuples of colors.
+    """
+    index = {obj: k for k, obj in enumerate(objects)}
+    compiled = []
+    for p_tuple in candidates:
+        classes = _conclusion_classes(p_tuple, a_sizes, l_sizes, i, index)
+        pairs = sorted({(min(c), k) for c in classes for k in c if k != min(c)})
+        # the leading empty slice makes both getters return tuples for any number of pairs
+        anchors = itemgetter(slice(0), *(f for f, _ in pairs))
+        others = itemgetter(slice(0), *(k for _, k in pairs))
+        compiled.append((p_tuple, anchors, others))
+    found = []
+    for coloring in enum_colorings(len(objects), b, pin_first=pin_first):
+        for p_tuple, anchors, others in compiled:
+            if anchors(coloring) == others(coloring):
+                found.append(p_tuple)
+                break
+        else:
+            return None
+    return found
 
 
 def hj_product_check(
@@ -272,25 +320,18 @@ def hj_product_check(
     """
     if mode not in ("direct", "reduction"):
         raise ValueError("mode must be 'direct' or 'reduction'")
+    _check_sizes(a_sizes, l_sizes)
     objects = _tuple_objects(a_sizes, l_sizes, i)
     n_colorings = b ** max(0, len(objects) - 1)
     if n_colorings > max_colorings:
         raise ResourceCapExceeded(
             f"{n_colorings} colorings of {len(objects)} objects exceeds the cap"
         )
-    candidates = list(_candidate_tuples(a_sizes, l_sizes, i, mode))
-    cert = HJCertificate(i)
-    for coloring in enum_colorings(len(objects), b, pin_first=True):
-        color_of = dict(zip(objects, coloring))
-        witness = None
-        for p_tuple in candidates:
-            if _conclusion_holds(p_tuple, a_sizes, l_sizes, i, color_of):
-                witness = p_tuple
-                break
-        if witness is None:
-            return None
-        cert.witnesses.append(tuple(tuple(p) for p in witness))
-    return cert
+    candidates = _candidate_tuples(a_sizes, l_sizes, i, mode)
+    found = _first_witnesses(objects, candidates, a_sizes, l_sizes, i, b, pin_first=True)
+    if found is None:
+        return None
+    return HJCertificate(i, found)
 
 
 def _candidate_tuples(
@@ -352,11 +393,7 @@ def hj_search(
     a: int, l: int, b: int, max_i: int, max_colorings: int = DEFAULT_MAX_COLORINGS
 ) -> HJCertificate:
     """Smallest alphabet size satisfying the single word lemma, with certificates."""
-    for i in range(1, max_i + 1):
-        cert = hj_check(a, l, b, i, max_colorings=max_colorings)
-        if cert is not None:
-            return cert
-    raise NotFoundWithinBound(f"no alphabet size up to {max_i} works")
+    return hj_product_search([a], [l], b, max_i, max_colorings=max_colorings)
 
 
 def hj_product_search(
@@ -367,6 +404,7 @@ def hj_product_search(
     mode: str = "direct",
     max_colorings: int = DEFAULT_MAX_COLORINGS,
 ) -> HJCertificate:
+    _check_sizes(a_sizes, l_sizes)
     for i in range(1, max_i + 1):
         cert = hj_product_check(a_sizes, l_sizes, b, i, mode=mode, max_colorings=max_colorings)
         if cert is not None:
@@ -773,28 +811,16 @@ def lp_pipeline(
             raise ResourceCapExceeded(
                 f"{b ** len(objects)} colorings of {len(objects)} tuples exceeds the cap"
             )
-        families = [list(block_condition_maps(a_sizes[k], l_sizes[k], i_size)) for k in range(n)]
-        witnesses = []
-        feasible = True
-        for coloring in enum_colorings(len(objects), b):
-            color_of = dict(zip(objects, coloring))
-            found = None
-            for p_tuple in itertools.product(*families):
-                if _conclusion_holds(p_tuple, a_sizes, l_sizes, i_size, color_of):
-                    found = p_tuple
-                    break
-            if found is None:
-                feasible = False
-                break
-            witnesses.append((coloring, found))
-        if not feasible:
+        candidates = _candidate_tuples(a_sizes, l_sizes, i_size, "direct")
+        witnesses = _first_witnesses(objects, candidates, a_sizes, l_sizes, i_size, b, pin_first=False)
+        if witnesses is None:
             continue
         tensors = [tensor(f, i_size) for f in bases]
         certificates = [
             _assemble_certificate(
                 a_sizes, forests, bases, tensors, i_size, objects, coloring, p_tuple
             )
-            for coloring, p_tuple in witnesses
+            for coloring, p_tuple in zip(enum_colorings(len(objects), b), witnesses)
         ]
         return PipelineResult(i_size, host, tensors, certificates)
     raise NotFoundWithinBound(f"no alphabet size up to {max_i} completes the pipeline")

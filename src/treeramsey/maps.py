@@ -24,6 +24,7 @@ from .errors import (
     NotEmbedding,
     NotLeaf,
     NotRigid,
+    VerificationFailed,
     VertexOutOfRange,
 )
 from .trees import OrderedTree, initial_subtree
@@ -199,10 +200,12 @@ def rigid_from_embedding(e: TreeMap) -> TreeMap:
         for v in range(s.n):
             if t.below(e.values[v], w) and s.height[v] > best_ht:
                 best, best_ht = v, s.height[v]
-        assert best is not None  # e(root)=root is below everything
+        if best is None:  # e(root)=root is below everything
+            raise VerificationFailed(f"no vertex of the embedding lies below {w}")
         values.append(best)
     f = TreeMap(t, s, tuple(values))
-    assert try_injection(f) == e
+    if try_injection(f) != e:
+        raise VerificationFailed(f"the injection of {f} is not the embedding {e}")
     return f
 
 
@@ -212,7 +215,8 @@ def restrict_initial(f: TreeMap, v: int) -> TreeMap:
     f.cod._check(v)
     iv = e.values[v]
     out = TreeMap(initial_subtree(f.dom, iv), initial_subtree(f.cod, v), f.values[: iv + 1])
-    assert out.is_surjective  # image is exactly S^v
+    if not out.is_surjective:  # image is exactly S^v
+        raise VerificationFailed(f"restriction of {f} to the initial subtree of {v} is not onto")
     return out
 
 
@@ -234,7 +238,8 @@ def conjugate_leaf(e: TreeMap, x: int) -> int:
     ix, ix1 = e.values[x], e.values[x1]
     pivot = t.meet(ix, ix1)
     candidates = [y for y in t.leaves if y < ix1 and t.meet(y, ix1) == pivot]
-    assert candidates, "a conjugate leaf always exists (e.g. any leaf above i(x))"
+    if not candidates:  # a conjugate leaf always exists (e.g. any leaf above i(x))
+        raise VerificationFailed(f"leaf {x} has no conjugate leaf through {e}")
     return max(candidates)
 
 
@@ -246,7 +251,8 @@ def restrict_conjugate(f: TreeMap, x: int) -> TreeMap:
     e = injection_of(f)
     y = conjugate_leaf(e, x)
     out = TreeMap(initial_subtree(f.dom, y), initial_subtree(f.cod, x), f.values[: y + 1])
-    assert out.is_surjective
+    if not out.is_surjective:
+        raise VerificationFailed(f"restriction of {f} to the conjugate of leaf {x} is not onto")
     return out
 
 
@@ -274,5 +280,6 @@ def check_block_condition(
         from .trees import chain
 
         m = TreeMap(chain(a_size + l_size * i_size), chain(a_size + l_size), tuple(p))
-        assert is_rigid_surjection(m)
+        if not is_rigid_surjection(m):
+            raise VerificationFailed(f"block-condition map {tuple(p)} is not a rigid surjection")
     return True

@@ -25,6 +25,7 @@ from .errors import (
     EmptyLinearOrder,
     NotATree,
     NotCanonical,
+    VerificationFailed,
     VertexOutOfRange,
 )
 
@@ -473,7 +474,8 @@ def _tensor_cached(s: OrderedForest, k: int) -> TensorIndex:
             continue
         parent.append(pos[par])
     out = OrderedForest(tuple(parent))
-    assert out.n == sum(k ** s.height[v] for v in range(s.n))
+    if out.n != sum(k ** s.height[v] for v in range(s.n)):
+        raise VerificationFailed(f"tensor of {s} with {k} letters has {out.n} points")
     return TensorIndex(s, k, out, tuple(pts))
 
 

@@ -1,6 +1,7 @@
 """Independent oracles used to freeze expected values: kept free of the library's
 search/enumeration code paths so cross-checks mean something."""
 
+import itertools
 from functools import lru_cache
 
 
@@ -83,3 +84,37 @@ def definitional_point_flags(parent, a, p, q_pos, t_pos, s_vertex, word):
     prefixes = all(leading(sv, word[: k + 1]) for k, sv in enumerate(path[:-1]))
     own = leading(s_vertex, word)
     return own, hits(s_vertex, word) and prefixes, own and prefixes
+
+
+def _conclusion_holds(p_tuple, a_sizes, l_sizes, i, color_of) -> bool:
+    """The word lemma's conclusion, read off its definition: under color_of the
+    colors of (r1 o p1^x, r2 o p2, ..., rn o pn) depend only on the cut x.
+
+    r1 is a sealed word cut at x, so r1 o p1^x is p1 cut at the first hit of
+    block x with every letter below renamed by r1; the later r's rename every
+    letter of their p.  The objects are built here, not by the library's
+    composition helpers.
+    """
+    from treeramsey.halesjewett import SealedWord
+
+    def renamed(word, a, r_vals):
+        return tuple(v if v < a else r_vals[v - a] for v in word)
+
+    a0, p0 = a_sizes[0], p_tuple[0]
+    later = [
+        [
+            renamed(p_tuple[k][a_sizes[k]:], a_sizes[k], rv)
+            for rv in itertools.product(range(a_sizes[k]), repeat=l_sizes[k])
+        ]
+        for k in range(1, len(a_sizes))
+    ]
+    for x in range(l_sizes[0]):
+        cut = next(j for j in range(x * i, (x + 1) * i) if p0[a0 + j] == a0 + x)
+        colors = {
+            color_of[(SealedWord(cut, renamed(p0[a0 : a0 + cut], a0, r_vals)), *rest)]
+            for r_vals in itertools.product(range(a0), repeat=x)
+            for rest in itertools.product(*later)
+        }
+        if len(colors) > 1:
+            return False
+    return True

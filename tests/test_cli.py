@@ -228,3 +228,21 @@ def test_coloring_json_roundtrip():
 def test_config_missing_file(files, capsys):
     code, _ = run(capsys, "--config", "/nonexistent/cfg", "enum", "trees", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "a, l", [("-1", "1"), ("1", "-2"), ("1", "1,1"), ("1,1", "1"), (",", ",")]
+)
+def test_hj_search_bad_sizes_exit_2(capsys, a, l):
+    code = main(["hj", "search", "--a", a, "--l", l, "--b", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_hj_search_coloring_cap_exit_3(capsys):
+    # (2, 3, 2) fails at i = 1, and i = 2 has 2^62 pinned colorings
+    code = main(["hj", "search", "--a", "2", "--l", "3", "--b", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ")

@@ -8,6 +8,7 @@ import pytest
 
 from treeramsey import halesjewett as hj
 from treeramsey import maps, trees
+from treeramsey.enumeration import enum_colorings
 from treeramsey.errors import (
     BlockConditionViolated,
     NotFoundWithinBound,
@@ -16,7 +17,7 @@ from treeramsey.errors import (
 )
 
 from _fixtures import assert_fixture
-from _oracles import definitional_point_flags
+from _oracles import _conclusion_holds, definitional_point_flags
 
 PT = trees.point_forest(1)
 TWO_PT = trees.point_forest(2)
@@ -118,6 +119,79 @@ def test_hj_product_reduction_with_nontrivial_bottom_chain():
 def test_hj_product_coloring_cap():
     with pytest.raises(ResourceCapExceeded):
         hj.hj_product_check([2], [3], 2, 3, max_colorings=10)
+
+
+@pytest.mark.parametrize(
+    "a_sizes, l_sizes",
+    [([-1], [1]), ([1], [-2]), ([1], [1, 1]), ([1, 1], [1]), ([], [])],
+)
+def test_hj_sizes_rejected_before_enumeration(a_sizes, l_sizes):
+    with pytest.raises(ValueError):
+        hj.hj_product_check(a_sizes, l_sizes, 2, 1)
+    with pytest.raises(ValueError):
+        hj.hj_product_search(a_sizes, l_sizes, 2, 0)
+    if len(a_sizes) == len(l_sizes) == 1:
+        with pytest.raises(ValueError):
+            hj.hj_search(a_sizes[0], l_sizes[0], 2, 3)
+
+
+# (a_sizes, l_sizes, b, i, mode)
+CLASS_CASES = [
+    *(([a], [l], b, i, "direct") for a, l, b, i in [
+        (1, 2, 2, 1), (1, 2, 2, 2), (2, 1, 2, 2), (1, 2, 3, 2), (2, 2, 2, 1), (0, 1, 2, 1), (1, 0, 2, 1),
+    ]),
+    *(([1, 1], [1, 1], 2, i, mode) for i in (1, 2) for mode in ("direct", "reduction")),
+    *(([2, 1], [1, 1], 2, i, mode) for i in (1, 2) for mode in ("direct", "reduction")),
+    *(([1, 2], [1, 1], 2, i, mode) for i in (1, 2) for mode in ("direct", "reduction")),
+]
+
+
+def _oracle_witnesses(a_sizes, l_sizes, b, i, mode="direct", pin_first=True):
+    """The search loop with the definitional conclusion: (coloring, first holding
+    candidate) for every coloring, or None once one defeats every candidate."""
+    objects = hj._tuple_objects(a_sizes, l_sizes, i)
+    candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, mode))
+    out = []
+    for coloring in enum_colorings(len(objects), b, pin_first=pin_first):
+        color_of = dict(zip(objects, coloring))
+        witness = next(
+            (p for p in candidates if _conclusion_holds(p, a_sizes, l_sizes, i, color_of)), None
+        )
+        if witness is None:
+            return None
+        out.append((coloring, witness))
+    return out
+
+
+@pytest.mark.parametrize("a_sizes, l_sizes, b, i, mode", CLASS_CASES)
+def test_conclusion_classes_match_oracle(a_sizes, l_sizes, b, i, mode):
+    objects = hj._tuple_objects(a_sizes, l_sizes, i)
+    index = {obj: k for k, obj in enumerate(objects)}
+    for p_tuple in hj._candidate_tuples(a_sizes, l_sizes, i, mode):
+        classes = hj._conclusion_classes(p_tuple, a_sizes, l_sizes, i, index)
+        assert len(classes) == l_sizes[0]  # one class per cut of slot 0
+        for coloring in enum_colorings(len(objects), b, pin_first=True):
+            mono = all(len({coloring[k] for k in c}) <= 1 for c in classes)
+            color_of = dict(zip(objects, coloring))
+            assert mono == _conclusion_holds(p_tuple, a_sizes, l_sizes, i, color_of)
+
+
+@pytest.mark.parametrize("a_sizes, l_sizes, b, i, mode", CLASS_CASES)
+def test_certificate_matches_oracle_loop(a_sizes, l_sizes, b, i, mode):
+    cert = hj.hj_product_check(a_sizes, l_sizes, b, i, mode=mode)
+    expected = _oracle_witnesses(a_sizes, l_sizes, b, i, mode)
+    if expected is None:
+        assert cert is None
+    else:
+        assert cert.witnesses == [w for _, w in expected]
+
+
+def test_full_certificate_matches_oracle_loop():
+    # (2, 2, 2) at its minimal i = 2: all 16,384 pinned colorings, witness by witness
+    cert = hj.hj_product_check([2], [2], 2, 2)
+    expected = _oracle_witnesses([2], [2], 2, 2)
+    assert len(cert.witnesses) == len(expected) == 2 ** 14
+    assert cert.witnesses == [w for _, w in expected]
 
 
 def test_word_composition_matches_tree_map_composition():
@@ -339,6 +413,19 @@ def test_pipeline_two_slots():
     for cert in result.certificates:
         assert len(cert.t_maps) == 2
         assert cert.color in (0, 1)
+
+
+@pytest.mark.parametrize("a_sizes, forests", [([1], [PT]), ([1, 1], [PT, PT]), ([2], [PT])])
+def test_pipeline_word_maps_match_oracle_loop(a_sizes, forests):
+    # the pipeline scans every coloring, unpinned, and takes the first feasible i
+    result = hj.lp_pipeline(a_sizes, forests, 2)
+    bases = [result.host] + forests[1:]
+    for i in range(1, result.i_size + 1):
+        l_sizes = [len(trees.q_set(f, i).points) for f in bases]
+        expected = _oracle_witnesses(a_sizes, l_sizes, 2, i, pin_first=False)
+        if i < result.i_size:
+            assert expected is None
+    assert [(c.coloring, c.word_maps) for c in result.certificates] == expected
 
 
 def test_pipeline_nontrivial_bottom_chain():

@@ -1,10 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from treeramsey import trees
+from treeramsey import maps, trees
 from treeramsey.enumeration import all_embeddings, all_rigid_surjections
-from treeramsey.errors import DomainMismatch, NotLeaf, NotRigid
+from treeramsey.errors import DomainMismatch, NotLeaf, NotRigid, VerificationFailed
 from treeramsey.maps import (
     TreeMap,
     check_block_condition,
@@ -329,6 +333,36 @@ def test_block_condition_examples():
     assert check_block_condition((0, 1), 1, 1, 1, assert_rigid=True)
     assert not check_block_condition((0, 0), 1, 1, 1)  # block never hits its target
     assert check_block_condition((0, 1, 0), 1, 1, 2, assert_rigid=True)
+
+
+# A rigidity classifier that rejects every map: the block condition still holds,
+# so the rigidity check must fail loudly.
+REJECTING_CLASSIFIER = """
+from treeramsey import maps
+maps.is_rigid_surjection = lambda m: False
+maps.check_block_condition((0, 1, 0), 1, 1, 2, assert_rigid=True)
+"""
+
+
+def test_block_condition_rigidity_check_raises(monkeypatch):
+    monkeypatch.setattr(maps, "is_rigid_surjection", lambda m: False)
+    with pytest.raises(VerificationFailed):
+        check_block_condition((0, 1, 0), 1, 1, 2, assert_rigid=True)
+
+
+def test_block_condition_rigidity_check_raises_under_optimize():
+    # python -O strips assert statements; the verification must not depend on them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\nfrom treeramsey.errors import VerificationFailed\n"
+        f"try:\n    exec({REJECTING_CLASSIFIER!r}, {{}})\nexcept VerificationFailed:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert proc.stdout == "raised 1\n", proc.stderr
 
 
 def test_block_condition_maps_are_a_rigid():
