@@ -77,7 +77,8 @@ def cmd_trees(args) -> int:
     if args.tree_cmd == "canonicalize":
         payload = serialize.load_json(args.infile)
         serialize._check_version(payload, "tree")
-        entries = tuple(None if p is None else int(p) for p in payload["parent"])
+        parent = serialize._field(payload, "parent", "tree")
+        entries = tuple(None if p is None else int(p) for p in parent)
         canon, perm = canonicalize(entries)
         _emit(
             args,
@@ -260,14 +261,9 @@ def cmd_framework(args) -> int:
 
 def cmd_hj(args) -> int:
     if args.hj_cmd == "search":
-        a_sizes = _int_list(args.a)
-        l_sizes = _int_list(args.l)
-        if len(a_sizes) != len(l_sizes):
-            raise SchemaError("--a and --l must list the same number of sizes")
-        if len(a_sizes) == 1:
-            cert = halesjewett.hj_search(a_sizes[0], l_sizes[0], args.b, args.max_i)
-        else:
-            cert = halesjewett.hj_product_search(a_sizes, l_sizes, args.b, args.max_i, mode=args.mode)
+        cert = halesjewett.hj_product_search(
+            _int_list(args.a), _int_list(args.l), args.b, args.max_i, mode=args.mode
+        )
         payload = {
             "i": cert.i_size,
             "colorings": len(cert.witnesses),

@@ -28,8 +28,11 @@ more than max_nodes of them the search raises ResourceCapExceeded carrying its
 stats.  stats.colorings_examined counts complete assignments, which the
 propagation only ever reaches with a proper coloring.
 
-The plain checker and the literal enumerator share none of these devices;
-they are the independent oracles the solver is tested against.
+find_proper_coloring is the one engine: the witness and framework decisions
+and the monochromatic host search all call it.  find_proper_coloring_plain,
+a plain depth-first checker that shares none of these devices, re-decides
+"holds" reports on replay and is the independent oracle the solver is tested
+against, with the literal enumerator kept among the tests' oracles.
 """
 
 from __future__ import annotations
@@ -266,18 +269,3 @@ def find_proper_coloring_plain(
             v += 1
     return SearchResult(None, stats)
 
-
-def find_proper_coloring_enumerate(
-    n_vertices: int, edges: Sequence[frozenset[int]], b: int
-) -> SearchResult:
-    """Literal enumeration of all b^n colorings; only for small n."""
-    from .enumeration import enum_colorings
-
-    if b**n_vertices > 2**22:
-        raise ResourceCapExceeded("full coloring table too large to enumerate")
-    stats = SearchStats(vertices=n_vertices, edges=len(edges))
-    for coloring in enum_colorings(n_vertices, b):
-        stats.colorings_examined += 1
-        if not has_monochromatic_edge(coloring, edges):
-            return SearchResult(coloring, stats)
-    return SearchResult(None, stats)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from .colorsearch import find_proper_coloring
 from .errors import (
     BlockConditionViolated,
     NotFoundWithinBound,
@@ -96,29 +97,21 @@ def monochromatic_host_search(
     embedded copy of S that is monochromatic (off the root, in the tree case).
 
     Candidates are scanned by vertex count and then enumeration order, each
-    decided by exhausting colorings (first vertex pinned); the witness
-    embeddings are recomputed per coloring.
+    decided by the coloring solver with the embedding images as edges; a
+    candidate past the solver's node cap raises ResourceCapExceeded.
     """
     if b < 1:
         raise ValueError("need b >= 1")
     tree_mode = isinstance(s, OrderedTree)
-    lo = s.n
-    for n in range(lo, max_size + 1):
+    for n in range(s.n, max_size + 1):
         candidates: Sequence = all_trees(n) if tree_mode else all_forests(n)
         for cand in candidates:
             if tree_mode:
-                embeddings = [e.values for e in all_embeddings(s, cand)]
-                mono_sets = [e[1:] for e in embeddings]  # the root's color never matters
+                # the root's color never matters
+                mono_sets = [e.values[1:] for e in all_embeddings(s, cand)]
             else:
                 mono_sets = _forest_embeddings(s, cand)
-            if not mono_sets and s.n > 0:
-                continue
-            good = True
-            for coloring in enum_colorings(cand.n, b, pin_first=cand.n > 0):
-                if not any(len({coloring[v] for v in ms}) <= 1 for ms in mono_sets):
-                    good = False
-                    break
-            if good:
+            if find_proper_coloring(cand.n, [frozenset(m) for m in mono_sets], b).holds:
                 return cand
     raise NotFoundWithinBound(f"no monochromatic-guarantee host within {max_size} vertices")
 
@@ -817,20 +810,37 @@ def lp_pipeline(
             continue
         tensors = [tensor(f, i_size) for f in bases]
         certificates = [
-            _assemble_certificate(
-                a_sizes, forests, bases, tensors, i_size, objects, coloring, p_tuple
-            )
+            _assemble_certificate(a_sizes, forests, bases, i_size, objects, coloring, p_tuple)
             for coloring, p_tuple in zip(enum_colorings(len(objects), b), witnesses)
         ]
         return PipelineResult(i_size, host, tensors, certificates)
     raise NotFoundWithinBound(f"no alphabet size up to {max_i} completes the pipeline")
 
 
+def _cut_colors(
+    a1: int,
+    first_forest: OrderedForest,
+    t: TreeMap,
+    v: int,
+    later: Sequence[list[tuple[int, ...]]],
+    color_of: dict,
+) -> set[int]:
+    """The colors of every admissible tuple whose first slot is cut at v: a sealed
+    map A1 + F^v -> A1 + 1 composed through t, then any choice of later slots."""
+    colors = set()
+    pre = _forest_prefix(first_forest, v)
+    for s1_vals in itertools.product(range(a1), repeat=v):
+        s1 = _sealed_tree_map(a1, pre, s1_vals)
+        first = _sealed_word_of_map(compose(s1, restrict_initial(t, a1 + v)), a1)
+        for rest in itertools.product(*later):
+            colors.add(color_of[(first, *rest)])
+    return colors
+
+
 def _assemble_certificate(
     a_sizes: Sequence[int],
     forests: Sequence[OrderedForest],
     bases: Sequence[OrderedForest],
-    tensors: Sequence[TensorIndex],
     i_size: int,
     objects: list,
     coloring: tuple[int, ...],
@@ -842,8 +852,9 @@ def _assemble_certificate(
     color_of = dict(zip(objects, coloring))
     pis = [build_pi(bases[k], i_size, a_sizes[k], p_tuple[k])[0] for k in range(n)]
 
-    # composing any admissible tuple through the transfer maps colors host vertices
-    later_choices = [
+    # the later slots keep their forests and transfer maps, so their composites
+    # serve both the host coloring and the final check
+    later = [
         [
             tuple(
                 compose(
@@ -855,15 +866,10 @@ def _assemble_certificate(
         ]
         for k in range(1, n)
     ]
+    # composing any admissible tuple through the transfer maps colors host vertices
     host_color = {}
     for v in range(host.n):
-        colors = set()
-        pre = OrderedForest(host.parent[: v + 1])
-        for s1_vals in itertools.product(range(a1), repeat=v):
-            s1 = _sealed_tree_map(a1, pre, s1_vals)
-            first = _sealed_word_of_map(compose(s1, restrict_initial(pis[0], a1 + v)), a1)
-            for rest in itertools.product(*later_choices):
-                colors.add(color_of[(first, *rest)])
+        colors = _cut_colors(a1, host, pis[0], v, later, color_of)
         if len(colors) != 1:
             raise VerificationFailed("transfer failed to make the color depend on the vertex only")
         host_color[v] = colors.pop()
@@ -879,39 +885,17 @@ def _assemble_certificate(
         tuple(range(a1)) + tuple(a1 + x for x in embedding),
     )
     t1 = compose(rigid_from_embedding(e_map), pis[0])
-    t_maps = [t1] + pis[1:]
 
     # final verification: one color across every admissible composite tuple
-    final_colors = set()
-    later_composed = [
-        [
-            tuple(
-                compose(
-                    TreeMap(
-                        oplus(a_sizes[k], forests[k]),
-                        chain(a_sizes[k]),
-                        tuple(range(a_sizes[k])) + tuple(rv),
-                    ),
-                    t_maps[k],
-                ).values[a_sizes[k] :]
-            )
-            for rv in itertools.product(range(a_sizes[k]), repeat=forests[k].n)
-        ]
-        for k in range(1, n)
-    ]
-    for w in range(forests[0].n):
-        pre = OrderedForest(forests[0].parent[: w + 1])
-        for s1_vals in itertools.product(range(a1), repeat=w):
-            s1 = _sealed_tree_map(a1, pre, s1_vals)
-            first = _sealed_word_of_map(compose(s1, restrict_initial(t1, a1 + w)), a1)
-            for rest in itertools.product(*later_composed):
-                final_colors.add(color_of[(first, *rest)])
+    final_colors = set().union(
+        *(_cut_colors(a1, forests[0], t1, w, later, color_of) for w in range(forests[0].n))
+    )
     if len(final_colors) != 1:
         raise VerificationFailed("pipeline output is not monochromatic")
     return PipelineCertificate(
         coloring,
         tuple(tuple(p) for p in p_tuple),
-        tuple(t.values for t in t_maps),
+        (t1.values, *(pi.values for pi in pis[1:])),
         final_colors.pop(),
     )
 

@@ -28,7 +28,9 @@ SCHEMA_VERSIONS = {
 }
 
 
-def _check_version(payload: dict, schema: str) -> None:
+def _check_version(payload: Any, schema: str) -> None:
+    if not isinstance(payload, dict):
+        raise SchemaError(f"expected a {schema} object, got {type(payload).__name__}")
     if payload.get("schema") != schema:
         raise SchemaError(f"expected schema {schema!r}, got {payload.get('schema')!r}")
     if payload.get("version") != SCHEMA_VERSIONS[schema]:
@@ -36,6 +38,13 @@ def _check_version(payload: dict, schema: str) -> None:
             f"schema {schema} version {payload.get('version')!r} unsupported "
             f"(expected {SCHEMA_VERSIONS[schema]})"
         )
+
+
+def _field(payload: dict, key: str, what: str) -> Any:
+    """payload[key], or SchemaError naming the missing key."""
+    if key not in payload:
+        raise SchemaError(f"{what} payload lacks {key!r}")
+    return payload[key]
 
 
 def tree_to_json(t: Union[OrderedTree, OrderedForest]) -> dict:
@@ -80,11 +89,11 @@ def map_to_json(m: TreeMap) -> dict:
 
 def map_from_json(payload: dict, normalize: bool = False) -> TreeMap:
     _check_version(payload, "map")
-    dom = tree_from_json(payload["dom"], normalize=normalize)
-    cod = tree_from_json(payload["cod"], normalize=normalize)
+    dom = tree_from_json(_field(payload, "dom", "map"), normalize=normalize)
+    cod = tree_from_json(_field(payload, "cod", "map"), normalize=normalize)
     if not isinstance(dom, OrderedTree) or not isinstance(cod, OrderedTree):
         raise SchemaError("maps go between trees, not forests")
-    return TreeMap(dom, cod, tuple(int(v) for v in payload["values"]))
+    return TreeMap(dom, cod, tuple(int(v) for v in _field(payload, "values", "map")))
 
 
 def coloring_to_json(colors, b: int) -> dict:
@@ -98,7 +107,8 @@ def coloring_to_json(colors, b: int) -> dict:
 
 def coloring_from_json(payload: dict) -> tuple[tuple[int, ...], int]:
     _check_version(payload, "coloring")
-    return tuple(int(c) for c in payload["colors"]), int(payload["b"])
+    colors = _field(payload, "colors", "coloring")
+    return tuple(int(c) for c in colors), int(_field(payload, "b", "coloring"))
 
 
 def report_to_json(r: WitnessReport) -> dict:
@@ -124,20 +134,23 @@ def report_to_json(r: WitnessReport) -> dict:
 
 def report_from_json(payload: dict) -> WitnessReport:
     _check_version(payload, "report")
-    stats = SearchStats(
-        vertices=payload["stats"]["vertices"],
-        edges=payload["stats"]["edges"],
-        nodes=payload["stats"]["nodes"],
-        colorings_examined=payload["stats"]["colorings_examined"],
-    )
+    raw_stats = _field(payload, "stats", "report")
+    if not isinstance(raw_stats, dict):
+        raise SchemaError("report stats must be an object")
+    keys = ("vertices", "edges", "nodes", "colorings_examined")
+    stats = SearchStats(**{k: _field(raw_stats, k, "report stats") for k in keys})
+
+    def parents(key: str) -> tuple:
+        return tuple(None if p is None else int(p) for p in _field(payload, key, "report"))
+
     cex = payload.get("counterexample")
     return WitnessReport(
-        verdict=payload["verdict"],
-        b=payload["b"],
-        mode=payload["mode"],
-        s=tuple(None if p is None else int(p) for p in payload["s"]),
-        t=tuple(None if p is None else int(p) for p in payload["t"]),
-        u=tuple(None if p is None else int(p) for p in payload["u"]),
+        verdict=_field(payload, "verdict", "report"),
+        b=_field(payload, "b", "report"),
+        mode=_field(payload, "mode", "report"),
+        s=parents("s"),
+        t=parents("t"),
+        u=parents("u"),
         counterexample=None if cex is None else tuple(cex),
         stats=stats,
     )

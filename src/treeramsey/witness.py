@@ -123,6 +123,14 @@ def _sealed_hypergraph(
     return vertices, edges
 
 
+def _hypergraph(
+    mode: str, s: OrderedTree, t: OrderedTree, u: OrderedTree
+) -> tuple[list, list[frozenset[int]]]:
+    """The hypergraph a decision in this mode searches: mn, or else sealed."""
+    build = _mn_hypergraph if mode == "mn" else _sealed_hypergraph
+    return build(s, t, u)
+
+
 def _decide(
     b: int,
     mode: str,
@@ -133,10 +141,7 @@ def _decide(
     max_colorings: Optional[int] = None,
 ) -> WitnessReport:
     start = time.monotonic()
-    if mode == "mn":
-        vertices, edges = _mn_hypergraph(s, t, u)
-    else:
-        vertices, edges = _sealed_hypergraph(s, t, u)
+    vertices, edges = _hypergraph(mode, s, t, u)
     try:
         result = colorsearch.find_proper_coloring(
             len(vertices), edges, b, max_nodes=max_nodes, max_colorings=max_colorings
@@ -187,10 +192,7 @@ def replay_report(report: WitnessReport) -> bool:
     cap_exceeded: nothing to replay.
     """
     s, t, u = (OrderedTree(tuple(x)) for x in (report.s, report.t, report.u))
-    if report.mode == "mn":
-        vertices, edges = _mn_hypergraph(s, t, u)
-    else:
-        vertices, edges = _sealed_hypergraph(s, t, u)
+    vertices, edges = _hypergraph(report.mode, s, t, u)
     if report.verdict == "fails":
         if report.counterexample is None or len(report.counterexample) != len(vertices):
             return False

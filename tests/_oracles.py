@@ -118,3 +118,46 @@ def _conclusion_holds(p_tuple, a_sizes, l_sizes, i, color_of) -> bool:
         if len(colors) > 1:
             return False
     return True
+
+
+def find_proper_coloring_enumerate(n_vertices, edges, b):
+    """The first coloring in counting order that leaves no edge monochromatic,
+    found by literal enumeration of all b^n colorings; only for small n."""
+    from treeramsey.colorsearch import SearchResult
+
+    if b**n_vertices > 2**22:
+        raise ValueError("full coloring table too large to enumerate")
+    for coloring in itertools.product(range(b), repeat=n_vertices):
+        if all(len({coloring[v] for v in e}) > 1 for e in edges):
+            return SearchResult(coloring)
+    return SearchResult(None)
+
+
+def monochromatic_host_by_enumeration(s, b, max_size):
+    """The first forest/tree, by vertex count and enumeration order, on which
+    every b-coloring (first vertex pinned) leaves some embedded copy of s
+    monochromatic (off the root, in the tree case); None past max_size.
+
+    The candidates and embeddings come from the library; every coloring is
+    enumerated literally.
+    """
+    from treeramsey import halesjewett as hj
+    from treeramsey.enumeration import all_embeddings
+    from treeramsey.trees import OrderedTree, all_forests, all_trees
+
+    tree_mode = isinstance(s, OrderedTree)
+    for n in range(s.n, max_size + 1):
+        for cand in all_trees(n) if tree_mode else all_forests(n):
+            if tree_mode:
+                mono_sets = [e.values[1:] for e in all_embeddings(s, cand)]
+            else:
+                mono_sets = hj._forest_embeddings(s, cand)
+            if not mono_sets:
+                continue
+            colorings = itertools.product(*(range(b if v else 1) for v in range(cand.n)))
+            if all(
+                any(len({coloring[v] for v in ms}) <= 1 for ms in mono_sets)
+                for coloring in colorings
+            ):
+                return cand
+    return None

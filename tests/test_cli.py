@@ -96,6 +96,40 @@ def test_exit_code_malformed_json(files, capsys, tmp_path):
     assert code == 2
 
 
+def _expect_input_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_exit_code_non_object_forest(capsys, tmp_path):
+    bad = tmp_path / "bare_list.json"
+    bad.write_text("[null]")
+    _expect_input_error(capsys, "--json", "hj", "pipeline", "--a", "1", "--b", "2", "--forests", str(bad))
+
+
+def test_exit_code_report_without_stats(files, capsys, tmp_path):
+    rep = tmp_path / "rep.json"
+    assert main([
+        "witness", "check", "--b", "2", "--s", files["c2"], "--t", files["c2"], "--u", files["c2"],
+        "--out", str(rep),
+    ]) == 0
+    payload = serialize.load_json(str(rep))
+    del payload["stats"]
+    serialize.save_json(str(rep), payload)
+    capsys.readouterr()
+    _expect_input_error(capsys, "witness", "replay", "--report", str(rep))
+
+
+def test_exit_code_map_without_dom(files, capsys, tmp_path):
+    payload = serialize.load_json(files["f001"])
+    del payload["dom"]
+    bad = tmp_path / "no_dom.json"
+    serialize.save_json(str(bad), payload)
+    _expect_input_error(capsys, "rs", "classify", "--map", str(bad))
+
+
 def test_exit_code_resource_cap(files, capsys):
     code, _ = run(
         capsys, "--max-nodes", "1", "witness", "check", "--b", "2",

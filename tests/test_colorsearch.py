@@ -6,11 +6,12 @@ from treeramsey import trees, witness
 from treeramsey.colorsearch import (
     _minimal_edges,
     find_proper_coloring,
-    find_proper_coloring_enumerate,
     find_proper_coloring_plain,
     has_monochromatic_edge,
 )
 from treeramsey.errors import ResourceCapExceeded
+
+from _oracles import find_proper_coloring_enumerate
 
 
 def test_singleton_edge_blocks_everything():

@@ -17,7 +17,7 @@ from treeramsey.errors import (
 )
 
 from _fixtures import assert_fixture
-from _oracles import _conclusion_holds, definitional_point_flags
+from _oracles import _conclusion_holds, definitional_point_flags, monochromatic_host_by_enumeration
 
 PT = trees.point_forest(1)
 TWO_PT = trees.point_forest(2)
@@ -61,6 +61,27 @@ def test_host_search_result_property_is_real():
 def test_host_search_bound_too_small():
     with pytest.raises(NotFoundWithinBound):
         hj.monochromatic_host_search(TWO_PT, 2, 2)
+
+
+def test_host_search_matches_literal_enumeration():
+    # every forest of 0-3 vertices and every tree of 1-3 vertices: the solver's
+    # verdicts pick the same host as enumerating every coloring
+    inputs = [f for n in range(4) for f in trees.all_forests(n)]
+    inputs += [t for n in range(1, 4) for t in trees.all_trees(n)]
+    for s in inputs:
+        for b in (1, 2, 3):
+            for max_size in (6, 7):
+                expected = monochromatic_host_by_enumeration(s, b, max_size)
+                try:
+                    got = hj.monochromatic_host_search(s, b, max_size)
+                except NotFoundWithinBound:
+                    got = None
+                assert got == expected, (s.parent, b, max_size)
+
+
+def test_host_search_rejects_zero_colors():
+    with pytest.raises(ValueError):
+        hj.monochromatic_host_search(TWO_PT, 0, 6)
 
 
 # --- word lemma searches ------------------------------------------------------

@@ -10,6 +10,7 @@ from treeramsey.errors import NotFoundWithinBound, PrerequisiteFailed
 from treeramsey.maps import TreeMap, classify, compose, identity, injection_of, is_sealed
 
 from _fixtures import assert_fixture, stored_fixture
+from _oracles import find_proper_coloring_enumerate
 
 C1, C2, C3 = trees.chain(1), trees.chain(2), trees.chain(3)
 Y = trees.tree([None, 0, 0])
@@ -352,5 +353,5 @@ def test_three_engines_agree_on_witness_instances():
                     continue
                 pruned = cs.find_proper_coloring(len(vertices), edges, 2)
                 plain = cs.find_proper_coloring_plain(len(vertices), edges, 2)
-                table = cs.find_proper_coloring_enumerate(len(vertices), edges, 2)
+                table = find_proper_coloring_enumerate(len(vertices), edges, 2)
                 assert pruned.holds == plain.holds == table.holds
