@@ -78,7 +78,7 @@ def cmd_trees(args) -> int:
         payload = serialize.load_json(args.infile)
         serialize._check_version(payload, "tree")
         parent = serialize._field(payload, "parent", "tree")
-        entries = tuple(None if p is None else int(p) for p in parent)
+        entries = serialize._ints(parent, "tree parent", nullable=True)
         canon, perm = canonicalize(entries)
         _emit(
             args,

@@ -77,6 +77,11 @@ class TreeMap:
     def is_surjective(self) -> bool:
         return len(set(self.values)) == self.cod.n
 
+    @cached_property
+    def injection(self) -> Optional[TreeMap]:
+        """try_injection(self): the verified injection, computed once (the map is frozen)."""
+        return try_injection(self)
+
 
 def identity(t: OrderedTree) -> TreeMap:
     return TreeMap(t, t, tuple(range(t.n)))
@@ -126,14 +131,14 @@ def try_injection(f: TreeMap) -> Optional[TreeMap]:
 
 
 def injection_of(f: TreeMap) -> TreeMap:
-    e = try_injection(f)
+    e = f.injection
     if e is None:
         raise NotRigid(f"{f} is not a rigid surjection")
     return e
 
 
 def is_rigid_surjection(f: TreeMap) -> bool:
-    return try_injection(f) is not None
+    return f.injection is not None
 
 
 def is_sealed(f: TreeMap) -> bool:
@@ -142,7 +147,7 @@ def is_sealed(f: TreeMap) -> bool:
     In canonical form the lexicographically largest vertex is always a leaf,
     so sealedness reads e(|S|-1) = |T|-1.
     """
-    e = try_injection(f)
+    e = f.injection
     return e is not None and e.values[-1] == f.dom.n - 1
 
 

@@ -47,6 +47,20 @@ def _field(payload: dict, key: str, what: str) -> Any:
     return payload[key]
 
 
+def _int(value: Any, what: str) -> int:
+    """value if it is a JSON integer (not a bool or a float), else SchemaError."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value: Any, what: str, nullable: bool = False) -> tuple:
+    """A JSON array of integers (null allowed where nullable) as a tuple, else SchemaError."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be an array, got {value!r}")
+    return tuple(None if nullable and v is None else _int(v, f"{what} entry") for v in value)
+
+
 def tree_to_json(t: Union[OrderedTree, OrderedForest]) -> dict:
     kind = "tree" if isinstance(t, OrderedTree) else "forest"
     return {
@@ -62,7 +76,7 @@ def tree_from_json(payload: dict, normalize: bool = False) -> Union[OrderedTree,
     parent = payload.get("parent")
     if not isinstance(parent, list):
         raise SchemaError("tree payload needs a parent array")
-    entries = tuple(None if p is None else int(p) for p in parent)
+    entries = _ints(parent, "tree parent", nullable=True)
     kind = payload.get("kind", "tree")
     if kind == "forest":
         return OrderedForest(entries)
@@ -93,7 +107,7 @@ def map_from_json(payload: dict, normalize: bool = False) -> TreeMap:
     cod = tree_from_json(_field(payload, "cod", "map"), normalize=normalize)
     if not isinstance(dom, OrderedTree) or not isinstance(cod, OrderedTree):
         raise SchemaError("maps go between trees, not forests")
-    return TreeMap(dom, cod, tuple(int(v) for v in _field(payload, "values", "map")))
+    return TreeMap(dom, cod, _ints(_field(payload, "values", "map"), "map values"))
 
 
 def coloring_to_json(colors, b: int) -> dict:
@@ -107,8 +121,8 @@ def coloring_to_json(colors, b: int) -> dict:
 
 def coloring_from_json(payload: dict) -> tuple[tuple[int, ...], int]:
     _check_version(payload, "coloring")
-    colors = _field(payload, "colors", "coloring")
-    return tuple(int(c) for c in colors), int(_field(payload, "b", "coloring"))
+    colors = _ints(_field(payload, "colors", "coloring"), "coloring colors")
+    return colors, _int(_field(payload, "b", "coloring"), "coloring b")
 
 
 def report_to_json(r: WitnessReport) -> dict:
@@ -138,20 +152,22 @@ def report_from_json(payload: dict) -> WitnessReport:
     if not isinstance(raw_stats, dict):
         raise SchemaError("report stats must be an object")
     keys = ("vertices", "edges", "nodes", "colorings_examined")
-    stats = SearchStats(**{k: _field(raw_stats, k, "report stats") for k in keys})
+    stats = SearchStats(
+        **{k: _int(_field(raw_stats, k, "report stats"), f"report stats {k}") for k in keys}
+    )
 
     def parents(key: str) -> tuple:
-        return tuple(None if p is None else int(p) for p in _field(payload, key, "report"))
+        return _ints(_field(payload, key, "report"), f"report {key}", nullable=True)
 
     cex = payload.get("counterexample")
     return WitnessReport(
         verdict=_field(payload, "verdict", "report"),
-        b=_field(payload, "b", "report"),
+        b=_int(_field(payload, "b", "report"), "report b"),
         mode=_field(payload, "mode", "report"),
         s=parents("s"),
         t=parents("t"),
         u=parents("u"),
-        counterexample=None if cex is None else tuple(cex),
+        counterexample=None if cex is None else _ints(cex, "report counterexample"),
         stats=stats,
     )
 

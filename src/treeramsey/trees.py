@@ -135,7 +135,7 @@ class OrderedTree:
             if v != p:
                 raise NotCanonical(f"vertex {i + 1} does not attach to the rightmost path")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.parent)
 
@@ -178,8 +178,10 @@ class OrderedTree:
 
     def meet(self, v: int, w: int) -> int:
         """The largest common predecessor of v and w."""
-        self._check(v)
-        self._check(w)
+        n = self.n
+        if not (0 <= v < n and 0 <= w < n):
+            self._check(v)
+            self._check(w)
         common = self.anc_mask[v] & self.anc_mask[w]
         return common.bit_length() - 1
 

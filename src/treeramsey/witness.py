@@ -18,6 +18,7 @@ from . import colorsearch
 from .colorsearch import SearchStats
 from .enumeration import all_embeddings, all_rigid_surjections
 from .errors import (
+    DomainMismatch,
     NotFoundWithinBound,
     PrerequisiteFailed,
     ResourceCapExceeded,
@@ -77,6 +78,18 @@ class WitnessReport:
         return self.verdict == "holds"
 
 
+def _composite_values(fs: Sequence[TreeMap], g: TreeMap) -> list[tuple[int, ...]]:
+    """The value tuples of f o g for every f in fs, a family enumerated on one domain.
+
+    cod(g) = dom(f) is checked once for the family; every value is already
+    range-checked in f, so no composite TreeMap is built.
+    """
+    if fs and g.cod != fs[0].dom:
+        raise DomainMismatch("cod(g) != dom(f)")
+    gv = g.values
+    return [tuple([fv[x] for x in gv]) for fv in [f.values for f in fs]]
+
+
 def _mn_hypergraph(
     s: OrderedTree, t: OrderedTree, u: OrderedTree
 ) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
@@ -84,11 +97,33 @@ def _mn_hypergraph(
     vertices = [m.values for m in all_rigid_surjections(u, s)]
     pos = {v: i for i, v in enumerate(vertices)}
     fs = all_rigid_surjections(t, s)
-    edges = []
-    for g0 in all_rigid_surjections(u, t):
-        edge = frozenset(pos[compose(f, g0).values] for f in fs)
-        edges.append(edge)
+    edges = [
+        frozenset([pos[values] for values in _composite_values(fs, g0)])
+        for g0 in all_rigid_surjections(u, t)
+    ]
     return vertices, edges
+
+
+def _sealed_families(s: OrderedTree, t: OrderedTree) -> list[tuple[int, tuple[TreeMap, ...]]]:
+    """(t, the sealed maps T^t -> S) for every vertex t of T that has such maps."""
+    families = []
+    for tv in range(t.n):
+        fs = all_rigid_surjections(initial_subtree(t, tv), s, sealed=True)
+        if fs:
+            families.append((tv, fs))
+    return families
+
+
+def _sealed_edge_keys(
+    g: TreeMap, families: list[tuple[int, tuple[TreeMap, ...]]]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The (cut, values) keys of g's sealed edge: f o g^t for every t and f in families."""
+    keys = []
+    for tv, fs in families:
+        g_t = restrict_initial(g, tv)
+        cut = len(g_t.values) - 1
+        keys += [(cut, values) for values in _composite_values(fs, g_t)]
+    return keys
 
 
 def _sealed_hypergraph(
@@ -104,22 +139,12 @@ def _sealed_hypergraph(
             key = (v, m.values)
             pos[key] = len(vertices)
             vertices.append(key)
-    sealed_fs = {
-        tv: all_rigid_surjections(initial_subtree(t, tv), s, sealed=True) for tv in range(t.n)
-    }
-    edges = []
-    for v0 in range(u.n):
-        u_cut = initial_subtree(u, v0)
-        for g in all_rigid_surjections(u_cut, t, sealed=True):
-            edge = set()
-            for tv in range(t.n):
-                if not sealed_fs[tv]:
-                    continue
-                g_t = restrict_initial(g, tv)
-                for f in sealed_fs[tv]:
-                    comp = compose(f, g_t)
-                    edge.add(pos[(comp.dom.n - 1, comp.values)])
-            edges.append(frozenset(edge))
+    families = _sealed_families(s, t)
+    edges = [
+        frozenset([pos[key] for key in _sealed_edge_keys(g, families)])
+        for v0 in range(u.n)
+        for g in all_rigid_surjections(initial_subtree(u, v0), t, sealed=True)
+    ]
     return vertices, edges
 
 
@@ -476,13 +501,9 @@ def derivation_intermediates(
         "g_final": None,
     }
     old_top_t = t_plus.n - 2
+    families = _sealed_families(s_plus, t_plus)
     for g_plus in all_rigid_surjections(u, t_plus, sealed=True):
-        colors = set()
-        for tv in range(t_plus.n):
-            g_t = restrict_initial(g_plus, tv)
-            for f in all_rigid_surjections(initial_subtree(t_plus, tv), s_plus, sealed=True):
-                comp = compose(f, g_t)
-                colors.add(sealed_color(comp.dom.n - 1, comp.values))
+        colors = {sealed_color(cut, values) for cut, values in _sealed_edge_keys(g_plus, families)}
         if len(colors) <= 1:
             g = restrict_conjugate(g_plus, old_top_t)
             y0 = g.dom.n - 1

@@ -161,3 +161,52 @@ def monochromatic_host_by_enumeration(s, b, max_size):
             ):
                 return cand
     return None
+
+
+def mn_hypergraph_by_compose(s, t, u):
+    """The mn witness hypergraph with one composed TreeMap per (f, g0) pair:
+    vertices RS(U, S) by value tuple, one edge {f o g0 : f in RS(T, S)} per
+    g0 in RS(U, T)."""
+    from treeramsey.enumeration import all_rigid_surjections
+    from treeramsey.maps import compose
+
+    vertices = [m.values for m in all_rigid_surjections(u, s)]
+    pos = {v: i for i, v in enumerate(vertices)}
+    fs = all_rigid_surjections(t, s)
+    edges = []
+    for g0 in all_rigid_surjections(u, t):
+        edges.append(frozenset(pos[compose(f, g0).values] for f in fs))
+    return vertices, edges
+
+
+def sealed_hypergraph_by_compose(s, t, u):
+    """The sealed witness hypergraph with one composed TreeMap per (f, g^t) pair:
+    vertices (cut, values) of the sealed maps U^cut -> S, one edge per cut v0
+    and sealed g: U^v0 -> T collecting f o g^t over t in T and sealed
+    f: T^t -> S."""
+    from treeramsey.enumeration import all_rigid_surjections
+    from treeramsey.maps import compose, restrict_initial
+    from treeramsey.trees import initial_subtree
+
+    vertices = []
+    pos = {}
+    for v in range(u.n):
+        for m in all_rigid_surjections(initial_subtree(u, v), s, sealed=True):
+            pos[(v, m.values)] = len(vertices)
+            vertices.append((v, m.values))
+    sealed_fs = {
+        tv: all_rigid_surjections(initial_subtree(t, tv), s, sealed=True) for tv in range(t.n)
+    }
+    edges = []
+    for v0 in range(u.n):
+        for g in all_rigid_surjections(initial_subtree(u, v0), t, sealed=True):
+            edge = set()
+            for tv in range(t.n):
+                if not sealed_fs[tv]:
+                    continue
+                g_t = restrict_initial(g, tv)
+                for f in sealed_fs[tv]:
+                    comp = compose(f, g_t)
+                    edge.add(pos[(comp.dom.n - 1, comp.values)])
+            edges.append(frozenset(edge))
+    return vertices, edges

@@ -130,6 +130,57 @@ def test_exit_code_map_without_dom(files, capsys, tmp_path):
     _expect_input_error(capsys, "rs", "classify", "--map", str(bad))
 
 
+NON_INTEGERS = [None, 1.5, "1", True, [1]]
+NON_INTEGER_IDS = ["null", "float", "string", "bool", "array"]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+def test_exit_code_map_non_integer_value(files, capsys, tmp_path, bad):
+    payload = serialize.load_json(files["f001"])
+    payload["values"][1] = bad
+    p = tmp_path / "m.json"
+    serialize.save_json(str(p), payload)
+    _expect_input_error(capsys, "rs", "classify", "--map", str(p))
+
+
+@pytest.mark.parametrize("key", ["colors", "b"])
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+def test_exit_code_coloring_non_integer_entry(files, capsys, tmp_path, key, bad):
+    payload = serialize.coloring_to_json((0, 1), 2)
+    if key == "colors":
+        payload["colors"][0] = bad
+    else:
+        payload["b"] = bad
+    p = tmp_path / "coloring.json"
+    serialize.save_json(str(p), payload)
+    _expect_input_error(
+        capsys, "bridge", "leeb", "--s", files["c2"], "--u", files["c3"], "--coloring", str(p)
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("s", 1), ("u", 2), ("b",), ("stats", "nodes"), ("counterexample", 0)],
+    ids=lambda path: ".".join(map(str, path)),
+)
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
+def test_exit_code_report_non_integer_entry(files, capsys, tmp_path, path, bad):
+    rep = tmp_path / "rep.json"
+    assert main([
+        "witness", "check", "--b", "2", "--s", files["c2"], "--t", files["c3"], "--u", files["c3"],
+        "--out", str(rep),
+    ]) == 1
+    payload = serialize.load_json(str(rep))
+    *outer, last = path
+    target = payload
+    for key in outer:
+        target = target[key]
+    target[last] = bad
+    serialize.save_json(str(rep), payload)
+    capsys.readouterr()
+    _expect_input_error(capsys, "witness", "replay", "--report", str(rep))
+
+
 def test_exit_code_resource_cap(files, capsys):
     code, _ = run(
         capsys, "--max-nodes", "1", "witness", "check", "--b", "2",

@@ -98,6 +98,40 @@ def test_injection_unique_witness():
                 assert witnesses[0] == injection_of(f)
 
 
+def test_cached_injection_is_the_recomputed_one():
+    for s in trees_up_to(4):
+        for t in trees_up_to(4):
+            for vals in itertools.product(range(s.n), repeat=t.n):
+                f = TreeMap(t, s, vals)
+                e = f.injection
+                assert e == try_injection(f)
+                assert f.injection is e
+                assert is_rigid_surjection(f) == (e is not None)
+
+
+def test_non_rigid_injection_of_raises_on_every_call():
+    f = TreeMap(Y, C2, (0, 1, 1))
+    for _ in range(2):
+        with pytest.raises(NotRigid):
+            injection_of(f)
+
+
+def test_injection_of_raises_under_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\nfrom treeramsey import trees\nfrom treeramsey.errors import NotRigid\n"
+        "from treeramsey.maps import TreeMap, injection_of\n"
+        "f = TreeMap(trees.tree([None, 0, 0]), trees.chain(2), (0, 1, 1))\n"
+        "for _ in range(2):\n    try:\n        injection_of(f)\n    except NotRigid:\n"
+        "        print('raised', sys.flags.optimize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    assert proc.stdout == "raised 1\nraised 1\n", proc.stderr
+
+
 def test_rigidity_decision_matches_witness_search():
     # try_injection's verdict agrees with brute-force witness existence
     for s in trees_up_to(3):

@@ -140,6 +140,14 @@ def test_meet_laws_exhaustive():
             assert t.meet(t.meet(v, w), x) == t.meet(v, t.meet(w, x))
 
 
+def test_meet_out_of_range():
+    for t in trees_up_to(4):
+        for bad in (t.n, -1):
+            for v, w in ((bad, 0), (0, bad)):
+                with pytest.raises(VertexOutOfRange, match=f"vertex {bad} not in tree of size {t.n}"):
+                    t.meet(v, w)
+
+
 def test_lex_compare_spec_examples():
     assert trees.raw_lex_compare([None, 0, 0, 1], 3, 2) == trees.LT
     assert C3.lex_compare(0, 2) == trees.LT

@@ -4,13 +4,17 @@ import os
 
 import pytest
 
-from treeramsey import serialize, trees, witness as wit
+from treeramsey import maps, serialize, trees, witness as wit
 from treeramsey.enumeration import all_embeddings, all_rigid_surjections
 from treeramsey.errors import NotFoundWithinBound, PrerequisiteFailed
 from treeramsey.maps import TreeMap, classify, compose, identity, injection_of, is_sealed
 
 from _fixtures import assert_fixture, stored_fixture
-from _oracles import find_proper_coloring_enumerate
+from _oracles import (
+    find_proper_coloring_enumerate,
+    mn_hypergraph_by_compose,
+    sealed_hypergraph_by_compose,
+)
 
 C1, C2, C3 = trees.chain(1), trees.chain(2), trees.chain(3)
 Y = trees.tree([None, 0, 0])
@@ -340,6 +344,60 @@ def test_sealed_edges_match_composition_space_products():
                         got = {vertex_list[i] for i in edges[idx]}
                         assert got == expected
                         idx += 1
+
+
+def test_builders_match_compose_oracles():
+    # the value-tuple builders give the compose-based hypergraphs, in order
+    cases = [("mn", C2, trees.chain(4), u) for u in trees_up_to(6)]
+    cases += [("sealed", C2, trees.tree([None, 0, 1, 1]), u) for u in trees_up_to(6)]
+    cases += [
+        (mode, s, t, u)
+        for mode in ("mn", "sealed")
+        for s in trees_up_to(3)
+        for t in trees_up_to(3)
+        for u in trees_up_to(4)
+    ]
+    for mode, s, t, u in cases:
+        if mode == "mn":
+            assert wit._mn_hypergraph(s, t, u) == mn_hypergraph_by_compose(s, t, u)
+        else:
+            assert wit._sealed_hypergraph(s, t, u) == sealed_hypergraph_by_compose(s, t, u)
+
+
+def test_sealed_build_computes_each_injection_once(monkeypatch):
+    # work counts, not time: one injection per g, and no TreeMap per (f, g) pair
+    s, t, u = C2, trees.tree([None, 0, 1, 1]), trees.tree([None, 0, 1, 2, 3, 1, 1])
+    all_rigid_surjections.cache_clear()  # fresh maps, so no injection is cached yet
+    injected, made = [], [0]
+    original_try, original_post_init = maps.try_injection, TreeMap.__post_init__
+
+    def counting_try(f):
+        injected.append((f.dom, f.values))
+        return original_try(f)
+
+    def counting_post_init(self):
+        made[0] += 1
+        original_post_init(self)
+
+    monkeypatch.setattr(maps, "try_injection", counting_try)
+    monkeypatch.setattr(TreeMap, "__post_init__", counting_post_init)
+    vertices, _ = wit._sealed_hypergraph(s, t, u)
+    monkeypatch.undo()
+    gs = [
+        g
+        for v0 in range(u.n)
+        for g in all_rigid_surjections(trees.initial_subtree(u, v0), t, sealed=True)
+    ]
+    families = [
+        all_rigid_surjections(trees.initial_subtree(t, tv), s, sealed=True) for tv in range(t.n)
+    ]
+    assert len(gs) == 65
+    assert len(injected) == len(set(injected)) <= len(gs)
+    assert set(injected) <= {(g.dom, g.values) for g in gs}
+    enumerated = len(vertices) + len(gs) + sum(len(fs) for fs in families)
+    # per g: its injection, and one restriction g^t for each of the 3 vertices t
+    # of T with sealed maps onto S; the enumerated maps come on top
+    assert made[0] <= len(gs) * t.n + enumerated
 
 
 def test_three_engines_agree_on_witness_instances():
