@@ -108,8 +108,11 @@ def find_proper_coloring(
     """Propagating backtracking search for a coloring with every edge non-monochromatic.
 
     max_nodes caps assignments, max_colorings caps complete assignments;
-    exceeding either raises ResourceCapExceeded with the stats so far.
+    exceeding either raises ResourceCapExceeded with the stats so far.  A
+    color count b below 1 raises ValueError.
     """
+    if b < 1:
+        raise ValueError("need b >= 1")
     cap = max_nodes if max_nodes is not None else max_nodes_default()
     stats = SearchStats(vertices=n_vertices, edges=len(set(edges)))
     minimal = _minimal_edges(edges)
@@ -118,8 +121,8 @@ def find_proper_coloring(
     if not minimal:
         stats.colorings_examined = 1
         return SearchResult(tuple([0] * n_vertices), stats)
-    if b <= 1:
-        stats.colorings_examined = 1 if b == 1 else 0
+    if b == 1:
+        stats.colorings_examined = 1
         return SearchResult(None, stats)
 
     # Static most-constrained-first order: vertices on many (small) edges first.
@@ -231,6 +234,8 @@ def find_proper_coloring_plain(
     its state in colors alone (the color tried at each level), so it needs no
     recursion at any size.
     """
+    if b < 1:
+        raise ValueError("need b >= 1")
     cap = max_nodes if max_nodes is not None else max_nodes_default()
     stats = SearchStats(vertices=n_vertices, edges=len(edges))
     edge_list = [tuple(sorted(e)) for e in edges]

@@ -4,6 +4,14 @@ Enumeration order is part of the contract: trees come lexicographically by
 parent array, maps lexicographically by value tuple, colorings in counting
 order.  Two runs produce identical sequences; parallel consumers may split by
 value-tuple prefix ranges.
+
+Embeddings and rigid surjections each come from one list-building
+backtracking over value tuples (_embeddings, _rigid_surjections): the enum_
+generators iterate over a fresh list, and the all_ functions cache it as a
+tuple.  Each new value is tested in constant time.  In preorder the meet of
+v-1 and v is the parent of v, and subtrees are index intervals, so once a
+prefix is an embedding, the meet law for the pair (v-1, v) implies it for
+every earlier vertex.  Every map is still a validated TreeMap.
 """
 
 from __future__ import annotations
@@ -27,31 +35,103 @@ __all__ = [
 ]
 
 
+def _embeddings(dom: OrderedTree, cod: OrderedTree) -> list[TreeMap]:
+    """The embeddings dom -> cod in lexicographic order, built as one list.
+
+    Values are assigned in increasing vertex order; vertex v may take a value
+    t of cod when t > e(v-1) and meet(e(v-1), t) = e(parent(v)).  In preorder
+    meet(v-1, v) = parent(v), and subtrees are index intervals, so for a
+    prefix that is already an embedding this one meet implies the meet law
+    against every earlier vertex.
+    """
+    ns, nt = dom.n, cod.n
+    if ns > nt:
+        return []
+    anc = cod.anc_mask
+    parent = dom.parent
+    vals = [0] * ns  # root goes to root
+    out: list[TreeMap] = []
+
+    def extend(v: int) -> None:
+        if v == ns:
+            out.append(TreeMap(dom, cod, tuple(vals)))
+            return
+        prev = vals[v - 1]
+        prev_anc = anc[prev]
+        meet = vals[parent[v]]
+        for t in range(prev + 1, nt - (ns - v) + 1):
+            if (prev_anc & anc[t]).bit_length() - 1 == meet:
+                vals[v] = t
+                extend(v + 1)
+
+    extend(1)
+    return out
+
+
+def _rigid_surjections(
+    dom: OrderedTree, cod: OrderedTree, sealed: bool, a_prefix: Optional[int]
+) -> list[TreeMap]:
+    """The rigid surjections dom -> cod in lexicographic order, built as one list.
+
+    Backtracks over value tuples.  The injection of a rigid surjection is the
+    fiberwise meet, which always equals the fiber's first element in canonical
+    numbering; monotonicity of the injection then forces new values to appear
+    in increasing order, so the candidate values at any position w are the
+    already-seen values 0..k-1 plus the fresh value k.  Checks per assignment:
+
+    - a seen value v needs its first occurrence below w;
+    - the fresh value k needs meet(first(k-1), w) = first(parent(k)).  In
+      preorder meet(k-1, k) = parent(k), and subtrees are index intervals, so
+      for a prefix whose first occurrences already form an embedding this one
+      meet implies the meet law against every earlier first occurrence.
+
+    Sealedness pins the top value to the final position; a_prefix pins the
+    first a_prefix values to the identity.
+    """
+    n, m = dom.n, cod.n
+    if m > n:
+        return []
+    if a_prefix is not None and (a_prefix < 0 or a_prefix > min(n, m)):
+        return []
+    pinned = a_prefix or 0
+    top = m - 1
+    anc = dom.anc_mask
+    parent = cod.parent
+    values = [0] * n
+    first = [0] * m  # first occurrence of each seen value
+    out: list[TreeMap] = []
+
+    def extend(w: int, k: int) -> None:
+        if w == n:
+            if k == m:
+                out.append(TreeMap(dom, cod, tuple(values)))
+            return
+        if m - k > n - w:
+            return  # surjectivity budget
+        aw = anc[w]
+        if w >= pinned:
+            # the top of a sealed codomain first occurs exactly at the top of the domain
+            for v in range(min(k, top) if sealed else k):
+                if (aw >> first[v]) & 1:  # injection below identity
+                    values[w] = v
+                    extend(w + 1, k)
+        if k < m and (not sealed or k < top or w == n - 1):
+            if not k or (anc[first[k - 1]] & aw).bit_length() - 1 == first[parent[k]]:
+                values[w] = k
+                first[k] = w
+                extend(w + 1, k + 1)
+
+    extend(0, 0)
+    return out
+
+
 def enum_embeddings(dom: OrderedTree, cod: OrderedTree) -> Iterator[TreeMap]:
     """All embeddings dom -> cod, lexicographically by value tuple.
 
     Embeddings are strictly increasing in the canonical numbering (monotone +
-    injective), fix the root, and preserve meets; the backtracking assigns
-    values in increasing order and checks meets against all earlier vertices.
+    injective), fix the root, and preserve meets (see _embeddings).
     """
-    ns, nt = dom.n, cod.n
-    if ns > nt:
-        return
-    vals = [0] * ns  # root goes to root
-
-    def extend(v: int) -> Iterator[TreeMap]:
-        if v == ns:
-            yield TreeMap(dom, cod, tuple(vals))
-            return
-        for t in range(vals[v - 1] + 1, nt - (ns - v) + 1):
-            if all(vals[dom.meet(u, v)] == cod.meet(vals[u], t) for u in range(v)):
-                vals[v] = t
-                yield from extend(v + 1)
-
-    if ns == 1:
-        yield TreeMap(dom, cod, (0,))
-        return
-    yield from extend(1)
+    yield from _embeddings(dom, cod)
 
 
 def enum_rigid_surjections(
@@ -62,74 +142,22 @@ def enum_rigid_surjections(
 ) -> Iterator[TreeMap]:
     """All rigid surjections dom -> cod, lexicographically by value tuple.
 
-    Backtracks over value tuples.  The injection of a rigid surjection is the
-    fiberwise meet, which always equals the fiber's first element in canonical
-    numbering; monotonicity of the injection then forces new values to appear
-    in increasing order, so the candidate values at any position are the
-    already-seen initial segment plus one fresh value.  Checks per assignment:
-    seen value v needs first_occ(v) below w; a fresh value needs the meet law
-    against every earlier first occurrence.  Sealedness pins the top value to
-    the final position; a_prefix pins the first a_prefix values to the
-    identity.
+    With sealed, only the sealed ones; with a_prefix, only those that are the
+    identity on the first a_prefix vertices (see _rigid_surjections).
     """
-    nt, ns = dom.n, cod.n
-    if ns > nt:
-        return
-    if a_prefix is not None and (a_prefix < 0 or a_prefix > min(nt, ns)):
-        return
-    values = [0] * nt
-    first_occ = [0] * ns
-    dom_anc = dom.anc_mask
-
-    def candidates(w: int, k: int) -> Iterator[int]:
-        top = min(k, ns - 1)
-        for v in range(top + 1):
-            if sealed and v == ns - 1 and (w < nt - 1 or v < k):
-                continue  # the top of the codomain first occurs exactly at the top of the domain
-            if a_prefix is not None and w < a_prefix:
-                if v != w:
-                    continue
-            if v < k:
-                if not (dom_anc[w] >> first_occ[v]) & 1:
-                    continue  # injection below identity fails
-            else:
-                ok = True
-                for u in range(k):  # meet law for the fresh first occurrence
-                    if first_occ[cod.meet(u, v)] != dom.meet(first_occ[u], w):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            yield v
-
-    def extend(w: int, k: int) -> Iterator[TreeMap]:
-        if w == nt:
-            if k == ns:
-                yield TreeMap(dom, cod, tuple(values))
-            return
-        if ns - k > nt - w:
-            return  # surjectivity budget
-        for v in candidates(w, k):
-            values[w] = v
-            if v == k:
-                first_occ[k] = w
-                yield from extend(w + 1, k + 1)
-            else:
-                yield from extend(w + 1, k)
-
-    yield from extend(0, 0)
+    yield from _rigid_surjections(dom, cod, sealed, a_prefix)
 
 
 @lru_cache(maxsize=None)
 def all_embeddings(dom: OrderedTree, cod: OrderedTree) -> tuple[TreeMap, ...]:
-    return tuple(enum_embeddings(dom, cod))
+    return tuple(_embeddings(dom, cod))
 
 
 @lru_cache(maxsize=None)
 def all_rigid_surjections(
     dom: OrderedTree, cod: OrderedTree, sealed: bool = False, a_prefix: Optional[int] = None
 ) -> tuple[TreeMap, ...]:
-    return tuple(enum_rigid_surjections(dom, cod, sealed=sealed, a_prefix=a_prefix))
+    return tuple(_rigid_surjections(dom, cod, sealed, a_prefix))
 
 
 def rigid_surjections_with_injection(e: TreeMap) -> tuple[TreeMap, ...]:

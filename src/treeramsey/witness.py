@@ -32,7 +32,6 @@ from .maps import (
     is_rigid_surjection,
     is_sealed,
     restrict_conjugate,
-    restrict_initial,
 )
 from .trees import OrderedTree, all_trees, chain, initial_subtree
 
@@ -78,15 +77,17 @@ class WitnessReport:
         return self.verdict == "holds"
 
 
-def _composite_values(fs: Sequence[TreeMap], g: TreeMap) -> list[tuple[int, ...]]:
+def _composite_values(
+    fs: Sequence[TreeMap], g_cod: tuple[Optional[int], ...], gv: Sequence[int]
+) -> list[tuple[int, ...]]:
     """The value tuples of f o g for every f in fs, a family enumerated on one domain.
 
-    cod(g) = dom(f) is checked once for the family; every value is already
+    g is given by the parent array of its codomain and its values; cod(g) =
+    dom(f) is checked once for the family; every value is already
     range-checked in f, so no composite TreeMap is built.
     """
-    if fs and g.cod != fs[0].dom:
+    if fs and g_cod != fs[0].dom.parent:
         raise DomainMismatch("cod(g) != dom(f)")
-    gv = g.values
     return [tuple([fv[x] for x in gv]) for fv in [f.values for f in fs]]
 
 
@@ -98,7 +99,7 @@ def _mn_hypergraph(
     pos = {v: i for i, v in enumerate(vertices)}
     fs = all_rigid_surjections(t, s)
     edges = [
-        frozenset([pos[values] for values in _composite_values(fs, g0)])
+        frozenset([pos[values] for values in _composite_values(fs, g0.cod.parent, g0.values)])
         for g0 in all_rigid_surjections(u, t)
     ]
     return vertices, edges
@@ -117,12 +118,21 @@ def _sealed_families(s: OrderedTree, t: OrderedTree) -> list[tuple[int, tuple[Tr
 def _sealed_edge_keys(
     g: TreeMap, families: list[tuple[int, tuple[TreeMap, ...]]]
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """The (cut, values) keys of g's sealed edge: f o g^t for every t and f in families."""
+    """The (cut, values) keys of g's sealed edge: f o g^t for every t and f in families.
+
+    g^t is g cut at its injection: the restriction to U^{i(t)}, whose values
+    must be exactly 0..t (onto T^t); T^t is the prefix 0..t of cod(g).
+    """
     keys = []
+    gv, cod, e = g.values, g.cod.parent, injection_of(g).values
     for tv, fs in families:
-        g_t = restrict_initial(g, tv)
-        cut = len(g_t.values) - 1
-        keys += [(cut, values) for values in _composite_values(fs, g_t)]
+        cut = e[tv]
+        prefix = gv[: cut + 1]
+        if set(prefix) != set(range(tv + 1)):
+            raise VerificationFailed(
+                f"restriction of {g} to the initial subtree of {tv} is not onto"
+            )
+        keys += [(cut, values) for values in _composite_values(fs, cod[: tv + 1], prefix)]
     return keys
 
 

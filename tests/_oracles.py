@@ -210,3 +210,77 @@ def sealed_hypergraph_by_compose(s, t, u):
                     edge.add(pos[(comp.dom.n - 1, comp.values)])
             edges.append(frozenset(edge))
     return vertices, edges
+
+
+def embeddings_by_meet_loop(dom, cod):
+    """The value tuples of the embeddings dom -> cod in lexicographic order, by
+    backtracking that checks each new value's meet law against every earlier
+    vertex."""
+    ns, nt = dom.n, cod.n
+    if ns > nt:
+        return []
+    vals = [0] * ns
+    out = []
+
+    def extend(v):
+        if v == ns:
+            out.append(tuple(vals))
+            return
+        for t in range(vals[v - 1] + 1, nt - (ns - v) + 1):
+            if all(vals[dom.meet(u, v)] == cod.meet(vals[u], t) for u in range(v)):
+                vals[v] = t
+                extend(v + 1)
+
+    extend(1)
+    return out
+
+
+def rigid_surjections_by_meet_loop(dom, cod, sealed=False, a_prefix=None):
+    """The value tuples of the rigid surjections dom -> cod in lexicographic
+    order, by backtracking over value tuples: the candidates at each position
+    are the seen values plus one fresh value, a seen value needs its first
+    occurrence below the position, and a fresh value needs the meet law
+    against every earlier first occurrence.  Sealedness pins the top value to
+    the final position; a_prefix pins the first a_prefix values to the
+    identity."""
+    nt, ns = dom.n, cod.n
+    if ns > nt:
+        return []
+    if a_prefix is not None and (a_prefix < 0 or a_prefix > min(nt, ns)):
+        return []
+    values = [0] * nt
+    first_occ = [0] * ns
+    out = []
+
+    def candidates(w, k):
+        for v in range(min(k, ns - 1) + 1):
+            if sealed and v == ns - 1 and (w < nt - 1 or v < k):
+                continue
+            if a_prefix is not None and w < a_prefix and v != w:
+                continue
+            if v < k:
+                if not dom.below(first_occ[v], w):
+                    continue
+            elif any(
+                first_occ[cod.meet(u, v)] != dom.meet(first_occ[u], w) for u in range(k)
+            ):
+                continue
+            yield v
+
+    def extend(w, k):
+        if w == nt:
+            if k == ns:
+                out.append(tuple(values))
+            return
+        if ns - k > nt - w:
+            return
+        for v in candidates(w, k):
+            values[w] = v
+            if v == k:
+                first_occ[k] = w
+                extend(w + 1, k + 1)
+            else:
+                extend(w + 1, k)
+
+    extend(0, 0)
+    return out

@@ -83,6 +83,23 @@ def test_exit_code_holds_and_report_roundtrip(files, capsys, tmp_path):
     assert code == 0 and "reproduced: True" in out
 
 
+@pytest.mark.parametrize("b", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["witness", "check", "--s", "c2", "--t", "c2", "--u", "c3"],
+        ["--json", "witness", "search", "--mode", "chain", "--k", "2", "--l", "3"],
+        ["framework", "check-r", "--s", "c2", "--s-cut", "1", "--t", "c2", "--v", "c3"],
+    ],
+)
+def test_fewer_than_one_color_exit_2(files, capsys, command, b):
+    argv = [files[arg] if arg in ("c2", "c3") else arg for arg in command]
+    code = main(argv + ["--b", b])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_exit_code_usage_error(files, capsys):
     bad = files["dir"] + "/nonexistent.json"
     code, _ = run(capsys, "trees", "meet", "--in", bad, "--v", "0", "--w", "1")

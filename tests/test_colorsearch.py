@@ -32,6 +32,14 @@ def test_one_color_with_real_edges_holds():
     assert find_proper_coloring(3, [frozenset({0, 1, 2})], 1).holds
 
 
+@pytest.mark.parametrize("b", [0, -1])
+@pytest.mark.parametrize("edges", [[], [frozenset()], [frozenset({1})], [frozenset({0, 1, 2})]])
+@pytest.mark.parametrize("engine", [find_proper_coloring, find_proper_coloring_plain])
+def test_fewer_than_one_color_is_refused(engine, edges, b):
+    with pytest.raises(ValueError):
+        engine(3, edges, b)
+
+
 def test_triangle_of_pairs_needs_three_colors():
     edges = [frozenset(p) for p in [(0, 1), (1, 2), (0, 2)]]
     assert find_proper_coloring(3, edges, 2).holds

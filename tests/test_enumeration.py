@@ -11,7 +11,7 @@ from treeramsey.enumeration import (
 )
 from treeramsey.maps import TreeMap, classify, is_embedding
 
-from _oracles import stirling2
+from _oracles import embeddings_by_meet_loop, rigid_surjections_by_meet_loop, stirling2
 
 C2, C3 = trees.chain(2), trees.chain(3)
 Y = trees.tree([None, 0, 0])
@@ -160,3 +160,28 @@ def test_streams_complete_against_classifier_full_bound():
                 if is_embedding(TreeMap(cod, dom, vals))
             }
             assert {m.values for m in enum_embeddings(cod, dom)} == brute_emb
+
+
+def test_rigid_kernel_matches_meet_loop_oracle():
+    # the constant-time fresh-value test against the full meet loop, for every
+    # flag and a_prefix value (out-of-range ones included)
+    cases = 0
+    for dom in trees_up_to(7):
+        for cod in trees_up_to(4):
+            for sealed in (False, True):
+                for a_prefix in [None, *range(-1, min(dom.n, cod.n) + 2)]:
+                    expected = rigid_surjections_by_meet_loop(dom, cod, sealed, a_prefix)
+                    got = [
+                        m.values
+                        for m in enum_rigid_surjections(dom, cod, sealed=sealed, a_prefix=a_prefix)
+                    ]
+                    assert got == expected, (dom, cod, sealed, a_prefix)
+                    cases += 1
+    assert cases == 25_526
+
+
+def test_embedding_kernel_matches_meet_loop_oracle():
+    for s in trees_up_to(6):
+        for t in trees_up_to(7):
+            got = [e.values for e in enum_embeddings(s, t)]
+            assert got == embeddings_by_meet_loop(s, t), (s, t)

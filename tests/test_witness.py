@@ -6,7 +6,7 @@ import pytest
 
 from treeramsey import maps, serialize, trees, witness as wit
 from treeramsey.enumeration import all_embeddings, all_rigid_surjections
-from treeramsey.errors import NotFoundWithinBound, PrerequisiteFailed
+from treeramsey.errors import NotFoundWithinBound, PrerequisiteFailed, VerificationFailed
 from treeramsey.maps import TreeMap, classify, compose, identity, injection_of, is_sealed
 
 from _fixtures import assert_fixture, stored_fixture
@@ -395,9 +395,20 @@ def test_sealed_build_computes_each_injection_once(monkeypatch):
     assert len(injected) == len(set(injected)) <= len(gs)
     assert set(injected) <= {(g.dom, g.values) for g in gs}
     enumerated = len(vertices) + len(gs) + sum(len(fs) for fs in families)
-    # per g: its injection, and one restriction g^t for each of the 3 vertices t
-    # of T with sealed maps onto S; the enumerated maps come on top
-    assert made[0] <= len(gs) * t.n + enumerated
+    # per g only its injection: each g^t is a prefix of g's values; the
+    # enumerated maps come on top
+    assert made[0] <= len(gs) + enumerated
+
+
+def test_sealed_build_refuses_a_restriction_that_is_not_onto(monkeypatch):
+    # an injection that cuts g one position early leaves t out of g^t
+    def early_injection(g):
+        e = injection_of(g)
+        return TreeMap(e.dom, e.cod, tuple(max(x - 1, 0) for x in e.values))
+
+    monkeypatch.setattr(wit, "injection_of", early_injection)
+    with pytest.raises(VerificationFailed, match="not onto"):
+        wit._sealed_hypergraph(C2, C2, C3)
 
 
 def test_three_engines_agree_on_witness_instances():
