@@ -3,8 +3,9 @@
 
 A rigid surjection f: T -> S is half of a perfect Galois connection: some
 embedding e: S -> T satisfies f o e = id and e o f below id.  The witness is
-unique and computable as the fiberwise meet, which doubles as the rigidity
-decision: if the candidate fails verification, no witness exists.
+unique: the fiberwise meet, which is each fiber's first vertex.  That
+candidate doubles as the rigidity decision: if it fails verification, no
+witness exists.
 """
 
 from treeramsey import trees

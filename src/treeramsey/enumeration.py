@@ -8,10 +8,9 @@ value-tuple prefix ranges.
 Embeddings and rigid surjections each come from one list-building
 backtracking over value tuples (_embeddings, _rigid_surjections): the enum_
 generators iterate over a fresh list, and the all_ functions cache it as a
-tuple.  Each new value is tested in constant time.  In preorder the meet of
-v-1 and v is the parent of v, and subtrees are index intervals, so once a
-prefix is an embedding, the meet law for the pair (v-1, v) implies it for
-every earlier vertex.  Every map is still a validated TreeMap.
+tuple.  Each new value is tested in constant time, against its predecessor
+only, by the consecutive meet law of maps (see the maps module docstring).
+Every map is still a validated TreeMap.
 """
 
 from __future__ import annotations
@@ -39,10 +38,8 @@ def _embeddings(dom: OrderedTree, cod: OrderedTree) -> list[TreeMap]:
     """The embeddings dom -> cod in lexicographic order, built as one list.
 
     Values are assigned in increasing vertex order; vertex v may take a value
-    t of cod when t > e(v-1) and meet(e(v-1), t) = e(parent(v)).  In preorder
-    meet(v-1, v) = parent(v), and subtrees are index intervals, so for a
-    prefix that is already an embedding this one meet implies the meet law
-    against every earlier vertex.
+    t of cod when t > e(v-1) and meet(e(v-1), t) = e(parent(v)), the
+    consecutive meet law.
     """
     ns, nt = dom.n, cod.n
     if ns > nt:
@@ -80,10 +77,8 @@ def _rigid_surjections(
     already-seen values 0..k-1 plus the fresh value k.  Checks per assignment:
 
     - a seen value v needs its first occurrence below w;
-    - the fresh value k needs meet(first(k-1), w) = first(parent(k)).  In
-      preorder meet(k-1, k) = parent(k), and subtrees are index intervals, so
-      for a prefix whose first occurrences already form an embedding this one
-      meet implies the meet law against every earlier first occurrence.
+    - the fresh value k needs meet(first(k-1), w) = first(parent(k)), the
+      consecutive meet law for the first occurrences.
 
     Sealedness pins the top value to the final position; a_prefix pins the
     first a_prefix values to the identity.

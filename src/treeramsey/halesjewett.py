@@ -33,6 +33,7 @@ from .errors import (
 from .enumeration import all_embeddings, enum_colorings
 from .maps import (
     TreeMap,
+    _galois_pair,
     check_block_condition,
     classify,
     compose,
@@ -456,8 +457,6 @@ class TransferCell:
         self.dom_tree = oplus(a_size, self.tensor.forest)
         self.cod_tree = oplus(a_size, s)
         self.dom_anc = self.dom_tree.anc_mask
-        m = a_size + s.n
-        self.cod_meet = [[self.cod_tree.meet(x, y) for y in range(m)] for x in range(m)]
 
     def word_count(self) -> int:
         return count_block_maps(self.a, self.nq, self.i)
@@ -508,9 +507,10 @@ class TransferCell:
     def check_word_map(self, p: Sequence[int], deep: bool = False) -> None:
         """Verify the full executable transfer lemma for one word map.
 
-        Raises VerificationFailed on any violation.  With deep=True the
-        rigidity of pi is additionally recomputed through the generic
-        fiberwise-meet classifier instead of the witness checks.
+        Raises VerificationFailed on any violation.  That j witnesses the
+        rigidity of pi is decided by the shared Galois-pair check of maps.
+        With deep=True the injection of pi is additionally recomputed through
+        the generic classifier (maps.injection_of) and compared with j.
         """
         a, s = self.a, self.s
         pi_vals, j_vals, words = self.transfer_maps(p)
@@ -519,24 +519,8 @@ class TransferCell:
             if par is not None and words[par] != words[v][: s.height[par]]:
                 raise VerificationFailed(f"very good words of {par} and {v} are not prefix coherent")
 
-        # witness verification: pi o j = id, j o pi below id, j a morphism
-        n = self.n_block
-        for x in range(a + s.n):
-            if pi_vals[j_vals[x]] != x:
-                raise VerificationFailed(f"pi o j moves {x}")
-        anc = self.dom_anc
-        for w in range(a + n):
-            if not (anc[w] >> j_vals[pi_vals[w]]) & 1:
-                raise VerificationFailed(f"j o pi is not below the identity at {w}")
-        for x in range(a + s.n):  # monotone + meets + root
-            if x and j_vals[x - 1] >= j_vals[x]:
-                raise VerificationFailed("injection candidate not monotone")
-            for y in range(x + 1, a + s.n):
-                common = anc[j_vals[x]] & anc[j_vals[y]]
-                if j_vals[self.cod_meet[x][y]] != common.bit_length() - 1:
-                    raise VerificationFailed(f"j does not preserve the meet of {x} and {y}")
-        if j_vals[0] != 0:
-            raise VerificationFailed("j moves the root")
+        if not _galois_pair(self.dom_anc, self.cod_tree.parent, pi_vals, j_vals):
+            raise VerificationFailed("pi and j are not a Galois pair")
         if deep:
             pi_map = TreeMap(self.dom_tree, self.cod_tree, tuple(pi_vals))
             if injection_of(pi_map).values != tuple(j_vals):
@@ -569,7 +553,7 @@ class TransferCell:
                     raise VerificationFailed(f"sealed transfer identity fails at v={v}, w={w}")
 
         # plain variant over the whole domain
-        for w in range(a, a + n):
+        for w in range(a, a + self.n_block):
             pv = p[w]
             if pv < a:
                 lhs = pv

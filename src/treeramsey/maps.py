@@ -7,10 +7,17 @@ f: T -> S is a map admitting an embedding e: S -> T with
     f o e = id_S   and   e o f below id_T  (pointwise in the tree order),
 
 i.e. (f, e) is a perfect Galois connection (embedding-projection pair).  The
-witness e is unique and computable as the fiberwise meet e(v) = meet f^{-1}(v);
-we call it the injection of f.  Classification never trusts a flag: the meet
-formula produces a candidate which is then verified, so the same routine
-decides rigidity.
+witness e is unique, the fiberwise meet e(v) = meet f^{-1}(v); we call it the
+injection of f.  Since e(v) lies in its own fiber and below every element of
+it, it is the fiber's least vertex, i.e. the first occurrence of v in f.
+
+One rule, _galois_pair, decides morphism-ness and rigidity, here and in the
+transfer cells: f o e = id, e o f below id, and e a morphism.  Morphism-ness
+is tested by the consecutive law: a monotone map sending root to root is a
+morphism iff meet(e(v-1), e(v)) = e(parent(v)) for every v >= 1, because in
+preorder meet(v-1, v) = parent(v) and subtrees are index intervals.
+Classification never trusts a flag: the first-occurrence candidate is
+verified by the rule, so the same routine decides rigidity.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class TreeMap:
     def __repr__(self) -> str:
         return f"TreeMap({list(self.values)}: {self.dom.n}->{self.cod.n})"
 
-    @cached_property
+    @property
     def is_surjective(self) -> bool:
         return len(set(self.values)) == self.cod.n
 
@@ -87,19 +94,35 @@ def identity(t: OrderedTree) -> TreeMap:
     return TreeMap(t, t, tuple(range(t.n)))
 
 
+def _galois_pair(
+    dom_anc: Sequence[int],
+    cod_parent: Sequence[Optional[int]],
+    f_values: Optional[Sequence[int]],
+    e_values: Sequence[int],
+) -> bool:
+    """Whether e: S -> T is a morphism and (f, e) a Galois pair for f: T -> S.
+
+    dom_anc holds the ancestor masks of T, cod_parent the parent array of S.
+    e must send root to root, be monotone and satisfy the consecutive meet
+    law; then f o e = id and e o f below id are checked.  With f_values None
+    only the morphism clauses are checked.
+    """
+    if e_values[0] != 0:
+        return False
+    for v in range(1, len(e_values)):
+        x, y = e_values[v - 1], e_values[v]
+        if x > y or (dom_anc[x] & dom_anc[y]).bit_length() - 1 != e_values[cod_parent[v]]:
+            return False
+    if f_values is None:
+        return True
+    return all(f_values[x] == v for v, x in enumerate(e_values)) and all(
+        (dom_anc[w] >> e_values[v]) & 1 for w, v in enumerate(f_values)
+    )
+
+
 def is_morphism(m: TreeMap) -> bool:
     """Meet-preserving, monotone, root-to-root."""
-    if m.values[0] != 0:
-        return False
-    dom, cod, f = m.dom, m.cod, m.values
-    for v in range(1, dom.n):  # monotone along the (numeric) linear order
-        if f[v - 1] > f[v]:
-            return False
-    for v in range(dom.n):
-        for w in range(v + 1, dom.n):
-            if f[dom.meet(v, w)] != cod.meet(f[v], f[w]):
-                return False
-    return True
+    return _galois_pair(m.cod.anc_mask, m.dom.parent, None, m.values)
 
 
 def is_embedding(m: TreeMap) -> bool:
@@ -109,25 +132,17 @@ def is_embedding(m: TreeMap) -> bool:
 def try_injection(f: TreeMap) -> Optional[TreeMap]:
     """Injection of f if f is a rigid surjection, else None.
 
-    Builds the fiberwise-meet candidate and verifies both Galois identities and
-    candidate morphism-ness; a failed check means f is not rigid.
+    The candidate is the first occurrence of each value.  For a rigid f the
+    fiberwise meet lies in its own fiber, so it is the fiber's least vertex
+    and the candidate is the injection; for any other f no candidate passes.
+    The candidate is built as a TreeMap only once _galois_pair accepts it.
     """
-    dom, cod = f.dom, f.cod
-    fibers_meet: list[Optional[int]] = [None] * cod.n
-    for w, v in enumerate(f.values):
-        fibers_meet[v] = w if fibers_meet[v] is None else dom.meet(fibers_meet[v], w)
-    if any(m is None for m in fibers_meet):
-        return None  # not surjective
-    e = TreeMap(cod, dom, tuple(fibers_meet))  # type: ignore[arg-type]
-    for v in range(cod.n):  # f o e = id
-        if f.values[e.values[v]] != v:
-            return None
-    for w in range(dom.n):  # e o f below id
-        if not dom.below(e.values[f.values[w]], w):
-            return None
-    if not is_morphism(e):
+    if not f.is_surjective:
         return None
-    return e
+    e = tuple(map(f.values.index, range(f.cod.n)))
+    if not _galois_pair(f.dom.anc_mask, f.cod.parent, f.values, e):
+        return None
+    return TreeMap(f.cod, f.dom, e)
 
 
 def injection_of(f: TreeMap) -> TreeMap:

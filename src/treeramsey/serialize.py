@@ -159,11 +159,16 @@ def report_from_json(payload: dict) -> WitnessReport:
     def parents(key: str) -> tuple:
         return _ints(_field(payload, key, "report"), f"report {key}", nullable=True)
 
+    verdict, mode = _field(payload, "verdict", "report"), _field(payload, "mode", "report")
+    if verdict not in ("holds", "fails", "cap_exceeded"):
+        raise SchemaError(f"report verdict {verdict!r} is not holds, fails or cap_exceeded")
+    if mode not in ("mn", "sealed"):
+        raise SchemaError(f"report mode {mode!r} is not mn or sealed")
     cex = payload.get("counterexample")
     return WitnessReport(
-        verdict=_field(payload, "verdict", "report"),
+        verdict=verdict,
         b=_int(_field(payload, "b", "report"), "report b"),
-        mode=_field(payload, "mode", "report"),
+        mode=mode,
         s=parents("s"),
         t=parents("t"),
         u=parents("u"),

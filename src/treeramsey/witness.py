@@ -222,16 +222,17 @@ def check_witness_sealed(
 def replay_report(report: WitnessReport) -> bool:
     """Re-verify a report without find_proper_coloring.
 
-    fails: the stored coloring must leave every edge polychromatic.  holds:
-    re-decided by the plain checker (there is no succinct certificate).
-    cap_exceeded: nothing to replay.
+    fails: the stored coloring must use only the colors 0..b-1 and leave
+    every edge polychromatic.  holds: re-decided by the plain checker (there
+    is no succinct certificate).  cap_exceeded: nothing to replay.
     """
     s, t, u = (OrderedTree(tuple(x)) for x in (report.s, report.t, report.u))
     vertices, edges = _hypergraph(report.mode, s, t, u)
     if report.verdict == "fails":
-        if report.counterexample is None or len(report.counterexample) != len(vertices):
+        cex = report.counterexample
+        if cex is None or len(cex) != len(vertices) or any(not 0 <= c < report.b for c in cex):
             return False
-        return not colorsearch.has_monochromatic_edge(report.counterexample, edges)
+        return not colorsearch.has_monochromatic_edge(cex, edges)
     if report.verdict == "holds":
         return colorsearch.find_proper_coloring_plain(len(vertices), edges, report.b).holds
     return True

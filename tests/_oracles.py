@@ -284,3 +284,64 @@ def rigid_surjections_by_meet_loop(dom, cod, sealed=False, a_prefix=None):
 
     extend(0, 0)
     return out
+
+
+def is_morphism_by_meet_loop(m):
+    """Meet-preserving, monotone, root-to-root, with the meet law checked on
+    every pair of domain vertices."""
+    if m.values[0] != 0:
+        return False
+    dom, cod, f = m.dom, m.cod, m.values
+    for v in range(1, dom.n):
+        if f[v - 1] > f[v]:
+            return False
+    for v in range(dom.n):
+        for w in range(v + 1, dom.n):
+            if f[dom.meet(v, w)] != cod.meet(f[v], f[w]):
+                return False
+    return True
+
+
+def try_injection_by_fiber_meet(f):
+    """The injection of f if f is a rigid surjection, else None: the fiberwise
+    meet candidate, verified by both Galois identities and the pairwise meet
+    loop above."""
+    from treeramsey.maps import TreeMap
+
+    dom, cod = f.dom, f.cod
+    fibers_meet = [None] * cod.n
+    for w, v in enumerate(f.values):
+        fibers_meet[v] = w if fibers_meet[v] is None else dom.meet(fibers_meet[v], w)
+    if any(m is None for m in fibers_meet):
+        return None
+    e = TreeMap(cod, dom, tuple(fibers_meet))
+    for v in range(cod.n):
+        if f.values[e.values[v]] != v:
+            return None
+    for w in range(dom.n):
+        if not dom.below(e.values[f.values[w]], w):
+            return None
+    if not is_morphism_by_meet_loop(e):
+        return None
+    return e
+
+
+def transfer_witness_by_loops(cell, pi_vals, j_vals):
+    """Whether pi o j = id, j o pi below id, j is strictly monotone, j
+    preserves the meet of every pair (through a codomain meet table) and j
+    fixes the root, for the pi and j values of a transfer cell."""
+    m = cell.a + cell.s.n
+    cod_meet = [[cell.cod_tree.meet(x, y) for y in range(m)] for x in range(m)]
+    anc = cell.dom_anc
+    if any(pi_vals[j_vals[x]] != x for x in range(m)):
+        return False
+    if any(not (anc[w] >> j_vals[pi_vals[w]]) & 1 for w in range(cell.a + cell.n_block)):
+        return False
+    for x in range(m):
+        if x and j_vals[x - 1] >= j_vals[x]:
+            return False
+        for y in range(x + 1, m):
+            common = anc[j_vals[x]] & anc[j_vals[y]]
+            if j_vals[cod_meet[x][y]] != common.bit_length() - 1:
+                return False
+    return j_vals[0] == 0

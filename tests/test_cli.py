@@ -139,6 +139,39 @@ def test_exit_code_report_without_stats(files, capsys, tmp_path):
     _expect_input_error(capsys, "witness", "replay", "--report", str(rep))
 
 
+@pytest.mark.parametrize("key, bad", [("verdict", "banana"), ("mode", "xyz")])
+def test_exit_code_report_unknown_verdict_or_mode(files, capsys, tmp_path, key, bad):
+    rep = tmp_path / "rep.json"
+    assert main([
+        "witness", "check", "--b", "2", "--s", files["c2"], "--t", files["c2"], "--u", files["c2"],
+        "--out", str(rep),
+    ]) == 0
+    payload = serialize.load_json(str(rep))
+    payload[key] = bad
+    serialize.save_json(str(rep), payload)
+    capsys.readouterr()
+    _expect_input_error(capsys, "witness", "replay", "--report", str(rep))
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [lambda p: p.update(b=1), lambda p: p.update(counterexample=[c + 5 for c in p["counterexample"]])],
+    ids=["b=1", "colors+5"],
+)
+def test_replay_refuses_colors_outside_b(files, capsys, tmp_path, forge):
+    rep = tmp_path / "rep.json"
+    assert main([
+        "witness", "check", "--b", "2", "--s", files["c2"], "--t", files["c3"], "--u", files["c3"],
+        "--out", str(rep),
+    ]) == 1
+    payload = serialize.load_json(str(rep))
+    forge(payload)
+    serialize.save_json(str(rep), payload)
+    capsys.readouterr()
+    code, out = run(capsys, "witness", "replay", "--report", str(rep))
+    assert code == 1 and out == "fails reproduced: False\n"
+
+
 def test_exit_code_map_without_dom(files, capsys, tmp_path):
     payload = serialize.load_json(files["f001"])
     del payload["dom"]
@@ -279,7 +312,7 @@ def test_verification_failure_exits_1(capsys, tmp_path, monkeypatch):
 
     def corrupted(self, *args):
         init(self, *args)
-        self.cod_meet = [[0] * len(row) for row in self.cod_meet]
+        self.dom_anc = [0] * len(self.dom_anc)
 
     monkeypatch.setattr(halesjewett.TransferCell, "__init__", corrupted)
     code = main(["hj", "verify-transfer", "--forest", str(forest), "--alphabet", "2", "--a-size", "2"])

@@ -17,7 +17,12 @@ from treeramsey.errors import (
 )
 
 from _fixtures import assert_fixture
-from _oracles import _conclusion_holds, definitional_point_flags, monochromatic_host_by_enumeration
+from _oracles import (
+    _conclusion_holds,
+    definitional_point_flags,
+    monochromatic_host_by_enumeration,
+    transfer_witness_by_loops,
+)
 
 PT = trees.point_forest(1)
 TWO_PT = trees.point_forest(2)
@@ -349,12 +354,51 @@ def test_verify_transfer_cells_small():
                     )
 
 
-# A cell whose codomain meet table is zeroed: the meet of 1 and 2 in the chain
-# A + S = 0 < 1 < 2 reads 0, so j seems not to preserve meets.
+def test_galois_check_matches_witness_loops_on_corruptions():
+    # one entry of pi or j changed, on every word map of every cell with a
+    # forest of at most 2 vertices: check_word_map rejects the pair exactly
+    # when the old witness loops do
+    verdicts = {True: 0, False: 0}
+    for n in (1, 2):
+        for f in trees.all_forests(n):
+            for a in (1, 2):
+                for isz in (1, 2):
+                    cell = hj.TransferCell(f, isz, a)
+                    n_cod, n_dom = a + f.n, a + cell.n_block
+                    for p in hj.block_condition_maps(a, cell.nq, isz):
+                        pi_vals, j_vals, words = cell.transfer_maps(p)
+                        assert transfer_witness_by_loops(cell, pi_vals, j_vals)
+                        corrupted = [
+                            (pi_vals[:k] + [x] + pi_vals[k + 1 :], j_vals)
+                            for k in range(n_dom)
+                            for x in range(n_cod)
+                            if x != pi_vals[k]
+                        ] + [
+                            (pi_vals, j_vals[:k] + [x] + j_vals[k + 1 :])
+                            for k in range(n_cod)
+                            for x in range(n_dom)
+                            if x != j_vals[k]
+                        ]
+                        for pi_c, j_c in corrupted:
+                            ok = transfer_witness_by_loops(cell, pi_c, j_c)
+                            verdicts[ok] += 1
+                            cell.transfer_maps = lambda _p: (pi_c, j_c, words)
+                            try:
+                                cell.check_word_map(p)
+                                rejected = False
+                            except VerificationFailed as exc:
+                                rejected = str(exc) == "pi and j are not a Galois pair"
+                            del cell.transfer_maps
+                            assert rejected == (not ok)
+    assert verdicts[True] and verdicts[False]
+
+
+# A cell whose domain ancestor masks are zeroed: no two vertices of A + (S x I)
+# seem to have a meet, so j seems not to preserve meets.
 CORRUPT_CELL = """
 from treeramsey import halesjewett as hj, trees
 cell = hj.TransferCell(trees.point_forest(1), 2, 2)
-cell.cod_meet = [[0] * len(row) for row in cell.cod_meet]
+cell.dom_anc = [0] * len(cell.dom_anc)
 cell.check_word_map(next(hj.block_condition_maps(2, cell.nq, 2)))
 """
 

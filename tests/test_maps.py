@@ -26,6 +26,8 @@ from treeramsey.maps import (
     try_injection,
 )
 
+from _oracles import is_morphism_by_meet_loop, try_injection_by_fiber_meet
+
 C1, C2, C3, C4 = (trees.chain(n) for n in (1, 2, 3, 4))
 Y = trees.tree([None, 0, 0])
 BROOM3 = trees.tree([None, 0, 0, 0])
@@ -56,8 +58,8 @@ def test_classify_root_swap_has_no_flags():
 
 def test_morphism_definition_cross_check():
     # flags recomputed from the three clauses on every small map
-    for s in trees_up_to(3):
-        for t in trees_up_to(3):
+    for s in trees_up_to(4):
+        for t in trees_up_to(4):
             for vals in itertools.product(range(t.n), repeat=s.n):
                 m = TreeMap(s, t, vals)
                 expected = (
@@ -70,6 +72,25 @@ def test_morphism_definition_cross_check():
                     and all(vals[v] <= vals[w] for v in range(s.n) for w in range(v, s.n))
                 )
                 assert is_morphism(m) == expected
+
+
+def test_shared_check_matches_pairwise_oracles():
+    # every map between trees of at most 5 vertices, one side at most 4:
+    # first-occurrence try_injection and the consecutive-law is_morphism
+    # against the fiberwise meet and the pairwise meet loop
+    rigid = morphisms = 0
+    for dom in trees_up_to(5):
+        for cod in trees_up_to(5):
+            if dom.n == cod.n == 5:
+                continue
+            for vals in itertools.product(range(cod.n), repeat=dom.n):
+                m = TreeMap(dom, cod, vals)
+                e = try_injection(m)
+                assert e == try_injection_by_fiber_meet(m)
+                assert is_morphism(m) == is_morphism_by_meet_loop(m)
+                rigid += e is not None
+                morphisms += is_morphism(m)
+    assert rigid > 400 and morphisms > 1000
 
 
 # --- injections --------------------------------------------------------------

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -40,6 +41,20 @@ def test_spec_failure_instance():
     assert rep.verdict == "fails"
     assert rep.counterexample is not None
     assert wit.replay_report(rep)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [lambda r: replace(r, b=1), lambda r: replace(r, counterexample=[c + 5 for c in r.counterexample])],
+    ids=["b=1", "colors+5"],
+)
+def test_replay_refuses_colors_outside_b(forge):
+    # [0, 0, 1] defeats every edge, but with b = 1 (or shifted colors) it is no
+    # b-coloring; one color holds on these trees
+    rep = wit.check_witness_mn(2, C2, C3, C3)
+    assert rep.verdict == "fails" and wit.replay_report(rep)
+    assert not wit.replay_report(forge(rep))
+    assert wit.check_witness_mn(1, C2, C3, C3).holds
 
 
 def test_one_color_holds_when_maps_exist():
