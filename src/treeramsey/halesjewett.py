@@ -29,6 +29,7 @@ from .errors import (
     NotSealed,
     ResourceCapExceeded,
     VerificationFailed,
+    VertexOutOfRange,
 )
 from .enumeration import all_embeddings, enum_colorings
 from .maps import (
@@ -431,6 +432,11 @@ class TransferCell:
     and the word below the top letter is the very good word's.
     check_word_map decides the transfer identities symbolically over opaque
     rho-values, so one pass covers every sealed (and every plain) rho exactly.
+
+    Locality: check_word_map reads p only through the minima (very good
+    words, j_p, the cuts x_v) and the single values p[w], which alone fix
+    pi_p(w), the Galois-pair conditions at w and both identities at w (the
+    deep classifier cross-check follows from the Galois pair).
     """
 
     def __init__(self, s: OrderedForest, i_size: int, a_size: int):
@@ -567,30 +573,23 @@ class TransferCell:
             if lhs != rhs:
                 raise VerificationFailed(f"plain transfer identity fails at w={w}")
 
+    def covering_family(self) -> Iterator[tuple[int, ...]]:
+        """Block-condition maps that pass check_word_map iff every word map does.
 
-    def reduced_family(self) -> Iterator[tuple[int, ...]]:
-        """Deterministic structurally complete sample for over-budget cells.
-
-        Every vector of block hit minima appears (those determine the very
-        good structure), combined with block patterns at both membership
-        extremes (single hit / all hit) plus an alternating mix, and two
-        fills for the A-valued slots (constant minimum / cycling).
+        The maps with minima m are a product: A before a block's hit, the
+        target at it, A + {target} after.  For each m, map k puts
+        allowed[w][min(k, len - 1)] at each w, so the max|allowed| maps meet
+        every allowed value at every position, which by locality suffices.
         """
-        a, i, nq = self.a, self.i, self.nq
-        fills = [lambda slot: 0, lambda slot: slot % a]
-        patterns = ("single", "full", "mixed")
-        for mins in itertools.product(range(i), repeat=nq):
-            for pattern in patterns:
-                for fill in fills:
-                    vals = list(range(a))
-                    for qq in range(nq):
-                        full = pattern == "full" or (pattern == "mixed" and qq % 2 == 0)
-                        for j in range(i):
-                            if j == mins[qq] or (full and j > mins[qq]):
-                                vals.append(a + qq)
-                            else:
-                                vals.append(fill(a * qq + j))
-                    yield tuple(vals)
+        a, i = self.a, self.i
+        in_a = list(range(a))
+        for mins in itertools.product(range(i), repeat=self.nq):
+            allowed: list[list[int]] = [[v] for v in in_a]
+            for qq, m in enumerate(mins):
+                target = [a + qq]
+                allowed += [in_a] * m + [target] + [in_a + target] * (i - 1 - m)
+            for k in range(max(map(len, allowed))):
+                yield tuple(vals[min(k, len(vals) - 1)] for vals in allowed)
 
 
 def _checked_cell(s: OrderedForest, i_size: int, a_size: int, p: Sequence[int]) -> TransferCell:
@@ -608,7 +607,9 @@ def classify_point(
     cell = _checked_cell(s, i_size, a_size, p)
     minhit, words, _ = cell.structure(p)
     sv, word = point[0], tuple(point[1])
-    pos = cell.tensor.vertex_of[TensorPoint(sv, word)]
+    pos = cell.tensor.vertex_of.get(TensorPoint(sv, word))
+    if pos is None:
+        raise VertexOutOfRange(f"({sv}, {word}) is not a point of S x I")
     qq = cell.q_of_pos[pos]
     leading = word[-1] == minhit[qq]
     on_path = word[:-1] == words[sv][:-1]
@@ -623,6 +624,8 @@ def very_good_word(
     s: OrderedForest, i_size: int, a_size: int, p: Sequence[int], s_vertex: int
 ) -> tuple[int, ...]:
     """The unique word making (s_vertex, word) very good."""
+    if not 0 <= s_vertex < s.n:
+        raise VertexOutOfRange(f"vertex {s_vertex} not in forest of size {s.n}")
     return _checked_cell(s, i_size, a_size, p).structure(p)[1][s_vertex]
 
 
@@ -897,18 +900,18 @@ def verify_transfer_cell(
     a_size: int,
     exhaustive_budget: int = 200_000,
 ) -> tuple[int, bool]:
-    """Run the transfer verification over a whole (S, I, A) cell.
+    """Verify the transfer lemma on every word map of an (S, I, A) cell.
 
-    Returns (maps checked, exhausted): exhausted is True when every word map
-    was checked; otherwise the deterministic structurally complete family was
-    used (the cell's full count exceeds the budget).  Every DEEP_CHECK_EVERY-th
-    map is also pushed through the generic rigidity classifier.
+    By the locality of check_word_map (see TransferCell) its covering_family,
+    at most i^|Q| * (a+1) maps, decides every word map exactly; a larger
+    bound than exhaustive_budget raises ResourceCapExceeded.  Every
+    DEEP_CHECK_EVERY-th map also goes through the generic classifier.
+    Returns (word maps verified, True).
     """
     cell = TransferCell(s, i_size, a_size)
-    exhaustive = cell.word_count() <= exhaustive_budget
-    source = block_condition_maps(a_size, cell.nq, i_size) if exhaustive else cell.reduced_family()
-    count = 0
-    for p in source:
+    bound = i_size**cell.nq * (a_size + 1)
+    if bound > exhaustive_budget:
+        raise ResourceCapExceeded(f"covering family of up to {bound} maps exceeds budget {exhaustive_budget}")
+    for count, p in enumerate(cell.covering_family()):
         cell.check_word_map(p, deep=(count % DEEP_CHECK_EVERY == 0))
-        count += 1
-    return count, exhaustive
+    return cell.word_count(), True

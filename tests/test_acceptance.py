@@ -207,7 +207,7 @@ def test_acceptance_4_transfer_lemma():
                     if not exhausted:
                         reduced_cells.append(f"{list(f.parent)}/a{a}/i{i_size}")
     detail = f"{total} word maps; reduced cells: {len(reduced_cells)} ({'; '.join(reduced_cells)})"
-    _line(4, "transfer lemma, forests<=4, |I|<=2, |A|<=2", True, detail)
+    _line(4, "transfer lemma, forests<=4, |I|<=2, |A|<=2", not reduced_cells, detail)
 
 
 def test_acceptance_5_witness_fixtures():

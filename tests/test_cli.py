@@ -321,6 +321,28 @@ def test_verification_failure_exits_1(capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("verification failed: ")
 
 
+def test_verify_transfer_budget_cap_exit_3(capsys, tmp_path):
+    forest = tmp_path / "pt.json"
+    serialize.save_json(str(forest), serialize.tree_to_json(trees.point_forest(1)))
+    code = main(
+        ["hj", "verify-transfer", "--forest", str(forest), "--alphabet", "2", "--a-size", "2", "--budget", "1"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ")
+
+
+@pytest.mark.parametrize(
+    "mode_args, missing",
+    [(["--mode", "chain"], "--k and --l"), (["--mode", "mn"], "--s and --t")],
+)
+def test_witness_search_missing_tree_flags_exit_2(capsys, mode_args, missing):
+    code = main(["witness", "search", *mode_args, "--b", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.rstrip().endswith(missing)
+
+
 def test_bridge_commands(files, capsys):
     code, out = run(capsys, "bridge", "prvo", "--values", "0,0,1", "--k", "2")
     assert code == 0 and "agree=True" in out

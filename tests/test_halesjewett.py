@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from treeramsey.errors import (
     NotFoundWithinBound,
     ResourceCapExceeded,
     VerificationFailed,
+    VertexOutOfRange,
 )
 
 from _fixtures import assert_fixture
@@ -343,15 +345,29 @@ def test_fast_cell_flags_match_definitional():
                         assert defn[2] == (pt.t == hj.very_good_word(f, isz, a, p, pt.s))
 
 
-def test_verify_transfer_cells_small():
-    for n in (1, 2):
+def _cells(max_vertices, max_words):
+    for n in range(1, max_vertices + 1):
         for f in trees.all_forests(n):
             for a in (1, 2):
                 for isz in (1, 2):
-                    count, exhausted = hj.verify_transfer_cell(f, isz, a)
-                    assert exhausted and count == hj.count_block_maps(
-                        a, len(trees.q_set(f, isz).points), isz
-                    )
+                    cell = hj.TransferCell(f, isz, a)
+                    if cell.word_count() <= max_words:
+                        yield cell
+
+
+def _minima(cell, p):
+    return tuple(cell.structure(p)[0])
+
+
+def test_verify_transfer_cells_small():
+    # the oracle: check_word_map on every block-condition map of each cell
+    for cell in _cells(4, 3_000):
+        count = 0
+        for p in hj.block_condition_maps(cell.a, cell.nq, cell.i):
+            cell.check_word_map(p)
+            count += 1
+        assert count == hj.count_block_maps(cell.a, cell.nq, cell.i)
+        assert hj.verify_transfer_cell(cell.s, cell.i, cell.a) == (count, True)
 
 
 def test_galois_check_matches_witness_loops_on_corruptions():
@@ -423,13 +439,76 @@ def test_corrupted_cell_raises_under_optimize():
     assert proc.stdout == "raised 1\n", proc.stderr
 
 
-def test_reduced_family_members_satisfy_block_condition():
-    cell = hj.TransferCell(trees.forest([None, 0, 1]), 2, 2)
-    seen = 0
-    for p in cell.reduced_family():
-        assert maps.check_block_condition(p, 2, cell.nq, 2)
-        seen += 1
-    assert seen == (2 ** cell.nq) * 3 * 2
+def test_covering_family_meets_every_allowed_value():
+    # grouped by minima in product order, each group a set of block-condition
+    # maps that takes every (position, value) pair the literal maps take
+    for cell in _cells(3, 3_000):
+        a, isz, nq = cell.a, cell.i, cell.nq
+        literal = {}
+        for p in hj.block_condition_maps(a, nq, isz):
+            literal.setdefault(_minima(cell, p), set()).update(enumerate(p))
+        members = list(cell.covering_family())
+        assert len(members) <= isz**nq * (a + 1)
+        covered = {}
+        for m, group in itertools.groupby(members, key=lambda p: _minima(cell, p)):
+            assert m not in covered
+            covered[m] = set()
+            for p in group:
+                assert maps.check_block_condition(p, a, nq, isz)
+                covered[m].update(enumerate(p))
+        assert list(covered) == list(itertools.product(range(isz), repeat=nq))
+        assert covered == literal
+
+
+def _passes(cell, family):
+    try:
+        for p in family:
+            cell.check_word_map(p)
+    except VerificationFailed:
+        return False
+    return True
+
+
+def test_covering_family_catches_local_faults_exactly():
+    # a fault in pi_p(w) that depends on (minima, w, p[w]), or in j_p that
+    # depends on the minima, is the kind locality covers: the covering family
+    # rejects it exactly when some word map of the cell does
+    rng = random.Random(9)
+    verdicts = {True: 0, False: 0}
+    for cell in _cells(3, 3_000):
+        literal = list(hj.block_condition_maps(cell.a, cell.nq, cell.i))
+        family = list(cell.covering_family())
+        n_dom, n_cod = cell.a + cell.n_block, cell.a + cell.s.n
+        transfer_maps = cell.transfer_maps
+        for _ in range(12):
+            q = rng.choice(literal)
+            on_pi = rng.random() < 0.5
+            w = rng.randrange(n_dom if on_pi else n_cod)
+            x = rng.randrange(n_cod if on_pi else n_dom)
+
+            def corrupted(p, m=_minima(cell, q), w=w, x=x, letter=q[w], on_pi=on_pi):
+                pi_vals, j_vals, words = transfer_maps(p)
+                if _minima(cell, p) == m and (not on_pi or p[w] == letter):
+                    (pi_vals if on_pi else j_vals)[w] = x
+                return pi_vals, j_vals, words
+
+            cell.transfer_maps = corrupted
+            ok = _passes(cell, literal)
+            assert _passes(cell, family) == ok
+            verdicts[ok] += 1
+            del cell.transfer_maps
+    assert verdicts[True] and verdicts[False]
+
+
+def test_points_outside_s_x_i_raise_vertex_out_of_range():
+    p = next(hj.block_condition_maps(1, len(trees.q_set(C2F, 2).points), 2))
+    for point in ((0, (5,)), (7, (0,))):
+        with pytest.raises(VertexOutOfRange):
+            hj.classify_point(C2F, 2, 1, p, point)
+    for v in (2, 5, -1):
+        with pytest.raises(VertexOutOfRange):
+            hj.very_good_word(C2F, 2, 1, p, v)
+    assert issubclass(VertexOutOfRange, IndexError)  # callers catching IndexError still do
 
 
 # --- the pipeline ----------------------------------------------------------------
