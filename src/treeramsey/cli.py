@@ -269,10 +269,7 @@ def cmd_hj(args) -> int:
             "colorings": len(cert.witnesses),
             "witnesses": [[list(p) for p in w] for w in cert.witnesses],
         }
-        if not args.json:
-            _emit(args, payload, f"i = {cert.i_size} ({len(cert.witnesses)} colorings certified)")
-        else:
-            _emit(args, payload, "")
+        _emit(args, payload, f"i = {cert.i_size} ({len(cert.witnesses)} colorings certified)")
         return 0
     if args.hj_cmd == "pipeline":
         a_sizes = _int_list(args.a)

@@ -51,6 +51,14 @@ def max_nodes_default() -> int:
     return int(env) if env else DEFAULT_MAX_NODES
 
 
+def _node_cap(max_nodes: Optional[int]) -> int:
+    """max_nodes, or the RAMSEY_MAX_NODES default; a negative cap raises ValueError."""
+    cap = max_nodes if max_nodes is not None else max_nodes_default()
+    if cap < 0:
+        raise ValueError(f"node cap must be >= 0, got {cap}")
+    return cap
+
+
 @dataclass
 class SearchStats:
     vertices: int = 0
@@ -109,11 +117,13 @@ def find_proper_coloring(
 
     max_nodes caps assignments, max_colorings caps complete assignments;
     exceeding either raises ResourceCapExceeded with the stats so far.  A
-    color count b below 1 raises ValueError.
+    color count b below 1 or a negative cap raises ValueError.
     """
     if b < 1:
         raise ValueError("need b >= 1")
-    cap = max_nodes if max_nodes is not None else max_nodes_default()
+    cap = _node_cap(max_nodes)
+    if max_colorings is not None and max_colorings < 0:
+        raise ValueError(f"coloring cap must be >= 0, got {max_colorings}")
     stats = SearchStats(vertices=n_vertices, edges=len(set(edges)))
     minimal = _minimal_edges(edges)
     if any(len(e) <= 1 for e in minimal):
@@ -232,11 +242,12 @@ def find_proper_coloring_plain(
     Complete and independent of find_proper_coloring; a branch is abandoned only
     when a fully assigned edge is monochromatic.  The depth-first search keeps
     its state in colors alone (the color tried at each level), so it needs no
-    recursion at any size.
+    recursion at any size.  A color count b below 1 or a negative cap raises
+    ValueError.
     """
     if b < 1:
         raise ValueError("need b >= 1")
-    cap = max_nodes if max_nodes is not None else max_nodes_default()
+    cap = _node_cap(max_nodes)
     stats = SearchStats(vertices=n_vertices, edges=len(edges))
     edge_list = [tuple(sorted(e)) for e in edges]
     if any(len(e) <= 1 for e in edge_list):

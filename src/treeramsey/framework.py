@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import colorsearch
 from .enumeration import all_rigid_surjections
 from .errors import NotComposable, NotSealed, VertexOutOfRange
-from .maps import TreeMap, injection_of, is_sealed
+from .maps import _check_values, _injection_values
 from .trees import OrderedTree, all_trees, initial_subtree
 
 __all__ = [
@@ -68,26 +68,20 @@ class DomainElement:
     amb_cod: Ambient
     cut_cod: int
     values: tuple[int, ...]
+    injection: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (0 <= self.cut_dom < self.amb_dom.tree.n):
+        dom, cod = self.amb_dom.tree, self.amb_cod.tree
+        if not (0 <= self.cut_dom < dom.n):
             raise VertexOutOfRange(f"cut_dom {self.cut_dom} outside ambient domain tree")
-        if not (0 <= self.cut_cod < self.amb_cod.tree.n):
+        if not (0 <= self.cut_cod < cod.n):
             raise VertexOutOfRange(f"cut_cod {self.cut_cod} outside ambient codomain tree")
-        if not is_sealed(self.map):
+        # The initial subtrees are prefixes, so the ambient masks and parents decide rigidity.
+        _check_values(self.values, self.cut_dom + 1, self.cut_cod + 1)
+        e = _injection_values(dom.anc_mask, cod.parent[: self.cut_cod + 1], self.values)
+        if e is None or e[-1] != self.cut_dom:
             raise NotSealed(f"element values {self.values} are not a sealed rigid surjection")
-
-    @cached_property
-    def map(self) -> TreeMap:
-        return TreeMap(
-            initial_subtree(self.amb_dom.tree, self.cut_dom),
-            initial_subtree(self.amb_cod.tree, self.cut_cod),
-            self.values,
-        )
-
-    @cached_property
-    def injection(self) -> tuple[int, ...]:
-        return injection_of(self.map).values
+        object.__setattr__(self, "injection", e)
 
     @property
     def norm(self) -> tuple[str, int]:
@@ -118,11 +112,7 @@ def space_mul(g: DomainElement, f: DomainElement) -> DomainElement:
 
 def truncate(f: DomainElement) -> DomainElement:
     """Cut the codomain below its second largest vertex; fixed point on one-vertex ranges."""
-    if f.cut_cod == 0:
-        return f
-    v = f.cut_cod - 1
-    iv = f.injection[v]
-    return DomainElement(f.amb_dom, iv, f.amb_cod, v, f.values[: iv + 1])
+    return f if f.cut_cod == 0 else restrict_element(f, f.cut_cod - 1)
 
 
 def extends(b: DomainElement, a: DomainElement) -> bool:

@@ -66,13 +66,7 @@ class TreeMap:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.dom.n:
-            raise DomainMismatch(
-                f"map has {len(self.values)} values for a domain of size {self.dom.n}"
-            )
-        for v in self.values:
-            if not (0 <= v < self.cod.n):
-                raise VertexOutOfRange(f"value {v} outside codomain of size {self.cod.n}")
+        _check_values(self.values, self.dom.n, self.cod.n)
 
     def __call__(self, v: int) -> int:
         return self.values[v]
@@ -88,6 +82,15 @@ class TreeMap:
     def injection(self) -> Optional[TreeMap]:
         """try_injection(self): the verified injection, computed once (the map is frozen)."""
         return try_injection(self)
+
+
+def _check_values(values: Sequence[int], dom_n: int, cod_n: int) -> None:
+    """Refuse a value tuple that is not a total map from 0..dom_n-1 into 0..cod_n-1."""
+    if len(values) != dom_n:
+        raise DomainMismatch(f"map has {len(values)} values for a domain of size {dom_n}")
+    for v in values:
+        if not (0 <= v < cod_n):
+            raise VertexOutOfRange(f"value {v} outside codomain of size {cod_n}")
 
 
 def identity(t: OrderedTree) -> TreeMap:
@@ -129,20 +132,26 @@ def is_embedding(m: TreeMap) -> bool:
     return len(set(m.values)) == m.dom.n and is_morphism(m)
 
 
-def try_injection(f: TreeMap) -> Optional[TreeMap]:
-    """Injection of f if f is a rigid surjection, else None.
+def _injection_values(
+    dom_anc: Sequence[int], cod_parent: Sequence[Optional[int]], values: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """Injection values of the map ``values`` from T onto S if it is rigid, else None.
 
-    The candidate is the first occurrence of each value.  For a rigid f the
+    dom_anc holds the ancestor masks of T, cod_parent the parent array of S.
+    The candidate is the first occurrence of each value.  For a rigid map the
     fiberwise meet lies in its own fiber, so it is the fiber's least vertex
-    and the candidate is the injection; for any other f no candidate passes.
-    The candidate is built as a TreeMap only once _galois_pair accepts it.
+    and the candidate is the injection; for any other map no candidate passes.
     """
-    if not f.is_surjective:
+    if len(set(values)) != len(cod_parent):
         return None
-    e = tuple(map(f.values.index, range(f.cod.n)))
-    if not _galois_pair(f.dom.anc_mask, f.cod.parent, f.values, e):
-        return None
-    return TreeMap(f.cod, f.dom, e)
+    e = tuple(map(values.index, range(len(cod_parent))))
+    return e if _galois_pair(dom_anc, cod_parent, values, e) else None
+
+
+def try_injection(f: TreeMap) -> Optional[TreeMap]:
+    """Injection of f if f is a rigid surjection, else None (see _injection_values)."""
+    e = _injection_values(f.dom.anc_mask, f.cod.parent, f.values)
+    return None if e is None else TreeMap(f.cod, f.dom, e)
 
 
 def injection_of(f: TreeMap) -> TreeMap:

@@ -126,7 +126,6 @@ def coloring_from_json(payload: dict) -> tuple[tuple[int, ...], int]:
 
 
 def report_to_json(r: WitnessReport) -> dict:
-    # elapsed is intentionally omitted: serialized reports must be byte-stable
     return {
         "schema": "report",
         "version": SCHEMA_VERSIONS["report"],

@@ -15,7 +15,7 @@ is tuple equality.  All vertex ids in this package are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -111,9 +111,16 @@ def raw_lex_compare(parent: ParentArray, v: int, w: int) -> int:
 
 @dataclass(frozen=True)
 class OrderedTree:
-    """Canonical ordered tree: parent array in preorder, ``parent[i] < i``."""
+    """Canonical ordered tree: parent array in preorder, ``parent[i] < i``.
+
+    ``n`` and ``anc_mask`` (bit v of anc_mask[w] = v below w, including w
+    itself) are set once by the constructor; equality and hashing use
+    ``parent`` only.
+    """
 
     parent: tuple[Optional[int], ...]
+    n: int = field(init=False, compare=False, repr=False)
+    anc_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         parent = self.parent
@@ -126,18 +133,16 @@ class OrderedTree:
             p = parent[i]
             if not isinstance(p, int) or not (0 <= p < i):
                 raise NotCanonical(f"parent[{i}] = {p!r} must be an int < {i}")
-        # Index order is preorder iff each vertex attaches to the rightmost path.
-        for i in range(1, n - 1):
-            p = parent[i + 1]
-            v = i
-            while v is not None and v != p:
-                v = parent[v]
-            if v != p:
-                raise NotCanonical(f"vertex {i + 1} does not attach to the rightmost path")
-
-    @cached_property
-    def n(self) -> int:
-        return len(self.parent)
+        # Index order is preorder iff each vertex attaches to the rightmost
+        # path, i.e. its parent lies below the vertex just before it.
+        anc = [1]
+        for i in range(1, n):
+            p = parent[i]
+            if not (anc[i - 1] >> p) & 1:
+                raise NotCanonical(f"vertex {i} does not attach to the rightmost path")
+            anc.append(anc[p] | (1 << i))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "anc_mask", tuple(anc))
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -146,24 +151,9 @@ class OrderedTree:
         return f"OrderedTree({list(self.parent)})"
 
     @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(c) for c in _raw_children(self.parent))
-
-    @cached_property
-    def anc_mask(self) -> tuple[int, ...]:
-        """Bitmask of predecessors (incl. self) per vertex; bit v of anc_mask[w] = v below w."""
-        masks = [0] * self.n
-        for i, p in enumerate(self.parent):
-            masks[i] = (1 << i) | (masks[p] if p is not None else 0)
-        return tuple(masks)
-
-    @cached_property
     def height(self) -> tuple[int, ...]:
         """1-based height: ht(v) = number of predecessors including v."""
-        ht = [0] * self.n
-        for i, p in enumerate(self.parent):
-            ht[i] = 1 + (ht[p] if p is not None else 0)
-        return tuple(ht)
+        return tuple(m.bit_count() for m in self.anc_mask)
 
     @cached_property
     def leaves(self) -> tuple[int, ...]:

@@ -10,7 +10,6 @@ search.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -58,8 +57,7 @@ class WitnessReport:
 
     mode is "mn" or "sealed"; vertices/edges describe the hypergraph actually
     searched; the counterexample (when failing) colors the vertex list in its
-    stated order.  elapsed is wall-clock and deliberately left out of
-    serialized forms.
+    stated order.
     """
 
     verdict: str  # holds | fails | cap_exceeded
@@ -70,7 +68,6 @@ class WitnessReport:
     u: tuple
     counterexample: Optional[tuple[int, ...]]
     stats: SearchStats = field(default_factory=SearchStats)
-    elapsed: float = 0.0
 
     @property
     def holds(self) -> bool:
@@ -175,7 +172,6 @@ def _decide(
     max_nodes: Optional[int],
     max_colorings: Optional[int] = None,
 ) -> WitnessReport:
-    start = time.monotonic()
     vertices, edges = _hypergraph(mode, s, t, u)
     try:
         result = colorsearch.find_proper_coloring(
@@ -185,12 +181,11 @@ def _decide(
         return WitnessReport(
             "cap_exceeded", b, mode, s.parent, t.parent, u.parent, None,
             exc.stats,  # how far the search got
-            time.monotonic() - start,
         )
     verdict = "holds" if result.holds else "fails"
     return WitnessReport(
         verdict, b, mode, s.parent, t.parent, u.parent, result.proper,
-        result.stats, time.monotonic() - start,
+        result.stats,
     )
 
 

@@ -28,6 +28,35 @@ def catalan(n: int) -> int:
     return binom(2 * n, n) // (n + 1)
 
 
+def rightmost_path_violation(parent):
+    """The first vertex whose parent is not on the rightmost path, or None.
+
+    Climbs from vertex i to the root looking for parent[i + 1]: index order
+    is preorder iff every vertex attaches to the path from the root to the
+    vertex just before it.  Expects parent[i] < i for every i >= 1.
+    """
+    for i in range(1, len(parent) - 1):
+        p, v = parent[i + 1], i
+        while v is not None and v != p:
+            v = parent[v]
+        if v != p:
+            return i + 1
+    return None
+
+
+def tree_tables_by_recurrence(parent):
+    """Ancestor masks, 1-based heights and leaves of a canonical parent array,
+    each by its own recurrence over the parent links."""
+    n = len(parent)
+    masks, heights, has_child = [0] * n, [0] * n, [False] * n
+    for i, p in enumerate(parent):
+        masks[i] = (1 << i) | (masks[p] if p is not None else 0)
+        heights[i] = 1 + (heights[p] if p is not None else 0)
+        if p is not None:
+            has_child[p] = True
+    return tuple(masks), tuple(heights), tuple(v for v in range(n) if not has_child[v])
+
+
 def definitional_positions(parent) -> list[int]:
     """Rank every vertex by the two-clause lexicographic definition alone.
 

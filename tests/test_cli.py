@@ -376,6 +376,25 @@ def test_env_var_node_cap(files, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("t", ["c2", "c3"])  # the search runs on c3, returns early on c2
+@pytest.mark.parametrize("flag", ["--max-nodes", "--max-colorings"])
+def test_negative_cap_is_an_input_error(files, capsys, flag, t):
+    code, out = run(
+        capsys, flag, "-5", "witness", "check", "--b", "2",
+        "--s", files["c2"], "--t", files[t], "--u", files[t],
+    )
+    assert code == 2 and out == ""
+
+
+def test_negative_env_var_node_cap_is_an_input_error(files, capsys, monkeypatch):
+    monkeypatch.setenv("RAMSEY_MAX_NODES", "-2")
+    code, out = run(
+        capsys, "witness", "check", "--b", "2",
+        "--s", files["c2"], "--t", files["c3"], "--u", files["c3"],
+    )
+    assert code == 2 and out == ""
+
+
 def test_coloring_json_roundtrip():
     payload = serialize.coloring_to_json((0, 1, 1), 2)
     colors, b = serialize.coloring_from_json(payload)

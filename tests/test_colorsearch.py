@@ -60,6 +60,30 @@ def test_node_cap():
         find_proper_coloring(12, edges, 2, max_nodes=3)
 
 
+@pytest.mark.parametrize("edges", [[], [frozenset({1})], [frozenset({0, 1, 2})]])
+@pytest.mark.parametrize("engine", [find_proper_coloring, find_proper_coloring_plain])
+def test_negative_caps_are_refused(engine, edges, monkeypatch):
+    with pytest.raises(ValueError):
+        engine(3, edges, 2, max_nodes=-1)
+    monkeypatch.setenv("RAMSEY_MAX_NODES", "-2")
+    with pytest.raises(ValueError):
+        engine(3, edges, 2)
+    assert engine(3, edges, 2, max_nodes=5).stats.vertices == 3  # an explicit cap wins
+    monkeypatch.delenv("RAMSEY_MAX_NODES")
+    if engine is find_proper_coloring:
+        with pytest.raises(ValueError):
+            engine(3, edges, 2, max_colorings=-1)
+
+
+def test_zero_caps_stay_valid():
+    edges = [frozenset({0, 1, 2})]
+    for engine in (find_proper_coloring, find_proper_coloring_plain):
+        with pytest.raises(ResourceCapExceeded):
+            engine(3, edges, 2, max_nodes=0)
+    with pytest.raises(ResourceCapExceeded):
+        find_proper_coloring(3, edges, 2, max_colorings=0)
+
+
 def test_forced_colors_count_as_nodes():
     # the first decision forces the rest of the path: one node per vertex, no branching
     edges = [frozenset({i, i + 1}) for i in range(9)]

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from treeramsey import framework as fw
 from treeramsey import trees
 from treeramsey.enumeration import all_rigid_surjections
-from treeramsey.errors import NotComposable, NotSealed
+from treeramsey.errors import DomainMismatch, NotComposable, NotSealed, VertexOutOfRange
+from treeramsey.maps import TreeMap, injection_of, is_sealed
 
 C1, C2, C3, C4 = (trees.chain(n) for n in (1, 2, 3, 4))
 
@@ -24,6 +27,76 @@ def ambients():
 def test_elements_must_be_sealed(ambients):
     with pytest.raises(NotSealed):
         make_element(ambients["C3"], 2, ambients["C2"], 1, (0, 1, 0))  # not sealed
+
+
+def _element_by_tree_maps(amb_dom, cut_dom, amb_cod, cut_cod, values):
+    # the route through a TreeMap on two initial-subtree trees
+    m = TreeMap(
+        trees.initial_subtree(amb_dom.tree, cut_dom),
+        trees.initial_subtree(amb_cod.tree, cut_cod),
+        values,
+    )
+    if not is_sealed(m):
+        raise NotSealed(f"{m} is not sealed")
+    return injection_of(m).values
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (DomainMismatch, VertexOutOfRange, NotSealed) as exc:
+        return type(exc)
+
+
+def test_element_validation_matches_tree_map_route():
+    # every value tuple between prefixes of trees of at most 4 vertices, plus
+    # wrong lengths and values outside the codomain
+    uni = fw.Universe(4)
+    seen = {}
+    for amb_dom, amb_cod in itertools.product(uni.ambients, repeat=2):
+        for cut_dom, cut_cod in itertools.product(range(amb_dom.tree.n), range(amb_cod.tree.n)):
+            zeros = (0,) * (cut_dom + 1)
+            malformed = [zeros[:-1], zeros + (0,), zeros[:-1] + (cut_cod + 1,), (-1,) + zeros[1:]]
+            for values in [*itertools.product(range(cut_cod + 1), repeat=cut_dom + 1), *malformed]:
+                args = (amb_dom, cut_dom, amb_cod, cut_cod, values)
+                want = _outcome(_element_by_tree_maps, *args)
+                got = _outcome(lambda *a: fw.DomainElement(*a).injection, *args)
+                assert got == want, args
+                key = want if isinstance(want, type) else "sealed"
+                seen[key] = seen.get(key, 0) + 1
+    assert seen["sealed"] == len(uni.elements) == 313
+    assert set(seen) == {"sealed", NotSealed, DomainMismatch, VertexOutOfRange}
+
+
+def test_element_validation_builds_no_tree_and_no_tree_map(monkeypatch):
+    uni = fw.Universe(4)
+    made = [0]
+    original_tree, original_map = trees.OrderedTree.__post_init__, TreeMap.__post_init__
+
+    def counting(original):
+        def post_init(self):
+            made[0] += 1
+            original(self)
+
+        return post_init
+
+    monkeypatch.setattr(trees.OrderedTree, "__post_init__", counting(original_tree))
+    monkeypatch.setattr(TreeMap, "__post_init__", counting(original_map))
+    rebuilt = [
+        fw.DomainElement(e.amb_dom, e.cut_dom, e.amb_cod, e.cut_cod, e.values) for e in uni.elements
+    ]
+    truncated = [fw.truncate(e) for e in uni.elements]
+    products = [
+        fw.space_mul(a, b)
+        for a in uni.elements
+        for b in uni.by_dom_tag[a.amb_cod.tag]
+        if b.cut_dom <= a.cut_cod
+    ]
+    monkeypatch.undo()
+    assert made[0] == 0
+    assert rebuilt == uni.elements and len(truncated) == len(uni.elements)
+    assert [e.injection for e in rebuilt] == [e.injection for e in uni.elements]
+    assert len(products) > 1000
 
 
 def test_space_mul_example(ambients):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,12 @@ from treeramsey.errors import (
     VertexOutOfRange,
 )
 
-from _oracles import catalan, definitional_positions
+from _oracles import (
+    catalan,
+    definitional_positions,
+    rightmost_path_violation,
+    tree_tables_by_recurrence,
+)
 
 C1, C2, C3 = trees.chain(1), trees.chain(2), trees.chain(3)
 Y = trees.tree([None, 0, 0])
@@ -53,6 +59,34 @@ def test_canonicalize_rejects_cycle():
 def test_canonical_constructor_rejects_non_preorder():
     with pytest.raises(NotCanonical):
         trees.tree([None, 0, 0, 1])
+
+
+def test_canonical_constructor_matches_rightmost_path_walk():
+    # every array with parent[i] < i on at most 7 vertices: the one-pass mask
+    # check accepts exactly what the climbing walk accepts, with the same tables
+    accepted = 0
+    for n in range(1, 8):
+        for tail in itertools.product(*(range(i) for i in range(1, n))):
+            parent = (None,) + tail
+            bad = rightmost_path_violation(parent)
+            if bad is not None:
+                with pytest.raises(NotCanonical) as exc:
+                    trees.OrderedTree(parent)
+                assert str(exc.value) == f"vertex {bad} does not attach to the rightmost path"
+                continue
+            t = trees.OrderedTree(parent)
+            accepted += 1
+            assert t.n == n
+            assert (t.anc_mask, t.height, t.leaves) == tree_tables_by_recurrence(parent)
+    assert accepted == sum(catalan(n - 1) for n in range(1, 8))
+
+
+def test_tree_equality_reads_the_parent_array_only():
+    t = trees.tree([None, 0, 1, 0])
+    assert t == trees.tree([None, 0, 1, 0]) and hash(t) == hash(trees.tree([None, 0, 1, 0]))
+    assert repr(t) == "OrderedTree([None, 0, 1, 0])"
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and back.anc_mask == t.anc_mask and back.n == 4
 
 
 def test_canonicalize_idempotent_on_all_small_trees():
