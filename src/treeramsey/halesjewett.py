@@ -64,7 +64,6 @@ __all__ = [
     "block_condition_maps",
     "compose_sealed_word",
     "compose_plain_word",
-    "hj_check",
     "hj_search",
     "hj_product_check",
     "hj_product_search",
@@ -220,6 +219,23 @@ def _tuple_objects(
     return [tuple([s0, *rest]) for s0 in slot0 for rest in itertools.product(*later)]
 
 
+def _check_coloring_cap(
+    a_sizes: Sequence[int], l_sizes: Sequence[int], i: int, b: int, cap: int, pin_first: bool
+) -> None:
+    """Raise ResourceCapExceeded when the b-colorings of _tuple_objects (first
+    color pinned or not) exceed cap, from the closed-form object count
+    (sum of a0^c over c < l0*i) * prod of a_k^(l_k*i) over k >= 1.  b^count
+    is never built: past cap's bit length, b >= 2 colors exceed cap."""
+    a0, n0 = a_sizes[0], l_sizes[0] * i
+    count = (a0**n0 - 1) // (a0 - 1) if a0 > 1 else (n0 if a0 == 1 else min(n0, 1))
+    for a, l in zip(a_sizes[1:], l_sizes[1:]):
+        count *= a ** (l * i)
+    n = max(0, count - 1) if pin_first else count
+    if b ** min(n, cap.bit_length() + 1) > cap:
+        shown = f"= {n}" if n.bit_length() <= 64 else f"> 2^{n.bit_length() - 1}"
+        raise ResourceCapExceeded(f"{b}^n colorings, n {shown}, exceed the cap of {cap}")
+
+
 def _check_sizes(a_sizes: Sequence[int], l_sizes: Sequence[int]) -> None:
     """Reject size lists the word lemma is not stated for, before any enumeration."""
     if not a_sizes or len(a_sizes) != len(l_sizes):
@@ -316,12 +332,8 @@ def hj_product_check(
     if mode not in ("direct", "reduction"):
         raise ValueError("mode must be 'direct' or 'reduction'")
     _check_sizes(a_sizes, l_sizes)
+    _check_coloring_cap(a_sizes, l_sizes, i, b, max_colorings, pin_first=True)
     objects = _tuple_objects(a_sizes, l_sizes, i)
-    n_colorings = b ** max(0, len(objects) - 1)
-    if n_colorings > max_colorings:
-        raise ResourceCapExceeded(
-            f"{n_colorings} colorings of {len(objects)} objects exceeds the cap"
-        )
     candidates = _candidate_tuples(a_sizes, l_sizes, i, mode)
     found = _first_witnesses(objects, candidates, a_sizes, l_sizes, i, b, pin_first=True)
     if found is None:
@@ -378,12 +390,6 @@ def _candidate_tuples(
             yield tuple(parts)
 
 
-def hj_check(
-    a: int, l: int, b: int, i: int, max_colorings: int = DEFAULT_MAX_COLORINGS
-) -> Optional[HJCertificate]:
-    return hj_product_check([a], [l], b, i, max_colorings=max_colorings)
-
-
 def hj_search(
     a: int, l: int, b: int, max_i: int, max_colorings: int = DEFAULT_MAX_COLORINGS
 ) -> HJCertificate:
@@ -425,18 +431,20 @@ class TransferCell:
     """Transfer tables for one (forest, alphabet size, A size) cell.
 
     A word map p is a full value tuple over the chain A + (Q x I) with the
-    block condition; Q x I is identified with S x I positionally.  All of p's
-    transfer structure is read off its block first-hit minima: the very good
-    word of a vertex is forced level by level, a point is leading iff its
-    last letter is its block's first hit, and good iff p hits its own block
-    and the word below the top letter is the very good word's.
-    check_word_map decides the transfer identities symbolically over opaque
-    rho-values, so one pass covers every sealed (and every plain) rho exactly.
+    block condition; Q x I is identified with S x I positionally, block qq at
+    positions qq*i .. qq*i + i - 1.  The very good word of v is its parent's
+    plus the first hit of v's on-path block QPoint(v, parent's word); a point
+    is leading iff its last letter is its block's first hit, and good iff p
+    hits its own block and the word below the top letter is the very good
+    word's.  check_word_map decides the transfer identities symbolically over
+    opaque rho-values, so one pass covers every sealed (and plain) rho exactly.
 
-    Locality: check_word_map reads p only through the minima (very good
-    words, j_p, the cuts x_v) and the single values p[w], which alone fix
-    pi_p(w), the Galois-pair conditions at w and both identities at w (the
-    deep classifier cross-check follows from the Galois pair).
+    Locality: check_word_map reads p only through the very good words (one
+    letter per vertex; they fix j_p and the cuts x_v) and the single values
+    p[w], which alone fix pi_p(w), the Galois-pair conditions at w and both
+    identities at w (the deep classifier cross-check follows from the Galois
+    pair).  An off-path block's minimum only limits its values: over all its
+    minima, position 0 takes A or the target, every later one A + {target}.
     """
 
     def __init__(self, s: OrderedForest, i_size: int, a_size: int):
@@ -445,21 +453,6 @@ class TransferCell:
         self.q = q_set(s, i_size)
         self.nq = len(self.q.points)
         self.n_block = self.tensor.forest.n
-        self.q_of_pos = [0] * self.n_block
-        self.block_pos = [[0] * i_size for _ in range(self.nq)]
-        for pos, pt in enumerate(self.tensor.points):
-            qq = self.q.position_of[QPoint(pt.s, pt.t[:-1])]
-            self.q_of_pos[pos] = qq
-            self.block_pos[qq][pt.t[-1]] = pos
-        self.chains = []
-        for v in range(s.n):
-            path = []
-            w: Optional[int] = v
-            while w is not None:
-                path.append(w)
-                w = s.parent[w]
-            path.reverse()
-            self.chains.append(path)
         self.dom_tree = oplus(a_size, self.tensor.forest)
         self.cod_tree = oplus(a_size, s)
         self.dom_anc = self.dom_tree.anc_mask
@@ -467,27 +460,20 @@ class TransferCell:
     def word_count(self) -> int:
         return count_block_maps(self.a, self.nq, self.i)
 
+    def _words(self, letter) -> list[tuple[int, ...]]:
+        """Very good words, parents first: letter(qq, v) is the first hit of
+        v's on-path block qq = QPoint(v, parent's word)."""
+        words: list[tuple[int, ...]] = []
+        for v, par in enumerate(self.s.parent):
+            u = () if par is None else words[par]
+            words.append(u + (letter(self.q.position_of[QPoint(v, u)], v),))
+        return words
+
     def structure(self, p: Sequence[int]):
         """(min hit per block, very good word positions and words per vertex)."""
-        a, i = self.a, self.i
-        minhit = [0] * self.nq
-        for qq in range(self.nq):
-            target = a + qq
-            for j in range(i):
-                if p[a + self.block_pos[qq][j]] == target:
-                    minhit[qq] = j
-                    break
-            else:
-                raise BlockConditionViolated(f"block {qq} never hits its target")
-        words = []
-        vg_pos = []
-        for v in range(self.s.n):
-            word: tuple[int, ...] = ()
-            for sv in self.chains[v]:
-                qq = self.q.position_of[QPoint(sv, word)]
-                word = word + (minhit[qq],)
-            words.append(word)
-            vg_pos.append(self.tensor.vertex_of[TensorPoint(v, word)])
+        minhit = [_first_hit(p, self.a, self.i, qq) - qq * self.i for qq in range(self.nq)]
+        words = self._words(lambda qq, v: minhit[qq])
+        vg_pos = [self.tensor.vertex_of[TensorPoint(v, word)] for v, word in enumerate(words)]
         return minhit, words, vg_pos
 
     def transfer_maps(self, p: Sequence[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
@@ -504,7 +490,7 @@ class TransferCell:
                 continue
             qq = pv - a
             sv = points[qq].s
-            if qq == self.q_of_pos[pos] and points[qq].u == words[sv][:-1]:
+            if qq == pos // self.i and points[qq].u == words[sv][:-1]:
                 pi_vals.append(a + sv)
             else:
                 pi_vals.append(0)  # min A
@@ -576,20 +562,31 @@ class TransferCell:
     def covering_family(self) -> Iterator[tuple[int, ...]]:
         """Block-condition maps that pass check_word_map iff every word map does.
 
-        The maps with minima m are a product: A before a block's hit, the
-        target at it, A + {target} after.  For each m, map k puts
+        Per choice of one letter per vertex, the on-path minima are those
+        letters and every off-path minimum is 0, or 1 in a second vector when
+        some block is off the path: together A + {target} at every off-path
+        position.  The maps with minima m are a product (A before a block's
+        hit, the target at it, A + {target} after); map k puts
         allowed[w][min(k, len - 1)] at each w, so the max|allowed| maps meet
         every allowed value at every position, which by locality suffices.
         """
         a, i = self.a, self.i
         in_a = list(range(a))
-        for mins in itertools.product(range(i), repeat=self.nq):
-            allowed: list[list[int]] = [[v] for v in in_a]
-            for qq, m in enumerate(mins):
-                target = [a + qq]
-                allowed += [in_a] * m + [target] + [in_a + target] * (i - 1 - m)
-            for k in range(max(map(len, allowed))):
-                yield tuple(vals[min(k, len(vals) - 1)] for vals in allowed)
+        off_path_minima = (0, 1) if self.nq > self.s.n else (0,)
+        for letters in itertools.product(range(i), repeat=self.s.n):
+            words = self._words(lambda qq, v: letters[v])
+            on_path_minima = {self.q.position_of[QPoint(v, w[:-1])]: w[-1] for v, w in enumerate(words)}
+            for off in off_path_minima:
+                allowed: list[list[int]] = [[v] for v in in_a]
+                for qq in range(self.nq):
+                    m, target = on_path_minima.get(qq, off), [a + qq]
+                    allowed += [in_a] * m + [target] + [in_a + target] * (i - 1 - m)
+                for k in range(max(map(len, allowed))):
+                    yield tuple(vals[min(k, len(vals) - 1)] for vals in allowed)
+
+    def covering_bound(self) -> int:
+        """Maps in covering_family at most: a+1 per vector, 2 vectors need i >= 2."""
+        return (2 if self.nq > self.s.n else 1) * self.i**self.s.n * (self.a + 1)
 
 
 def _checked_cell(s: OrderedForest, i_size: int, a_size: int, p: Sequence[int]) -> TransferCell:
@@ -610,7 +607,7 @@ def classify_point(
     pos = cell.tensor.vertex_of.get(TensorPoint(sv, word))
     if pos is None:
         raise VertexOutOfRange(f"({sv}, {word}) is not a point of S x I")
-    qq = cell.q_of_pos[pos]
+    qq = pos // i_size
     leading = word[-1] == minhit[qq]
     on_path = word[:-1] == words[sv][:-1]
     return PointFlags(
@@ -786,11 +783,8 @@ def lp_pipeline(
     for i_size in range(1, max_i + 1):
         qs = [q_set(f, i_size) for f in bases]
         l_sizes = [len(q.points) for q in qs]
+        _check_coloring_cap(a_sizes, l_sizes, i_size, b, max_colorings, pin_first=False)
         objects = _tuple_objects(a_sizes, l_sizes, i_size)
-        if b ** len(objects) > max_colorings:
-            raise ResourceCapExceeded(
-                f"{b ** len(objects)} colorings of {len(objects)} tuples exceeds the cap"
-            )
         candidates = _candidate_tuples(a_sizes, l_sizes, i_size, "direct")
         witnesses = _first_witnesses(objects, candidates, a_sizes, l_sizes, i_size, b, pin_first=False)
         if witnesses is None:
@@ -902,14 +896,19 @@ def verify_transfer_cell(
 ) -> tuple[int, bool]:
     """Verify the transfer lemma on every word map of an (S, I, A) cell.
 
-    By the locality of check_word_map (see TransferCell) its covering_family,
-    at most i^|Q| * (a+1) maps, decides every word map exactly; a larger
-    bound than exhaustive_budget raises ResourceCapExceeded.  Every
+    A word map passes through its very good words (one letter per vertex)
+    and its single values, and an off-path block's minimum only limits its
+    values (see TransferCell), so covering_family, at most covering_bound()
+    = 2 * i^|S| * (a+1) <= i^|Q| * (a+1) maps, decides every word map
+    exactly; a larger bound than exhaustive_budget raises
+    ResourceCapExceeded, a negative budget ValueError.  Every
     DEEP_CHECK_EVERY-th map also goes through the generic classifier.
     Returns (word maps verified, True).
     """
+    if exhaustive_budget < 0:
+        raise ValueError(f"exhaustive budget must be >= 0, got {exhaustive_budget}")
     cell = TransferCell(s, i_size, a_size)
-    bound = i_size**cell.nq * (a_size + 1)
+    bound = cell.covering_bound()
     if bound > exhaustive_budget:
         raise ResourceCapExceeded(f"covering family of up to {bound} maps exceeds budget {exhaustive_budget}")
     for count, p in enumerate(cell.covering_family()):

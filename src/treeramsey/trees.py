@@ -483,10 +483,6 @@ class QIndex:
     def position_of(self) -> dict[QPoint, int]:
         return {pt: idx for idx, pt in enumerate(self.points)}
 
-    @property
-    def order(self) -> LinearOrder:
-        return LinearOrder(len(self.points))
-
     def to_tensor_point(self, q: QPoint, letter: int) -> TensorPoint:
         if not (0 <= letter < self.alphabet):
             raise VertexOutOfRange(f"letter {letter} outside alphabet of size {self.alphabet}")

@@ -406,6 +406,25 @@ def test_config_missing_file(files, capsys):
     assert code == 2
 
 
+def test_verify_transfer_negative_budget_exit_2(capsys, tmp_path):
+    forest = tmp_path / "pt.json"
+    serialize.save_json(str(forest), serialize.tree_to_json(trees.point_forest(1)))
+    code = main(
+        ["hj", "verify-transfer", "--forest", str(forest), "--alphabet", "2", "--a-size", "2", "--budget", "-5"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_transfer_five_vertex_chain_three_letters(capsys, tmp_path):
+    forest = tmp_path / "c5.json"
+    serialize.save_json(str(forest), serialize.tree_to_json(trees.forest([None, 0, 1, 2, 3])))
+    code, out = run(capsys, "hj", "verify-transfer", "--forest", str(forest), "--alphabet", "3", "--a-size", "3")
+    assert code == 0
+    assert out == f"{halesjewett.count_block_maps(3, 121, 3)} word maps verified (exhaustive)\n"
+
+
 @pytest.mark.parametrize(
     "a, l", [("-1", "1"), ("1", "-2"), ("1", "1,1"), ("1,1", "1"), (",", ",")]
 )
@@ -419,6 +438,14 @@ def test_hj_search_bad_sizes_exit_2(capsys, a, l):
 def test_hj_search_coloring_cap_exit_3(capsys):
     # (2, 3, 2) fails at i = 1, and i = 2 has 2^62 pinned colorings
     code = main(["hj", "search", "--a", "2", "--l", "3", "--b", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ")
+
+
+def test_hj_search_coloring_cap_past_decimal_limit_exit_3(capsys):
+    # 2^65534 pinned colorings at i = 1: too many digits for str() of the count
+    code = main(["hj", "search", "--a", "2", "--l", "16", "--b", "2", "--max-i", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("resource cap: ")

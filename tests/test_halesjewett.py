@@ -149,6 +149,34 @@ def test_hj_product_coloring_cap():
         hj.hj_product_check([2], [3], 2, 3, max_colorings=10)
 
 
+def test_coloring_cap_decided_before_building_objects(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("objects built for an over-cap call")
+
+    monkeypatch.setattr(hj, "_tuple_objects", refuse)
+    with pytest.raises(ResourceCapExceeded):
+        hj.hj_product_check([2], [16], 2, 1)
+    with pytest.raises(ResourceCapExceeded):
+        hj.hj_product_search([2], [30_000], 2, 1)
+    with pytest.raises(ResourceCapExceeded):
+        hj.lp_pipeline([1], [PT], 2, max_colorings=1)
+
+
+@pytest.mark.parametrize(
+    "a_sizes, l_sizes", [([0], [2]), ([1], [3]), ([3], [2]), ([3, 2], [1, 2]), ([2, 0], [1, 1]), ([1], [0])]
+)
+def test_coloring_cap_counts_the_tuple_objects(a_sizes, l_sizes):
+    # the closed-form count meets the listed objects: a cap of exactly
+    # b^count passes and one less does not, pinned and unpinned
+    for i in (1, 2):
+        n = len(hj._tuple_objects(a_sizes, l_sizes, i))
+        for pin_first, exponent in ((True, max(0, n - 1)), (False, n)):
+            for b in (1, 2, 3):
+                hj._check_coloring_cap(a_sizes, l_sizes, i, b, b**exponent, pin_first)
+                with pytest.raises(ResourceCapExceeded):
+                    hj._check_coloring_cap(a_sizes, l_sizes, i, b, b**exponent - 1, pin_first)
+
+
 @pytest.mark.parametrize(
     "a_sizes, l_sizes",
     [([-1], [1]), ([1], [-2]), ([1], [1, 1]), ([1, 1], [1]), ([], [])],
@@ -345,18 +373,18 @@ def test_fast_cell_flags_match_definitional():
                         assert defn[2] == (pt.t == hj.very_good_word(f, isz, a, p, pt.s))
 
 
-def _cells(max_vertices, max_words):
+def _cells(max_vertices, max_words, alphabets=(1, 2)):
     for n in range(1, max_vertices + 1):
         for f in trees.all_forests(n):
             for a in (1, 2):
-                for isz in (1, 2):
+                for isz in alphabets:
                     cell = hj.TransferCell(f, isz, a)
                     if cell.word_count() <= max_words:
                         yield cell
 
 
-def _minima(cell, p):
-    return tuple(cell.structure(p)[0])
+def _words(cell, p):
+    return tuple(cell.structure(p)[1])
 
 
 def test_verify_transfer_cells_small():
@@ -440,24 +468,44 @@ def test_corrupted_cell_raises_under_optimize():
 
 
 def test_covering_family_meets_every_allowed_value():
-    # grouped by minima in product order, each group a set of block-condition
-    # maps that takes every (position, value) pair the literal maps take
-    for cell in _cells(3, 3_000):
+    # grouped by very good words, one group per letter choice in product
+    # order, each group a set of block-condition maps that takes every
+    # (position, value) pair the literal maps with those words take
+    for cell in _cells(3, 3_000, alphabets=(1, 2, 3)):
         a, isz, nq = cell.a, cell.i, cell.nq
         literal = {}
         for p in hj.block_condition_maps(a, nq, isz):
-            literal.setdefault(_minima(cell, p), set()).update(enumerate(p))
+            literal.setdefault(_words(cell, p), set()).update(enumerate(p))
         members = list(cell.covering_family())
-        assert len(members) <= isz**nq * (a + 1)
+        assert len(members) <= cell.covering_bound()
         covered = {}
-        for m, group in itertools.groupby(members, key=lambda p: _minima(cell, p)):
-            assert m not in covered
-            covered[m] = set()
+        for words, group in itertools.groupby(members, key=lambda p: _words(cell, p)):
+            assert words not in covered
+            covered[words] = set()
             for p in group:
                 assert maps.check_block_condition(p, a, nq, isz)
-                covered[m].update(enumerate(p))
-        assert list(covered) == list(itertools.product(range(isz), repeat=nq))
+                covered[words].update(enumerate(p))
+        letters = [tuple(word[-1] for word in words) for words in covered]
+        assert letters == list(itertools.product(range(isz), repeat=cell.s.n))
         assert covered == literal
+
+
+def test_covering_bound_never_exceeds_the_minima_product():
+    for n in range(1, 6):
+        for f in trees.all_forests(n):
+            for a in (1, 2, 3):
+                for isz in (1, 2, 3):
+                    cell = hj.TransferCell(f, isz, a)
+                    assert cell.covering_bound() <= isz**cell.nq * (a + 1)
+
+
+def test_verify_transfer_cells_up_to_five_vertices():
+    for n in range(1, 6):
+        for f in trees.all_forests(n):
+            for a in (1, 2):
+                for isz in (1, 2):
+                    count = hj.count_block_maps(a, len(trees.q_set(f, isz).points), isz)
+                    assert hj.verify_transfer_cell(f, isz, a) == (count, True)
 
 
 def _passes(cell, family):
@@ -469,13 +517,19 @@ def _passes(cell, family):
     return True
 
 
+def _off_path_positions(cell, words):
+    on_path = {cell.q.position_of[trees.QPoint(v, word[:-1])] for v, word in enumerate(words)}
+    return [cell.a + pos for pos in range(cell.n_block) if pos // cell.i not in on_path]
+
+
 def test_covering_family_catches_local_faults_exactly():
-    # a fault in pi_p(w) that depends on (minima, w, p[w]), or in j_p that
-    # depends on the minima, is the kind locality covers: the covering family
-    # rejects it exactly when some word map of the cell does
+    # a fault in pi_p(w) that depends on (very good words, w, p[w]), or in
+    # j_p that depends on the words, is the kind locality covers: the
+    # covering family rejects it exactly when some word map of the cell does
     rng = random.Random(9)
     verdicts = {True: 0, False: 0}
-    for cell in _cells(3, 3_000):
+    off_path_faults = 0
+    for cell in _cells(3, 3_000, alphabets=(1, 2, 3)):
         literal = list(hj.block_condition_maps(cell.a, cell.nq, cell.i))
         family = list(cell.covering_family())
         n_dom, n_cod = cell.a + cell.n_block, cell.a + cell.s.n
@@ -483,21 +537,26 @@ def test_covering_family_catches_local_faults_exactly():
         for _ in range(12):
             q = rng.choice(literal)
             on_pi = rng.random() < 0.5
-            w = rng.randrange(n_dom if on_pi else n_cod)
+            off_path = _off_path_positions(cell, _words(cell, q))
+            if on_pi and off_path and rng.random() < 0.5:
+                w = rng.choice(off_path)
+            else:
+                w = rng.randrange(n_dom if on_pi else n_cod)
+            off_path_faults += on_pi and w in off_path
             x = rng.randrange(n_cod if on_pi else n_dom)
 
-            def corrupted(p, m=_minima(cell, q), w=w, x=x, letter=q[w], on_pi=on_pi):
-                pi_vals, j_vals, words = transfer_maps(p)
-                if _minima(cell, p) == m and (not on_pi or p[w] == letter):
+            def corrupted(p, words=_words(cell, q), w=w, x=x, letter=q[w], on_pi=on_pi):
+                pi_vals, j_vals, vg_words = transfer_maps(p)
+                if tuple(vg_words) == words and (not on_pi or p[w] == letter):
                     (pi_vals if on_pi else j_vals)[w] = x
-                return pi_vals, j_vals, words
+                return pi_vals, j_vals, vg_words
 
             cell.transfer_maps = corrupted
             ok = _passes(cell, literal)
             assert _passes(cell, family) == ok
             verdicts[ok] += 1
             del cell.transfer_maps
-    assert verdicts[True] and verdicts[False]
+    assert verdicts[True] and verdicts[False] and off_path_faults
 
 
 def test_points_outside_s_x_i_raise_vertex_out_of_range():
