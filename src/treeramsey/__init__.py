@@ -10,7 +10,6 @@ word-combinatorics transfer machinery behind the pigeonhole step.
 __version__ = "0.1.0"
 
 from .trees import (  # noqa: F401
-    LinearOrder,
     OrderedForest,
     OrderedTree,
     all_forests,

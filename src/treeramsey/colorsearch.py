@@ -6,13 +6,19 @@ does every b-coloring leave some edge monochromatic?  Equivalently: is there a
 "proper" coloring, one in which every edge sees at least two colors?  The
 verdict "holds" means no proper coloring exists.
 
-find_proper_coloring dedups the edges and drops supersets of other edges (a
-proper coloring of the minimal edges is proper for all).  It then searches by
-backtracking with unit propagation, on an explicit stack rather than by
-recursion:
+find_proper_coloring takes the hypergraph as built: it only removes duplicate
+edges.  No library hypergraph has an edge inside another, because all of its
+edges have the same size.  A witness edge {f∘g0 : f ∈ RS(T, S)} has |RS(T, S)|
+elements, since g0 is onto and so f ↦ f∘g0 is injective; a sealed edge has one
+element per cut e(t), since the cuts are distinct and g^t is onto; a host
+embedding is strictly increasing, so it is fixed by its image; and a framework
+row l*r is injective in r.  A superset edge from a direct caller costs only
+counter updates: its subset edge always propagates first, or conflicts.  The
+solver searches by backtracking with unit propagation, on an explicit stack
+rather than by recursion:
 
 - every vertex keeps a domain, the bitmask of the colors it may still take;
-- every minimal edge counts its unassigned vertices and, per color, its
+- every edge counts its unassigned vertices and, per color, its
   vertices of that color;
 - when an edge has one unassigned vertex left and all its other vertices
   have color c, c leaves that vertex's domain; a one-color domain forces the
@@ -79,25 +85,6 @@ class SearchResult:
         return self.proper is None
 
 
-def _minimal_edges(edges: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    """The distinct edges containing no other edge, shortest first.
-
-    A kept edge inside a candidate starts at one of the candidate's vertices,
-    so kept edges are indexed by their smallest vertex and a candidate is
-    tested only against those indexed by its own vertices.
-    """
-    uniq = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
-    if uniq and not uniq[0]:
-        return uniq[:1]  # the empty edge lies inside every edge
-    kept: list[frozenset[int]] = []
-    by_min: dict[int, list[frozenset[int]]] = {}
-    for e in uniq:
-        if not any(k < e for v in e for k in by_min.get(v, ())):
-            kept.append(e)
-            by_min.setdefault(min(e), []).append(e)
-    return kept
-
-
 def has_monochromatic_edge(coloring: Sequence[int], edges: Sequence[frozenset[int]]) -> bool:
     for e in edges:
         colors = {coloring[v] for v in e}
@@ -124,11 +111,13 @@ def find_proper_coloring(
     cap = _node_cap(max_nodes)
     if max_colorings is not None and max_colorings < 0:
         raise ValueError(f"coloring cap must be >= 0, got {max_colorings}")
-    stats = SearchStats(vertices=n_vertices, edges=len(set(edges)))
-    minimal = _minimal_edges(edges)
-    if any(len(e) <= 1 for e in minimal):
+    # The order fixes the propagation order, so node counts do not depend on
+    # how a builder lists its edges.
+    edges = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
+    stats = SearchStats(vertices=n_vertices, edges=len(edges))
+    if any(len(e) <= 1 for e in edges):
         return SearchResult(None, stats)  # an edge of at most one vertex is always monochromatic
-    if not minimal:
+    if not edges:
         stats.colorings_examined = 1
         return SearchResult(tuple([0] * n_vertices), stats)
     if b == 1:
@@ -138,15 +127,15 @@ def find_proper_coloring(
     # Static most-constrained-first order: vertices on many (small) edges first.
     weight = [0.0] * n_vertices
     incident: list[list[int]] = [[] for _ in range(n_vertices)]
-    for i, e in enumerate(minimal):
+    for i, e in enumerate(edges):
         for v in e:
             weight[v] += 1.0 / len(e)
             incident[v].append(i)
     order = sorted(range(n_vertices), key=lambda v: (-weight[v], v))
 
-    size = [len(e) for e in minimal]
+    size = [len(e) for e in edges]
     free = size[:]  # unassigned vertices per edge
-    count = [0] * (len(minimal) * b)  # count[i * b + c]: vertices of edge i with color c
+    count = [0] * (len(edges) * b)  # count[i * b + c]: vertices of edge i with color c
     domain = [(1 << b) - 1] * n_vertices
     colors = [-1] * n_vertices
     assigned: list[int] = []  # trail of assigned vertices
@@ -180,7 +169,7 @@ def find_proper_coloring(
                     if not left:
                         ok = False  # fully colored and monochromatic
                         continue
-                    for u in minimal[i]:
+                    for u in edges[i]:
                         if colors[u] < 0:
                             break
                     d = domain[u]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import colorsearch
 from .enumeration import all_rigid_surjections
@@ -34,7 +34,6 @@ __all__ = [
     "space_mul",
     "truncate",
     "extends",
-    "extends_by_quantifier",
     "fiber",
     "extenders",
     "family_mul",
@@ -120,8 +119,8 @@ def extends(b: DomainElement, a: DomainElement) -> bool:
 
     Structurally: same codomain ambient, cod(a) an initial subtree of cod(b),
     and b restricted through its injection to cod(a) equals a.  This is
-    equivalent to the universal quantifier over all composable elements; the
-    literal quantifier version is extends_by_quantifier.
+    equivalent to the universal quantifier over all composable elements, which
+    the tests check against the literal quantifier on a finite universe.
     """
     if b.amb_cod.tag != a.amb_cod.tag or b.cut_cod < a.cut_cod:
         return False
@@ -131,17 +130,6 @@ def extends(b: DomainElement, a: DomainElement) -> bool:
         and iv == a.cut_dom
         and b.values[: iv + 1] == a.values
     )
-
-
-def extends_by_quantifier(
-    b: DomainElement, a: DomainElement, universe: Iterable[DomainElement]
-) -> bool:
-    """Literal definition of extension, quantified over a supplied finite universe."""
-    for x in universe:
-        if is_composable(a, x):
-            if not is_composable(b, x) or space_mul(a, x) != space_mul(b, x):
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -219,13 +219,20 @@ def _tuple_objects(
     return [tuple([s0, *rest]) for s0 in slot0 for rest in itertools.product(*later)]
 
 
+def _refuse_negative_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"coloring cap must be >= 0, got {cap}")
+
+
 def _check_coloring_cap(
     a_sizes: Sequence[int], l_sizes: Sequence[int], i: int, b: int, cap: int, pin_first: bool
 ) -> None:
     """Raise ResourceCapExceeded when the b-colorings of _tuple_objects (first
     color pinned or not) exceed cap, from the closed-form object count
     (sum of a0^c over c < l0*i) * prod of a_k^(l_k*i) over k >= 1.  b^count
-    is never built: past cap's bit length, b >= 2 colors exceed cap."""
+    is never built: past cap's bit length, b >= 2 colors exceed cap.  A
+    negative cap raises ValueError."""
+    _refuse_negative_cap(cap)
     a0, n0 = a_sizes[0], l_sizes[0] * i
     count = (a0**n0 - 1) // (a0 - 1) if a0 > 1 else (n0 if a0 == 1 else min(n0, 1))
     for a, l in zip(a_sizes[1:], l_sizes[1:]):
@@ -362,32 +369,20 @@ def _candidate_tuples(
 
     # block k of L' = L_n + ... + L_1 occupies l_offset[k] .. l_offset[k] + l_k - 1
     l_offset = [sum(l_sizes[kk] for kk in range(k + 1, n)) for k in range(n)]
+    # block_condition_maps puts only A_prod and the block's own target in each
+    # block, so every value at or past a_prod is that target
     for p in block_condition_maps(a_prod, l_total, i):
         parts: list[tuple[int, ...]] = []
-        ok = True
         for k in range(n):
             vals = list(range(a_sizes[k]))
             for x_local in range(l_sizes[k]):
-                x_global = l_offset[k] + x_local
-                for j in range(i):
-                    v = p[a_prod + x_global * i + j]
-                    if v < a_prod:
-                        vals.append(coord(v, k))
-                    elif v == a_prod + x_global:
-                        vals.append(a_sizes[k] + x_local)
-                    else:
-                        ok = False  # block leaked into a foreign L, impossible under block condition
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+                start = a_prod + (l_offset[k] + x_local) * i
+                block = p[start : start + i]
+                vals += [coord(v, k) if v < a_prod else a_sizes[k] + x_local for v in block]
             if not check_block_condition(vals, a_sizes[k], l_sizes[k], i):
-                ok = False
-                break
+                raise VerificationFailed(f"projection {k} of {p} fails the block condition")
             parts.append(tuple(vals))
-        if ok:
-            yield tuple(parts)
+        yield tuple(parts)
 
 
 def hj_search(
@@ -406,6 +401,7 @@ def hj_product_search(
     max_colorings: int = DEFAULT_MAX_COLORINGS,
 ) -> HJCertificate:
     _check_sizes(a_sizes, l_sizes)
+    _refuse_negative_cap(max_colorings)
     for i in range(1, max_i + 1):
         cert = hj_product_check(a_sizes, l_sizes, b, i, mode=mode, max_colorings=max_colorings)
         if cert is not None:
@@ -778,6 +774,7 @@ def lp_pipeline(
         raise ValueError("need matching non-empty parameter lists")
     if forests[0].n == 0:
         raise ValueError("the first forest must be non-empty")
+    _refuse_negative_cap(max_colorings)  # before the host search runs
     host = monochromatic_host_search(forests[0], b, max_host_size)
     bases = [host] + list(forests[1:])
     for i_size in range(1, max_i + 1):

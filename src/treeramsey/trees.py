@@ -1,4 +1,4 @@
-"""Ordered trees, ordered forests and linear orders in canonical parent-array form.
+"""Ordered trees and ordered forests in canonical parent-array form.
 
 A tree is a finite poset with a single minimum (the root) in which the
 predecessors of every vertex form a chain; an ordered tree additionally fixes a
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateAttachPoint,
@@ -76,17 +76,6 @@ def _raw_ancestors(parent: ParentArray, v: int) -> list[int]:
     return chain
 
 
-def raw_meet(parent: ParentArray, v: int, w: int) -> int:
-    """Largest common predecessor of v and w in an arbitrary parent-array tree."""
-    av, aw = _raw_ancestors(parent, v), _raw_ancestors(parent, w)
-    m = av[0]
-    for x, y in zip(av, aw):
-        if x != y:
-            break
-        m = x
-    return m
-
-
 def raw_lex_compare(parent: ParentArray, v: int, w: int) -> int:
     """Two-clause lexicographic comparison on an arbitrary parent-array tree.
 
@@ -99,14 +88,10 @@ def raw_lex_compare(parent: ParentArray, v: int, w: int) -> int:
     if v == w:
         return EQ
     av, aw = _raw_ancestors(parent, v), _raw_ancestors(parent, w)
-    if v in aw:  # v is a predecessor of w
-        return LT
-    if w in av:
-        return GT
-    m = raw_meet(parent, v, w)
-    im = len(_raw_ancestors(parent, m))  # child of m on each chain sits at index im
-    cv, cw = av[im], aw[im]
-    return LT if cv < cw else GT
+    for x, y in zip(av, aw):
+        if x != y:  # the children of the meet on the two chains: sibling order decides
+            return LT if x < y else GT
+    return LT if len(av) < len(aw) else GT  # one chain is a prefix: the predecessor comes first
 
 
 @dataclass(frozen=True)
@@ -312,27 +297,6 @@ def drop_root(t: OrderedTree) -> OrderedForest:
     return OrderedForest(tuple(out))
 
 
-@dataclass(frozen=True)
-class LinearOrder:
-    """The linear order on {0..size-1}; as a tree it is the chain."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise EmptyLinearOrder("negative size")
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self):
-        return iter(range(self.size))
-
-
-def _as_size(x: Union[int, LinearOrder]) -> int:
-    return x.size if isinstance(x, LinearOrder) else int(x)
-
-
 def attach(
     t: OrderedTree,
     points: Sequence[int],
@@ -365,17 +329,16 @@ def attach(
     return canon, t_emb, f_embs
 
 
-def oplus(a: Union[int, LinearOrder], f: OrderedForest) -> OrderedTree:
-    """A + F: the forest F grafted on top of the chain A.
+def oplus(a: int, f: OrderedForest) -> OrderedTree:
+    """A + F: the forest F grafted on top of the chain A of a vertices.
 
     A must be non-empty; A + (empty forest) is the chain A itself.
     """
-    size = _as_size(a)
-    if size < 1:
+    if a < 1:
         raise EmptyLinearOrder("the lower linear order must be non-empty")
-    parent: list[Optional[int]] = [None] + list(range(size - 1))
+    parent: list[Optional[int]] = [None] + list(range(a - 1))
     for p in f.parent:
-        parent.append(size - 1 if p is None else size + p)
+        parent.append(a - 1 if p is None else a + p)
     return OrderedTree(tuple(parent))
 
 
@@ -437,7 +400,7 @@ def _tensor_order(s: OrderedForest, k: int) -> list[TensorPoint]:
     return out
 
 
-def tensor(s: OrderedForest, i: Union[int, LinearOrder]) -> TensorIndex:
+def tensor(s: OrderedForest, i: int) -> TensorIndex:
     """Fan out the forest S along the alphabet I.
 
     Vertices are pairs (s, t) with ht(s) = |t|; (s1,t1) lies below (s2,t2) when
@@ -445,7 +408,7 @@ def tensor(s: OrderedForest, i: Union[int, LinearOrder]) -> TensorIndex:
     ht(s1) the letters compare in I.  The linear order makes each block
     {(s, u + (i,))} an ascending interval (see _tensor_order).
     """
-    return _tensor_cached(s, _as_size(i))
+    return _tensor_cached(s, i)
 
 
 @lru_cache(maxsize=None)
@@ -492,9 +455,9 @@ class QIndex:
         return QPoint(pt.s, pt.t[:-1]), pt.t[-1]
 
 
-def q_set(s: OrderedForest, i: Union[int, LinearOrder]) -> QIndex:
+def q_set(s: OrderedForest, i: int) -> QIndex:
     """Q(S, I) = pairs (s, u) with ht(s) = |u| + 1, ordered by block position in S x I."""
-    return _q_set_cached(s, _as_size(i))
+    return _q_set_cached(s, i)
 
 
 @lru_cache(maxsize=None)

@@ -374,3 +374,15 @@ def transfer_witness_by_loops(cell, pi_vals, j_vals):
             if j_vals[cod_meet[x][y]] != common.bit_length() - 1:
                 return False
     return j_vals[0] == 0
+
+
+def extends_by_quantifier(b, a, universe):
+    """The literal definition of extension: every product a * x over the
+    supplied finite universe is also defined for b and equals b * x."""
+    from treeramsey.framework import is_composable, space_mul
+
+    for x in universe:
+        if is_composable(a, x):
+            if not is_composable(b, x) or space_mul(a, x) != space_mul(b, x):
+                return False
+    return True

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeramsey import trees, witness
+from treeramsey import framework, halesjewett, trees, witness
 from treeramsey.colorsearch import (
-    _minimal_edges,
     find_proper_coloring,
     find_proper_coloring_plain,
     has_monochromatic_edge,
 )
+from treeramsey.enumeration import all_embeddings, all_rigid_surjections
 from treeramsey.errors import ResourceCapExceeded
 
 from _oracles import find_proper_coloring_enumerate
@@ -127,16 +127,6 @@ def hypergraphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(hypergraphs())
-def test_minimal_edges_are_the_inclusion_minimal_ones(case):
-    _, edges, _ = case
-    distinct = set(edges)
-    expected = {e for e in distinct if not any(k < e for k in distinct)}
-    kept = _minimal_edges(edges)
-    assert len(kept) == len(set(kept)) and set(kept) == expected
-
-
-@settings(max_examples=200, deadline=None)
-@given(hypergraphs())
 def test_engines_agree(case):
     n, edges, b = case
     pruned = find_proper_coloring(n, edges, b)
@@ -166,3 +156,51 @@ def test_engines_agree_on_small_witness_hypergraphs():
                     assert solved.holds == plain.holds, (build.__name__, u.parent, b)
                     if solved.proper is not None:
                         assert not has_monochromatic_edge(solved.proper, edges)
+
+
+def _sizes(edges):
+    return {len(e) for e in edges}
+
+
+def test_witness_edges_have_one_size():
+    # the solver removes only duplicate edges: no edge of a builder may lie
+    # inside another, and equal sizes rule that out
+    for s in [s for n in range(1, 4) for s in trees.all_trees(n)]:
+        for t in [t for n in range(1, 5) for t in trees.all_trees(n)]:
+            mn_size = len(all_rigid_surjections(t, s))  # f -> f o g0 is injective
+            sealed_size = sum(len(fs) for _, fs in witness._sealed_families(s, t))
+            for u in [u for n in range(1, 7) for u in trees.all_trees(n)]:
+                _, mn_edges = witness._mn_hypergraph(s, t, u)
+                _, sealed_edges = witness._sealed_hypergraph(s, t, u)
+                assert _sizes(mn_edges) <= {mn_size}, (s.parent, t.parent, u.parent)
+                assert _sizes(sealed_edges) <= {sealed_size}, (s.parent, t.parent, u.parent)
+
+
+def test_host_search_edges_have_one_size_and_are_distinct():
+    # an embedding is strictly increasing, so it is fixed by its image
+    for k in range(1, 4):
+        for n in range(k, 7):
+            for s in trees.all_trees(k):
+                for cand in trees.all_trees(n):
+                    edges = [frozenset(e.values[1:]) for e in all_embeddings(s, cand)]
+                    assert _sizes(edges) <= {k - 1} and len(set(edges)) == len(edges)
+            for s in trees.all_forests(k):
+                for cand in trees.all_forests(n):
+                    edges = [frozenset(e) for e in halesjewett._forest_embeddings(s, cand)]
+                    assert _sizes(edges) <= {k} and len(set(edges)) == len(edges)
+
+
+def test_framework_rows_have_one_size(monkeypatch):
+    # l * r is injective in r, so every row has one item per right factor
+    decide = framework._decide_products
+    seen = []
+
+    def recording(lefts, rights, b, max_nodes):
+        report = decide(lefts, rights, b, max_nodes)
+        seen.append(report)
+        assert _sizes(report.edges) == {len(rights)}
+        return report
+
+    monkeypatch.setattr(framework, "_decide_products", recording)
+    framework.scan_lp_r_consistency(3, 2)
+    assert len(seen) >= 50

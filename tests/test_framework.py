@@ -8,6 +8,8 @@ from treeramsey.enumeration import all_rigid_surjections
 from treeramsey.errors import DomainMismatch, NotComposable, NotSealed, VertexOutOfRange
 from treeramsey.maps import TreeMap, injection_of, is_sealed
 
+from _oracles import extends_by_quantifier
+
 C1, C2, C3, C4 = (trees.chain(n) for n in (1, 2, 3, 4))
 
 
@@ -136,7 +138,7 @@ def test_extends_matches_quantifier():
     uni = fw.Universe(3)
     for b in uni.elements:
         for a in uni.elements:
-            assert fw.extends(b, a) == fw.extends_by_quantifier(b, a, uni.elements)
+            assert fw.extends(b, a) == extends_by_quantifier(b, a, uni.elements)
 
 
 def test_extends_restriction_example(ambients):

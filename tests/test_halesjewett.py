@@ -162,6 +162,34 @@ def test_coloring_cap_decided_before_building_objects(monkeypatch):
         hj.lp_pipeline([1], [PT], 2, max_colorings=1)
 
 
+def test_negative_coloring_caps_are_refused(monkeypatch):
+    # a negative cap is an input error (ValueError), not a cap hit; 0 stays a cap
+    with pytest.raises(ValueError):
+        hj.hj_product_check([1], [1], 2, 1, max_colorings=-1)
+    with pytest.raises(ValueError):
+        hj.hj_search(1, 1, 2, 1, max_colorings=-1)
+    with pytest.raises(ValueError):
+        hj.hj_product_search([1], [1], 2, 0, max_colorings=-1)  # even with no size to try
+    with pytest.raises(ResourceCapExceeded):
+        hj.hj_product_check([1], [1], 2, 1, max_colorings=0)
+
+    def refuse(*args):
+        raise AssertionError("host search ran under a negative cap")
+
+    monkeypatch.setattr(hj, "monochromatic_host_search", refuse)
+    with pytest.raises(ValueError):
+        hj.lp_pipeline([1], [PT], 2, max_colorings=-1)
+
+
+def test_reduction_mode_raises_when_a_projection_fails_the_block_condition(monkeypatch):
+    # a projected part that fails the block condition is an error, never a
+    # silently dropped candidate
+    monkeypatch.setattr(hj, "check_block_condition", lambda *args: False)
+    with pytest.raises(VerificationFailed):
+        hj.hj_product_check([1, 1], [1, 1], 2, 1, mode="reduction")
+    assert hj.hj_product_check([1, 1], [1, 1], 2, 1, mode="direct") is not None
+
+
 @pytest.mark.parametrize(
     "a_sizes, l_sizes", [([0], [2]), ([1], [3]), ([3], [2]), ([3, 2], [1, 2]), ([2, 0], [1, 1]), ([1], [0])]
 )

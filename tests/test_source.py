@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "treeramsey").glob("*.py"))
@@ -13,3 +14,16 @@ def test_no_assert_in_library():
         if isinstance(node, ast.Assert)
     }
     assert len(SOURCES) >= 10 and asserts == {}
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must not leave its name behind in __all__
+    stale = {}
+    for path in SOURCES:
+        if path.stem == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"treeramsey.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        if missing:
+            stale[path.name] = missing
+    assert stale == {}

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +196,24 @@ def test_lex_compare_agrees_with_numeric_on_canonical():
         for v, w in itertools.combinations(range(t.n), 2):
             assert t.lex_compare(v, w) == trees.LT
             assert t.lex_compare(w, v) == trees.GT
+
+
+def test_raw_lex_compare_agrees_with_canonicalize_on_relabelled_trees():
+    # on non-canonical input the definitional comparison orders vertices as
+    # canonicalize's permutation numbers them
+    for seed in range(4):
+        rng = random.Random(seed)
+        for t in trees_up_to(7):
+            label = list(range(t.n))
+            rng.shuffle(label)
+            raw = [None] * t.n
+            for v, p in enumerate(t.parent):
+                raw[label[v]] = None if p is None else label[p]
+            _, perm = trees.canonicalize(raw)
+            for v in range(t.n):
+                for w in range(t.n):
+                    expected = (perm[v] > perm[w]) - (perm[v] < perm[w])
+                    assert trees.raw_lex_compare(raw, v, w) == expected, (raw, v, w)
 
 
 def test_lex_compare_out_of_range():
