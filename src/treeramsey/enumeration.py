@@ -6,11 +6,16 @@ order.  Two runs produce identical sequences; parallel consumers may split by
 value-tuple prefix ranges.
 
 Embeddings and rigid surjections each come from one list-building
-backtracking over value tuples (_embeddings, _rigid_surjections): the enum_
-generators iterate over a fresh list, and the all_ functions cache it as a
-tuple.  Each new value is tested in constant time, against its predecessor
-only, by the consecutive meet law of maps (see the maps module docstring).
-Every map is still a validated TreeMap.
+backtracking over value tuples (_embeddings, _rigid_surjections).  Each new
+value is tested in constant time, against its predecessor only, by the
+consecutive meet law of maps (see the maps module docstring).
+
+Rigid surjections are kept as plain value tuples in one cached table,
+rigid_surjection_values, which range-checks every tuple once when it fills;
+the witness builders read it directly.  enum_rigid_surjections and
+all_rigid_surjections are the TreeMap view over that table, for callers that
+want maps; embeddings are TreeMaps from the start, and all_embeddings caches
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Optional
 
-from .maps import TreeMap
+from .maps import TreeMap, _check_values
 from .trees import OrderedTree, all_trees, enum_trees  # re-exported tree generators
 
 __all__ = [
@@ -29,6 +34,7 @@ __all__ = [
     "all_embeddings",
     "enum_rigid_surjections",
     "all_rigid_surjections",
+    "rigid_surjection_values",
     "enum_colorings",
     "count_colorings",
 ]
@@ -67,8 +73,8 @@ def _embeddings(dom: OrderedTree, cod: OrderedTree) -> list[TreeMap]:
 
 def _rigid_surjections(
     dom: OrderedTree, cod: OrderedTree, sealed: bool, a_prefix: Optional[int]
-) -> list[TreeMap]:
-    """The rigid surjections dom -> cod in lexicographic order, built as one list.
+) -> list[tuple[int, ...]]:
+    """The value tuples of the rigid surjections dom -> cod in lexicographic order.
 
     Backtracks over value tuples.  The injection of a rigid surjection is the
     fiberwise meet, which always equals the fiber's first element in canonical
@@ -94,12 +100,12 @@ def _rigid_surjections(
     parent = cod.parent
     values = [0] * n
     first = [0] * m  # first occurrence of each seen value
-    out: list[TreeMap] = []
+    out: list[tuple[int, ...]] = []
 
     def extend(w: int, k: int) -> None:
         if w == n:
             if k == m:
-                out.append(TreeMap(dom, cod, tuple(values)))
+                out.append(tuple(values))
             return
         if m - k > n - w:
             return  # surjectivity budget
@@ -138,9 +144,11 @@ def enum_rigid_surjections(
     """All rigid surjections dom -> cod, lexicographically by value tuple.
 
     With sealed, only the sealed ones; with a_prefix, only those that are the
-    identity on the first a_prefix vertices (see _rigid_surjections).
+    identity on the first a_prefix vertices (see _rigid_surjections).  This
+    is the TreeMap view of rigid_surjection_values.
     """
-    yield from _rigid_surjections(dom, cod, sealed, a_prefix)
+    for values in rigid_surjection_values(dom, cod, sealed, a_prefix):
+        yield TreeMap(dom, cod, values)
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +157,21 @@ def all_embeddings(dom: OrderedTree, cod: OrderedTree) -> tuple[TreeMap, ...]:
 
 
 @lru_cache(maxsize=None)
+def rigid_surjection_values(
+    dom: OrderedTree, cod: OrderedTree, sealed: bool = False, a_prefix: Optional[int] = None
+) -> tuple[tuple[int, ...], ...]:
+    """The value tuples of enum_rigid_surjections, each range-checked once here."""
+    table = tuple(_rigid_surjections(dom, cod, sealed, a_prefix))
+    for values in table:
+        _check_values(values, dom.n, cod.n)
+    return table
+
+
+@lru_cache(maxsize=None)
 def all_rigid_surjections(
     dom: OrderedTree, cod: OrderedTree, sealed: bool = False, a_prefix: Optional[int] = None
 ) -> tuple[TreeMap, ...]:
-    return tuple(_rigid_surjections(dom, cod, sealed, a_prefix))
+    return tuple(enum_rigid_surjections(dom, cod, sealed, a_prefix))
 
 
 def rigid_surjections_with_injection(e: TreeMap) -> tuple[TreeMap, ...]:
@@ -187,6 +206,9 @@ def enum_colorings(k: int, b: int, pin_first: bool = False) -> Iterator[tuple[in
 
 
 def count_colorings(k: int, b: int, pin_first: bool = False) -> int:
+    """len(list(enum_colorings(k, b, pin_first))), refusing the same inputs."""
+    if k < 0 or b < 1:
+        raise ValueError("need k >= 0 and b >= 1")
     if k == 0:
         return 1
     return b ** (k - 1) if pin_first else b**k

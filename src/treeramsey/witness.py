@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import colorsearch
 from .colorsearch import SearchStats
-from .enumeration import all_embeddings, all_rigid_surjections
+from .enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
 from .errors import (
     DomainMismatch,
     NotFoundWithinBound,
+    NotRigid,
     PrerequisiteFailed,
     ResourceCapExceeded,
     VerificationFailed,
 )
 from .maps import (
     TreeMap,
+    _injection_values,
     compose,
     conjugate_leaf,
     injection_of,
@@ -75,61 +78,77 @@ class WitnessReport:
 
 
 def _composite_values(
-    fs: Sequence[TreeMap], g_cod: tuple[Optional[int], ...], gv: Sequence[int]
+    f_dom: tuple[Optional[int], ...],
+    fs: Sequence[tuple[int, ...]],
+    g_cod: tuple[Optional[int], ...],
+    gv: tuple[int, ...],
 ) -> list[tuple[int, ...]]:
-    """The value tuples of f o g for every f in fs, a family enumerated on one domain.
+    """The value tuples of f o g for every f in fs, a family of value tuples on one domain.
 
-    g is given by the parent array of its codomain and its values; cod(g) =
-    dom(f) is checked once for the family; every value is already
-    range-checked in f, so no composite TreeMap is built.
+    f_dom and g_cod are the parent arrays of dom(f) and cod(g); cod(g) = dom(f)
+    is checked once for the family.  Every value is already range-checked in
+    the family's value table, so each composite is read off with one
+    itemgetter and no TreeMap is built.
     """
-    if fs and g_cod != fs[0].dom.parent:
+    if fs and g_cod != f_dom:
         raise DomainMismatch("cod(g) != dom(f)")
-    return [tuple([fv[x] for x in gv]) for fv in [f.values for f in fs]]
+    if len(gv) == 1:  # itemgetter with one index returns the value, not a tuple
+        return [(fv[gv[0]],) for fv in fs]
+    return list(map(itemgetter(*gv), fs))
 
 
 def _mn_hypergraph(
     s: OrderedTree, t: OrderedTree, u: OrderedTree
 ) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
     """Vertices: maps in RS(U, S) by value tuple; one edge per g0 in RS(U, T)."""
-    vertices = [m.values for m in all_rigid_surjections(u, s)]
+    vertices = list(rigid_surjection_values(u, s))
     pos = {v: i for i, v in enumerate(vertices)}
-    fs = all_rigid_surjections(t, s)
+    fs = rigid_surjection_values(t, s)
     edges = [
-        frozenset([pos[values] for values in _composite_values(fs, g0.cod.parent, g0.values)])
-        for g0 in all_rigid_surjections(u, t)
+        frozenset(map(pos.__getitem__, _composite_values(t.parent, fs, t.parent, gv)))
+        for gv in rigid_surjection_values(u, t)
     ]
     return vertices, edges
 
 
-def _sealed_families(s: OrderedTree, t: OrderedTree) -> list[tuple[int, tuple[TreeMap, ...]]]:
-    """(t, the sealed maps T^t -> S) for every vertex t of T that has such maps."""
+_SealedFamilies = list[tuple[int, OrderedTree, tuple[tuple[int, ...], ...]]]
+
+
+def _sealed_families(s: OrderedTree, t: OrderedTree) -> _SealedFamilies:
+    """(t, T^t, the sealed maps T^t -> S) for every vertex t of T that has such maps."""
     families = []
     for tv in range(t.n):
-        fs = all_rigid_surjections(initial_subtree(t, tv), s, sealed=True)
+        t_cut = initial_subtree(t, tv)
+        fs = rigid_surjection_values(t_cut, s, sealed=True)
         if fs:
-            families.append((tv, fs))
+            families.append((tv, t_cut, fs))
     return families
 
 
 def _sealed_edge_keys(
-    g: TreeMap, families: list[tuple[int, tuple[TreeMap, ...]]]
+    g_dom: OrderedTree, g_cod: OrderedTree, gv: tuple[int, ...], families: _SealedFamilies
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """The (cut, values) keys of g's sealed edge: f o g^t for every t and f in families.
+    """The (cut, values) keys of the sealed edge of g: g_dom -> g_cod with values gv:
+    f o g^t for every t and f in families.
 
-    g^t is g cut at its injection: the restriction to U^{i(t)}, whose values
-    must be exactly 0..t (onto T^t); T^t is the prefix 0..t of cod(g).
+    g^t is g cut at its injection i: the restriction to U^{i(t)}, whose values
+    must be exactly 0..t (onto T^t); T^t is the prefix 0..t of cod(g).  The
+    injection is verified here, so a g that is not rigid raises NotRigid.
     """
+    e = _injection_values(g_dom.anc_mask, g_cod.parent, gv)
+    if e is None:
+        raise NotRigid(f"{list(gv)} is not a rigid surjection")
     keys = []
-    gv, cod, e = g.values, g.cod.parent, injection_of(g).values
-    for tv, fs in families:
+    cod = g_cod.parent
+    for tv, t_cut, fs in families:
         cut = e[tv]
         prefix = gv[: cut + 1]
         if set(prefix) != set(range(tv + 1)):
             raise VerificationFailed(
-                f"restriction of {g} to the initial subtree of {tv} is not onto"
+                f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
             )
-        keys += [(cut, values) for values in _composite_values(fs, cod[: tv + 1], prefix)]
+        composites = _composite_values(t_cut.parent, fs, cod[: tv + 1], prefix)
+        keys += [(cut, values) for values in composites]
     return keys
 
 
@@ -139,18 +158,19 @@ def _sealed_hypergraph(
     """Vertices: sealed maps from every initial subtree of U onto S, keyed by
     (cut, values); one edge per cut v0 and sealed g: U^{v0} -> T, collecting
     f o g^t over t in T and sealed f: T^t -> S."""
+    cuts = [initial_subtree(u, v) for v in range(u.n)]
     vertices: list[tuple[int, tuple[int, ...]]] = []
     pos: dict[tuple[int, tuple[int, ...]], int] = {}
-    for v in range(u.n):
-        for m in all_rigid_surjections(initial_subtree(u, v), s, sealed=True):
-            key = (v, m.values)
+    for v, u_cut in enumerate(cuts):
+        for values in rigid_surjection_values(u_cut, s, sealed=True):
+            key = (v, values)
             pos[key] = len(vertices)
             vertices.append(key)
     families = _sealed_families(s, t)
     edges = [
-        frozenset([pos[key] for key in _sealed_edge_keys(g, families)])
-        for v0 in range(u.n)
-        for g in all_rigid_surjections(initial_subtree(u, v0), t, sealed=True)
+        frozenset(map(pos.__getitem__, _sealed_edge_keys(u_cut, t, gv, families)))
+        for u_cut in cuts
+        for gv in rigid_surjection_values(u_cut, t, sealed=True)
     ]
     return vertices, edges
 
@@ -509,7 +529,8 @@ def derivation_intermediates(
     old_top_t = t_plus.n - 2
     families = _sealed_families(s_plus, t_plus)
     for g_plus in all_rigid_surjections(u, t_plus, sealed=True):
-        colors = {sealed_color(cut, values) for cut, values in _sealed_edge_keys(g_plus, families)}
+        keys = _sealed_edge_keys(u, t_plus, g_plus.values, families)
+        colors = {sealed_color(cut, values) for cut, values in keys}
         if len(colors) <= 1:
             g = restrict_conjugate(g_plus, old_top_t)
             y0 = g.dom.n - 1

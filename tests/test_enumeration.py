@@ -1,6 +1,8 @@
 import itertools
 
-from treeramsey import trees
+import pytest
+
+from treeramsey import enumeration, trees
 from treeramsey.enumeration import (
     all_embeddings,
     all_rigid_surjections,
@@ -8,7 +10,9 @@ from treeramsey.enumeration import (
     enum_colorings,
     enum_embeddings,
     enum_rigid_surjections,
+    rigid_surjection_values,
 )
+from treeramsey.errors import VertexOutOfRange
 from treeramsey.maps import TreeMap, classify, is_embedding
 
 from _oracles import embeddings_by_meet_loop, rigid_surjections_by_meet_loop, stirling2
@@ -113,6 +117,34 @@ def test_colorings_pinned():
     assert count_colorings(3, 2) == 8
 
 
+def test_count_colorings_counts_the_stream():
+    for k in range(6):
+        for b in range(1, 4):
+            for pin_first in (False, True):
+                stream = list(enum_colorings(k, b, pin_first))
+                assert len(stream) == count_colorings(k, b, pin_first)
+
+
+@pytest.mark.parametrize("k, b", [(-1, 2), (3, 0), (0, 0), (-1, -1)])
+def test_count_colorings_refuses_what_enum_colorings_refuses(k, b):
+    for pin_first in (False, True):
+        with pytest.raises(ValueError):
+            list(enum_colorings(k, b, pin_first))
+        with pytest.raises(ValueError):
+            count_colorings(k, b, pin_first)
+
+
+def test_value_table_refuses_an_out_of_range_kernel_value(monkeypatch):
+    # the table range-checks what the kernel yields; 2 is outside a 2-vertex codomain
+    monkeypatch.setattr(enumeration, "_rigid_surjections", lambda dom, cod, sealed, a: [(0, 2)])
+    rigid_surjection_values.cache_clear()
+    try:
+        with pytest.raises(VertexOutOfRange):
+            rigid_surjection_values(C2, C2)
+    finally:
+        rigid_surjection_values.cache_clear()
+
+
 def test_rigid_surjections_with_injection_partition_the_stream():
     from treeramsey.enumeration import rigid_surjections_with_injection
 
@@ -176,6 +208,8 @@ def test_rigid_kernel_matches_meet_loop_oracle():
                         for m in enum_rigid_surjections(dom, cod, sealed=sealed, a_prefix=a_prefix)
                     ]
                     assert got == expected, (dom, cod, sealed, a_prefix)
+                    table = rigid_surjection_values(dom, cod, sealed, a_prefix)
+                    assert list(table) == expected, (dom, cod, sealed, a_prefix)
                     cases += 1
     assert cases == 25_526
 

@@ -27,3 +27,40 @@ def test_every_exported_name_resolves():
         if missing:
             stale[path.name] = missing
     assert stale == {}
+
+
+CACHE_DECORATORS = ("lru_cache", "cache")  # functools names that make a cache table
+
+
+def _names_a_cache(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in CACHE_DECORATORS) or (
+        isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+    )
+
+
+def test_every_lru_cache_is_a_clearable_module_attribute():
+    # the benchmark's cold passes and the tests clear caches through module
+    # attributes, so a cache on a method, a nested function or a call
+    # expression would stay warm: every mention of lru_cache must decorate a
+    # top-level function, and that attribute must have cache_clear
+    cached, stray = [], {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        top = [
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(
+                _names_a_cache(d.func if isinstance(d, ast.Call) else d)
+                for d in node.decorator_list
+            )
+        ]
+        mentions = sum(_names_a_cache(node) for node in ast.walk(tree))
+        if mentions != len(top):
+            stray[path.name] = mentions - len(top)
+        cached += [(path.stem, name) for name in top]
+    assert stray == {}
+    assert ("enumeration", "rigid_surjection_values") in cached
+    for stem, name in cached:
+        fn = getattr(importlib.import_module(f"treeramsey.{stem}"), name)
+        assert callable(getattr(fn, "cache_clear", None)), (stem, name)

@@ -5,9 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from treeramsey import maps, serialize, trees, witness as wit
-from treeramsey.enumeration import all_embeddings, all_rigid_surjections
-from treeramsey.errors import NotFoundWithinBound, PrerequisiteFailed, VerificationFailed
+from treeramsey import serialize, trees, witness as wit
+from treeramsey.enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
+from treeramsey.errors import (
+    NotFoundWithinBound,
+    NotRigid,
+    PrerequisiteFailed,
+    VerificationFailed,
+)
 from treeramsey.maps import TreeMap, classify, compose, identity, injection_of, is_sealed
 
 from _fixtures import assert_fixture, stored_fixture
@@ -362,9 +367,10 @@ def test_sealed_edges_match_composition_space_products():
 
 
 def test_builders_match_compose_oracles():
-    # the value-tuple builders give the compose-based hypergraphs, in order
-    cases = [("mn", C2, trees.chain(4), u) for u in trees_up_to(6)]
-    cases += [("sealed", C2, trees.tree([None, 0, 1, 1]), u) for u in trees_up_to(6)]
+    # the value-tuple builders give the compose-based hypergraphs, in order,
+    # for every U up to 7 vertices in the two benchmark shapes
+    cases = [("mn", C2, trees.chain(4), u) for u in trees_up_to(7)]
+    cases += [("sealed", C2, trees.tree([None, 0, 1, 1]), u) for u in trees_up_to(7)]
     cases += [
         (mode, s, t, u)
         for mode in ("mn", "sealed")
@@ -379,49 +385,69 @@ def test_builders_match_compose_oracles():
             assert wit._sealed_hypergraph(s, t, u) == sealed_hypergraph_by_compose(s, t, u)
 
 
-def test_sealed_build_computes_each_injection_once(monkeypatch):
-    # work counts, not time: one injection per g, and no TreeMap per (f, g) pair
-    s, t, u = C2, trees.tree([None, 0, 1, 1]), trees.tree([None, 0, 1, 2, 3, 1, 1])
-    all_rigid_surjections.cache_clear()  # fresh maps, so no injection is cached yet
-    injected, made = [], [0]
-    original_try, original_post_init = maps.try_injection, TreeMap.__post_init__
+def _clear_enumeration_caches():
+    all_rigid_surjections.cache_clear()
+    rigid_surjection_values.cache_clear()
 
-    def counting_try(f):
-        injected.append((f.dom, f.values))
-        return original_try(f)
+
+def test_sealed_build_computes_each_injection_once(monkeypatch):
+    # work counts, not time: from cold caches neither build makes a TreeMap,
+    # and the sealed build verifies exactly one injection per g
+    s, t, u = C2, trees.tree([None, 0, 1, 1]), trees.tree([None, 0, 1, 2, 3, 1, 1])
+    injected, made = [], [0]
+    original_injection, original_post_init = wit._injection_values, TreeMap.__post_init__
+
+    def counting_injection(dom_anc, cod_parent, values):
+        injected.append((dom_anc, values))
+        return original_injection(dom_anc, cod_parent, values)
 
     def counting_post_init(self):
         made[0] += 1
         original_post_init(self)
 
-    monkeypatch.setattr(maps, "try_injection", counting_try)
+    monkeypatch.setattr(wit, "_injection_values", counting_injection)
     monkeypatch.setattr(TreeMap, "__post_init__", counting_post_init)
-    vertices, _ = wit._sealed_hypergraph(s, t, u)
+    _clear_enumeration_caches()
+    wit._mn_hypergraph(s, trees.chain(4), u)
+    assert made[0] == 0 and injected == []
+    _clear_enumeration_caches()
+    wit._sealed_hypergraph(s, t, u)
     monkeypatch.undo()
+    assert made[0] == 0
     gs = [
-        g
+        (trees.initial_subtree(u, v0).anc_mask, g.values)
         for v0 in range(u.n)
         for g in all_rigid_surjections(trees.initial_subtree(u, v0), t, sealed=True)
     ]
-    families = [
-        all_rigid_surjections(trees.initial_subtree(t, tv), s, sealed=True) for tv in range(t.n)
-    ]
     assert len(gs) == 65
-    assert len(injected) == len(set(injected)) <= len(gs)
-    assert set(injected) <= {(g.dom, g.values) for g in gs}
-    enumerated = len(vertices) + len(gs) + sum(len(fs) for fs in families)
-    # per g only its injection: each g^t is a prefix of g's values; the
-    # enumerated maps come on top
-    assert made[0] <= len(gs) + enumerated
+    assert sorted(injected) == sorted(gs)
+
+
+def test_sealed_build_refuses_a_g_that_is_not_rigid(monkeypatch):
+    # a value table that slips in a non-rigid g: the reversed values of a
+    # sealed map send the root to the top, so no injection exists
+    s, t, u = C2, C3, trees.chain(4)
+    original = wit.rigid_surjection_values
+
+    def table_with_a_bad_g(dom, cod, sealed=False, a_prefix=None):
+        out = original(dom, cod, sealed, a_prefix)
+        if cod == t and out:
+            out += (tuple(reversed(out[0])),)
+        return out
+
+    monkeypatch.setattr(wit, "rigid_surjection_values", table_with_a_bad_g)
+    with pytest.raises(NotRigid, match="not a rigid surjection"):
+        wit._sealed_hypergraph(s, t, u)
 
 
 def test_sealed_build_refuses_a_restriction_that_is_not_onto(monkeypatch):
     # an injection that cuts g one position early leaves t out of g^t
-    def early_injection(g):
-        e = injection_of(g)
-        return TreeMap(e.dom, e.cod, tuple(max(x - 1, 0) for x in e.values))
+    original = wit._injection_values
 
-    monkeypatch.setattr(wit, "injection_of", early_injection)
+    def early_injection(dom_anc, cod_parent, values):
+        return tuple(max(x - 1, 0) for x in original(dom_anc, cod_parent, values))
+
+    monkeypatch.setattr(wit, "_injection_values", early_injection)
     with pytest.raises(VerificationFailed, match="not onto"):
         wit._sealed_hypergraph(C2, C2, C3)
 
