@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 from . import __version__, framework, halesjewett, serialize, witness
 
 from .enumeration import (
-    all_rigid_surjections,
     enum_embeddings,
     enum_rigid_surjections,
+    rigid_surjection_values,
 )
 from .errors import (
     NotFoundWithinBound,
@@ -216,14 +216,14 @@ def cmd_framework(args) -> int:
     amb_v = framework.Ambient("V", uni_v)
     p_elems = set()
     for cut_dom in range(uni_t.n):
-        for m in all_rigid_surjections(
-            initial_subtree(uni_t, cut_dom), initial_subtree(uni_s, args.s_cut), sealed=True
+        for values in rigid_surjection_values(
+            initial_subtree(uni_t, cut_dom), initial_subtree(uni_s, args.s_cut), True
         ):
-            p_elems.add(framework.DomainElement(amb_t, cut_dom, amb_s, args.s_cut, m.values))
+            p_elems.add(framework.DomainElement(amb_t, cut_dom, amb_s, args.s_cut, values))
     f_elems = set()
     for cut_dom in range(uni_v.n):
-        for m in all_rigid_surjections(initial_subtree(uni_v, cut_dom), uni_t, sealed=True):
-            f_elems.add(framework.DomainElement(amb_v, cut_dom, amb_t, uni_t.n - 1, m.values))
+        for values in rigid_surjection_values(initial_subtree(uni_v, cut_dom), uni_t, True):
+            f_elems.add(framework.DomainElement(amb_v, cut_dom, amb_t, uni_t.n - 1, values))
     if not p_elems or not f_elems:
         raise SchemaError("empty family: no sealed rigid surjections for these parameters")
     fam_p = framework.FamilySet(frozenset(p_elems), "P")

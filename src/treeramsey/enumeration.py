@@ -11,18 +11,20 @@ value is tested in constant time, against its predecessor only, by the
 consecutive meet law of maps (see the maps module docstring).
 
 Rigid surjections are kept as plain value tuples in one cached table,
-rigid_surjection_values, which range-checks every tuple once when it fills;
-the witness builders read it directly.  enum_rigid_surjections and
-all_rigid_surjections are the TreeMap view over that table, for callers that
-want maps; embeddings are TreeMaps from the start, and all_embeddings caches
-them.
+rigid_surjection_values(dom, cod, sealed, /), which range-checks every tuple
+once when it fills; its arguments are positional and required, so each
+table has exactly one cache key.  The witness builders and the composition
+space read it directly.  all_rigid_surjections is the cached TreeMap view
+over that table, for callers that want maps; embeddings are TreeMaps from
+the start, and all_embeddings caches them.  enum_rigid_surjections and
+enum_embeddings stream the cached views.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .maps import TreeMap, _check_values
 from .trees import OrderedTree, all_trees, enum_trees  # re-exported tree generators
@@ -71,9 +73,7 @@ def _embeddings(dom: OrderedTree, cod: OrderedTree) -> list[TreeMap]:
     return out
 
 
-def _rigid_surjections(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool, a_prefix: Optional[int]
-) -> list[tuple[int, ...]]:
+def _rigid_surjections(dom: OrderedTree, cod: OrderedTree, sealed: bool) -> list[tuple[int, ...]]:
     """The value tuples of the rigid surjections dom -> cod in lexicographic order.
 
     Backtracks over value tuples.  The injection of a rigid surjection is the
@@ -86,15 +86,11 @@ def _rigid_surjections(
     - the fresh value k needs meet(first(k-1), w) = first(parent(k)), the
       consecutive meet law for the first occurrences.
 
-    Sealedness pins the top value to the final position; a_prefix pins the
-    first a_prefix values to the identity.
+    Sealedness pins the top value to the final position.
     """
     n, m = dom.n, cod.n
     if m > n:
         return []
-    if a_prefix is not None and (a_prefix < 0 or a_prefix > min(n, m)):
-        return []
-    pinned = a_prefix or 0
     top = m - 1
     anc = dom.anc_mask
     parent = cod.parent
@@ -110,12 +106,11 @@ def _rigid_surjections(
         if m - k > n - w:
             return  # surjectivity budget
         aw = anc[w]
-        if w >= pinned:
-            # the top of a sealed codomain first occurs exactly at the top of the domain
-            for v in range(min(k, top) if sealed else k):
-                if (aw >> first[v]) & 1:  # injection below identity
-                    values[w] = v
-                    extend(w + 1, k)
+        # the top of a sealed codomain first occurs exactly at the top of the domain
+        for v in range(min(k, top) if sealed else k):
+            if (aw >> first[v]) & 1:  # injection below identity
+                values[w] = v
+                extend(w + 1, k)
         if k < m and (not sealed or k < top or w == n - 1):
             if not k or (anc[first[k - 1]] & aw).bit_length() - 1 == first[parent[k]]:
                 values[w] = k
@@ -132,23 +127,17 @@ def enum_embeddings(dom: OrderedTree, cod: OrderedTree) -> Iterator[TreeMap]:
     Embeddings are strictly increasing in the canonical numbering (monotone +
     injective), fix the root, and preserve meets (see _embeddings).
     """
-    yield from _embeddings(dom, cod)
+    yield from all_embeddings(dom, cod)
 
 
 def enum_rigid_surjections(
-    dom: OrderedTree,
-    cod: OrderedTree,
-    sealed: bool = False,
-    a_prefix: Optional[int] = None,
+    dom: OrderedTree, cod: OrderedTree, sealed: bool = False
 ) -> Iterator[TreeMap]:
     """All rigid surjections dom -> cod, lexicographically by value tuple.
 
-    With sealed, only the sealed ones; with a_prefix, only those that are the
-    identity on the first a_prefix vertices (see _rigid_surjections).  This
-    is the TreeMap view of rigid_surjection_values.
+    With sealed, only the sealed ones (see _rigid_surjections).
     """
-    for values in rigid_surjection_values(dom, cod, sealed, a_prefix):
-        yield TreeMap(dom, cod, values)
+    yield from all_rigid_surjections(dom, cod, sealed)
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +147,10 @@ def all_embeddings(dom: OrderedTree, cod: OrderedTree) -> tuple[TreeMap, ...]:
 
 @lru_cache(maxsize=None)
 def rigid_surjection_values(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool = False, a_prefix: Optional[int] = None
+    dom: OrderedTree, cod: OrderedTree, sealed: bool, /
 ) -> tuple[tuple[int, ...], ...]:
-    """The value tuples of enum_rigid_surjections, each range-checked once here."""
-    table = tuple(_rigid_surjections(dom, cod, sealed, a_prefix))
+    """The value tuples of the rigid surjections dom -> cod, each range-checked once here."""
+    table = tuple(_rigid_surjections(dom, cod, sealed))
     for values in table:
         _check_values(values, dom.n, cod.n)
     return table
@@ -169,9 +158,10 @@ def rigid_surjection_values(
 
 @lru_cache(maxsize=None)
 def all_rigid_surjections(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool = False, a_prefix: Optional[int] = None
+    dom: OrderedTree, cod: OrderedTree, sealed: bool = False
 ) -> tuple[TreeMap, ...]:
-    return tuple(enum_rigid_surjections(dom, cod, sealed, a_prefix))
+    """The TreeMap view of rigid_surjection_values."""
+    return tuple(TreeMap(dom, cod, values) for values in rigid_surjection_values(dom, cod, sealed))
 
 
 def rigid_surjections_with_injection(e: TreeMap) -> tuple[TreeMap, ...]:

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import colorsearch
-from .enumeration import all_rigid_surjections
+from .enumeration import rigid_surjection_values
 from .errors import NotComposable, NotSealed, VertexOutOfRange
 from .maps import _check_values, _injection_values
 from .trees import OrderedTree, all_trees, initial_subtree
@@ -223,9 +223,9 @@ class Universe:
                     cod = initial_subtree(amb_cod.tree, cut_cod)
                     for cut_dom in range(amb_dom.tree.n):
                         dom = initial_subtree(amb_dom.tree, cut_dom)
-                        for m in all_rigid_surjections(dom, cod, sealed=True):
+                        for values in rigid_surjection_values(dom, cod, True):
                             self.elements.append(
-                                DomainElement(amb_dom, cut_dom, amb_cod, cut_cod, m.values)
+                                DomainElement(amb_dom, cut_dom, amb_cod, cut_cod, values)
                             )
 
     @cached_property

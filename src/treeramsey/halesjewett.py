@@ -438,9 +438,9 @@ class TransferCell:
     Locality: check_word_map reads p only through the very good words (one
     letter per vertex; they fix j_p and the cuts x_v) and the single values
     p[w], which alone fix pi_p(w), the Galois-pair conditions at w and both
-    identities at w (the deep classifier cross-check follows from the Galois
-    pair).  An off-path block's minimum only limits its values: over all its
-    minima, position 0 takes A or the target, every later one A + {target}.
+    identities at w.  An off-path block's minimum only limits its values:
+    over all its minima, position 0 takes A or the target, every later one
+    A + {target}.
     """
 
     def __init__(self, s: OrderedForest, i_size: int, a_size: int):
@@ -492,13 +492,17 @@ class TransferCell:
                 pi_vals.append(0)  # min A
         return pi_vals, list(range(a)) + [a + pos for pos in vg_pos], words
 
-    def check_word_map(self, p: Sequence[int], deep: bool = False) -> None:
+    def check_word_map(self, p: Sequence[int]) -> None:
         """Verify the full executable transfer lemma for one word map.
 
         Raises VerificationFailed on any violation.  That j witnesses the
         rigidity of pi is decided by the shared Galois-pair check of maps.
-        With deep=True the injection of pi is additionally recomputed through
-        the generic classifier (maps.injection_of) and compared with j.
+        Once it passes, j is also the injection the generic classifier
+        (maps.injection_of) would compute for pi: pi o j = id puts j(v) in
+        v's fibre, and j o pi below id puts j(v) below every vertex of that
+        fibre, so j(v) is the fibre's least vertex, its first occurrence in
+        pi.  That first-occurrence candidate is the one injection_of builds,
+        and it runs the same Galois-pair check on the same pair.
         """
         a, s = self.a, self.s
         pi_vals, j_vals, words = self.transfer_maps(p)
@@ -509,10 +513,6 @@ class TransferCell:
 
         if not _galois_pair(self.dom_anc, self.cod_tree.parent, pi_vals, j_vals):
             raise VerificationFailed("pi and j are not a Galois pair")
-        if deep:
-            pi_map = TreeMap(self.dom_tree, self.cod_tree, tuple(pi_vals))
-            if injection_of(pi_map).values != tuple(j_vals):
-                raise VerificationFailed("the classifier's injection of pi differs from j")
 
         # transfer identity with symbolic rho, sealed variant for every cut vertex
         for v in range(s.n):
@@ -882,9 +882,6 @@ def _assemble_certificate(
 # batched verification of the transfer lemma over whole word-map families
 
 
-DEEP_CHECK_EVERY = 97  # every this-many-th word map also goes through the generic classifier
-
-
 def verify_transfer_cell(
     s: OrderedForest,
     i_size: int,
@@ -898,9 +895,8 @@ def verify_transfer_cell(
     values (see TransferCell), so covering_family, at most covering_bound()
     = 2 * i^|S| * (a+1) <= i^|Q| * (a+1) maps, decides every word map
     exactly; a larger bound than exhaustive_budget raises
-    ResourceCapExceeded, a negative budget ValueError.  Every
-    DEEP_CHECK_EVERY-th map also goes through the generic classifier.
-    Returns (word maps verified, True).
+    ResourceCapExceeded, a negative budget ValueError.  Returns (word maps
+    verified, True).
     """
     if exhaustive_budget < 0:
         raise ValueError(f"exhaustive budget must be >= 0, got {exhaustive_budget}")
@@ -908,6 +904,6 @@ def verify_transfer_cell(
     bound = cell.covering_bound()
     if bound > exhaustive_budget:
         raise ResourceCapExceeded(f"covering family of up to {bound} maps exceeds budget {exhaustive_budget}")
-    for count, p in enumerate(cell.covering_family()):
-        cell.check_word_map(p, deep=(count % DEEP_CHECK_EVERY == 0))
+    for p in cell.covering_family():
+        cell.check_word_map(p)
     return cell.word_count(), True

@@ -149,6 +149,10 @@ class OrderedTree:
 
     def below(self, v: int, w: int) -> bool:
         """Tree order: v a predecessor of w (reflexive)."""
+        n = self.n
+        if not (0 <= v < n and 0 <= w < n):
+            self._check(v)
+            self._check(w)
         return bool((self.anc_mask[w] >> v) & 1)
 
     def meet(self, v: int, w: int) -> int:

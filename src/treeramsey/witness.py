@@ -101,12 +101,12 @@ def _mn_hypergraph(
     s: OrderedTree, t: OrderedTree, u: OrderedTree
 ) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
     """Vertices: maps in RS(U, S) by value tuple; one edge per g0 in RS(U, T)."""
-    vertices = list(rigid_surjection_values(u, s))
+    vertices = list(rigid_surjection_values(u, s, False))
     pos = {v: i for i, v in enumerate(vertices)}
-    fs = rigid_surjection_values(t, s)
+    fs = rigid_surjection_values(t, s, False)
     edges = [
         frozenset(map(pos.__getitem__, _composite_values(t.parent, fs, t.parent, gv)))
-        for gv in rigid_surjection_values(u, t)
+        for gv in rigid_surjection_values(u, t, False)
     ]
     return vertices, edges
 
@@ -119,7 +119,7 @@ def _sealed_families(s: OrderedTree, t: OrderedTree) -> _SealedFamilies:
     families = []
     for tv in range(t.n):
         t_cut = initial_subtree(t, tv)
-        fs = rigid_surjection_values(t_cut, s, sealed=True)
+        fs = rigid_surjection_values(t_cut, s, True)
         if fs:
             families.append((tv, t_cut, fs))
     return families
@@ -162,7 +162,7 @@ def _sealed_hypergraph(
     vertices: list[tuple[int, tuple[int, ...]]] = []
     pos: dict[tuple[int, tuple[int, ...]], int] = {}
     for v, u_cut in enumerate(cuts):
-        for values in rigid_surjection_values(u_cut, s, sealed=True):
+        for values in rigid_surjection_values(u_cut, s, True):
             key = (v, values)
             pos[key] = len(vertices)
             vertices.append(key)
@@ -170,7 +170,7 @@ def _sealed_hypergraph(
     edges = [
         frozenset(map(pos.__getitem__, _sealed_edge_keys(u_cut, t, gv, families)))
         for u_cut in cuts
-        for gv in rigid_surjection_values(u_cut, t, sealed=True)
+        for gv in rigid_surjection_values(u_cut, t, True)
     ]
     return vertices, edges
 

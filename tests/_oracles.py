@@ -264,18 +264,15 @@ def embeddings_by_meet_loop(dom, cod):
     return out
 
 
-def rigid_surjections_by_meet_loop(dom, cod, sealed=False, a_prefix=None):
+def rigid_surjections_by_meet_loop(dom, cod, sealed=False):
     """The value tuples of the rigid surjections dom -> cod in lexicographic
     order, by backtracking over value tuples: the candidates at each position
     are the seen values plus one fresh value, a seen value needs its first
     occurrence below the position, and a fresh value needs the meet law
     against every earlier first occurrence.  Sealedness pins the top value to
-    the final position; a_prefix pins the first a_prefix values to the
-    identity."""
+    the final position."""
     nt, ns = dom.n, cod.n
     if ns > nt:
-        return []
-    if a_prefix is not None and (a_prefix < 0 or a_prefix > min(nt, ns)):
         return []
     values = [0] * nt
     first_occ = [0] * ns
@@ -284,8 +281,6 @@ def rigid_surjections_by_meet_loop(dom, cod, sealed=False, a_prefix=None):
     def candidates(w, k):
         for v in range(min(k, ns - 1) + 1):
             if sealed and v == ns - 1 and (w < nt - 1 or v < k):
-                continue
-            if a_prefix is not None and w < a_prefix and v != w:
                 continue
             if v < k:
                 if not dom.below(first_occ[v], w):

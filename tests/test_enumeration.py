@@ -90,18 +90,6 @@ def test_chain_counts_are_stirling_numbers():
             assert len(sealed) == stirling2(n - 1, k - 1)
 
 
-def test_a_prefix_enumeration():
-    # maps fixing the bottom chain pointwise, between chain-over-forest trees
-    dom = trees.oplus(2, trees.point_forest(2))
-    cod = trees.oplus(2, trees.point_forest(1))
-    pinned = list(enum_rigid_surjections(dom, cod, a_prefix=2))
-    assert all(m.values[:2] == (0, 1) for m in pinned)
-    everything = [
-        m for m in enum_rigid_surjections(dom, cod) if m.values[:2] == (0, 1)
-    ]
-    assert [m.values for m in pinned] == [m.values for m in everything]
-
-
 def test_colorings_counting_order():
     assert list(enum_colorings(0, 3)) == [()]
     cols = list(enum_colorings(3, 2))
@@ -136,11 +124,11 @@ def test_count_colorings_refuses_what_enum_colorings_refuses(k, b):
 
 def test_value_table_refuses_an_out_of_range_kernel_value(monkeypatch):
     # the table range-checks what the kernel yields; 2 is outside a 2-vertex codomain
-    monkeypatch.setattr(enumeration, "_rigid_surjections", lambda dom, cod, sealed, a: [(0, 2)])
+    monkeypatch.setattr(enumeration, "_rigid_surjections", lambda dom, cod, sealed: [(0, 2)])
     rigid_surjection_values.cache_clear()
     try:
         with pytest.raises(VertexOutOfRange):
-            rigid_surjection_values(C2, C2)
+            rigid_surjection_values(C2, C2, False)
     finally:
         rigid_surjection_values.cache_clear()
 
@@ -195,23 +183,47 @@ def test_streams_complete_against_classifier_full_bound():
 
 
 def test_rigid_kernel_matches_meet_loop_oracle():
-    # the constant-time fresh-value test against the full meet loop, for every
-    # flag and a_prefix value (out-of-range ones included)
+    # the constant-time fresh-value test against the full meet loop, both flags
     cases = 0
     for dom in trees_up_to(7):
         for cod in trees_up_to(4):
             for sealed in (False, True):
-                for a_prefix in [None, *range(-1, min(dom.n, cod.n) + 2)]:
-                    expected = rigid_surjections_by_meet_loop(dom, cod, sealed, a_prefix)
-                    got = [
-                        m.values
-                        for m in enum_rigid_surjections(dom, cod, sealed=sealed, a_prefix=a_prefix)
-                    ]
-                    assert got == expected, (dom, cod, sealed, a_prefix)
-                    table = rigid_surjection_values(dom, cod, sealed, a_prefix)
-                    assert list(table) == expected, (dom, cod, sealed, a_prefix)
-                    cases += 1
-    assert cases == 25_526
+                expected = rigid_surjections_by_meet_loop(dom, cod, sealed)
+                got = [m.values for m in enum_rigid_surjections(dom, cod, sealed=sealed)]
+                assert got == expected, (dom, cod, sealed)
+                assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
+                cases += 1
+    assert cases == 3_546
+
+
+def test_one_value_table_per_argument_triple():
+    # the call forms of the TreeMap view and a witness build that reads the
+    # same RS(t, s) all share one table
+    from treeramsey import witness
+
+    s, t, u = C2, trees.chain(4), trees.tree([None, 0, 1, 1, 0])
+    all_rigid_surjections.cache_clear()
+    rigid_surjection_values.cache_clear()
+    try:
+        all_rigid_surjections(t, s)
+        all_rigid_surjections(t, s, sealed=False)
+        assert rigid_surjection_values.cache_info().currsize == 1
+        witness._mn_hypergraph(s, t, u)  # reads RS(u, s), RS(t, s) and RS(u, t)
+        assert rigid_surjection_values.cache_info().currsize == 3
+        assert rigid_surjection_values.cache_info().misses == 3
+    finally:
+        all_rigid_surjections.cache_clear()
+        rigid_surjection_values.cache_clear()
+
+
+def test_enum_views_stream_the_cached_maps():
+    # the generators hand out the cached TreeMaps, not a second set
+    for dom in trees_up_to(4):
+        for cod in trees_up_to(4):
+            assert list(map(id, enum_embeddings(dom, cod))) == list(map(id, all_embeddings(dom, cod)))
+            for sealed in (False, True):
+                streamed = enum_rigid_surjections(dom, cod, sealed=sealed)
+                assert list(map(id, streamed)) == list(map(id, all_rigid_surjections(dom, cod, sealed)))
 
 
 def test_embedding_kernel_matches_meet_loop_oracle():

@@ -416,11 +416,15 @@ def _words(cell, p):
 
 
 def test_verify_transfer_cells_small():
-    # the oracle: check_word_map on every block-condition map of each cell
+    # the oracle: check_word_map on every block-condition map of each cell,
+    # and j is the injection the generic classifier computes for pi
     for cell in _cells(4, 3_000):
         count = 0
         for p in hj.block_condition_maps(cell.a, cell.nq, cell.i):
             cell.check_word_map(p)
+            pi, j, _ = cell.transfer_maps(p)
+            pi_map = maps.TreeMap(cell.dom_tree, cell.cod_tree, tuple(pi))
+            assert maps.injection_of(pi_map).values == tuple(j)
             count += 1
         assert count == hj.count_block_maps(cell.a, cell.nq, cell.i)
         assert hj.verify_transfer_cell(cell.s, cell.i, cell.a) == (count, True)

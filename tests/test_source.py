@@ -64,3 +64,18 @@ def test_every_lru_cache_is_a_clearable_module_attribute():
     for stem, name in cached:
         fn = getattr(importlib.import_module(f"treeramsey.{stem}"), name)
         assert callable(getattr(fn, "cache_clear", None)), (stem, name)
+
+
+def test_value_table_arguments_are_positional_and_required():
+    # an lru_cache keys a call by its form: a keyword argument or an omitted
+    # default would store the same table under a second key
+    import inspect
+
+    from treeramsey.enumeration import rigid_surjection_values
+
+    params = inspect.signature(rigid_surjection_values).parameters.values()
+    assert [p.name for p in params] == ["dom", "cod", "sealed"]
+    assert all(
+        p.kind is inspect.Parameter.POSITIONAL_ONLY and p.default is inspect.Parameter.empty
+        for p in params
+    )

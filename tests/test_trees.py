@@ -183,6 +183,13 @@ def test_meet_out_of_range():
                     t.meet(v, w)
 
 
+@pytest.mark.parametrize("v, w", [(0, -1), (5, 0), (0, 3), (-1, 2)])
+def test_below_out_of_range(v, w):
+    # a negative index used to wrap around, a large one to read a missing bit
+    with pytest.raises(VertexOutOfRange, match="not in tree of size 3"):
+        Y.below(v, w)
+
+
 def test_lex_compare_spec_examples():
     assert trees.raw_lex_compare([None, 0, 0, 1], 3, 2) == trees.LT
     assert C3.lex_compare(0, 2) == trees.LT

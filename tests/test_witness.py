@@ -429,8 +429,8 @@ def test_sealed_build_refuses_a_g_that_is_not_rigid(monkeypatch):
     s, t, u = C2, C3, trees.chain(4)
     original = wit.rigid_surjection_values
 
-    def table_with_a_bad_g(dom, cod, sealed=False, a_prefix=None):
-        out = original(dom, cod, sealed, a_prefix)
+    def table_with_a_bad_g(dom, cod, sealed, /):
+        out = original(dom, cod, sealed)
         if cod == t and out:
             out += (tuple(reversed(out[0])),)
         return out
