@@ -6,6 +6,15 @@ does every b-coloring leave some edge monochromatic?  Equivalently: is there a
 "proper" coloring, one in which every edge sees at least two colors?  The
 verdict "holds" means no proper coloring exists.
 
+An edge is a tuple of vertex indices in strictly increasing order, so each
+edge is its own sorted vertex set.  The witness builders produce that form by
+the order argument in the witness module, the framework sorts its rows, and a
+host embedding is increasing.  find_proper_coloring orders the distinct
+edges by size and then lexicographically, with sorted(set(edges)) and a
+stable sort by length.  On increasing tuples that is the order of the vertex
+sets by (size, sorted elements), so the propagation order and the node counts
+depend on the hypergraph only, not on how a caller lists its edges.
+
 find_proper_coloring takes the hypergraph as built: it only removes duplicate
 edges.  No library hypergraph has an edge inside another, because all of its
 edges have the same size.  A witness edge {f∘g0 : f ∈ RS(T, S)} has |RS(T, S)|
@@ -85,7 +94,7 @@ class SearchResult:
         return self.proper is None
 
 
-def has_monochromatic_edge(coloring: Sequence[int], edges: Sequence[frozenset[int]]) -> bool:
+def has_monochromatic_edge(coloring: Sequence[int], edges: Sequence[Sequence[int]]) -> bool:
     for e in edges:
         colors = {coloring[v] for v in e}
         if len(colors) <= 1:  # empty and singleton edges are monochromatic
@@ -93,9 +102,16 @@ def has_monochromatic_edge(coloring: Sequence[int], edges: Sequence[frozenset[in
     return False
 
 
+def _edge_order(edges: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct edges by size, then lexicographically."""
+    ordered = sorted(set(edges))
+    ordered.sort(key=len)
+    return ordered
+
+
 def find_proper_coloring(
     n_vertices: int,
-    edges: Sequence[frozenset[int]],
+    edges: Sequence[tuple[int, ...]],
     b: int,
     max_nodes: Optional[int] = None,
     max_colorings: Optional[int] = None,
@@ -113,7 +129,7 @@ def find_proper_coloring(
         raise ValueError(f"coloring cap must be >= 0, got {max_colorings}")
     # The order fixes the propagation order, so node counts do not depend on
     # how a builder lists its edges.
-    edges = sorted(set(edges), key=lambda e: (len(e), sorted(e)))
+    edges = _edge_order(edges)
     stats = SearchStats(vertices=n_vertices, edges=len(edges))
     if any(len(e) <= 1 for e in edges):
         return SearchResult(None, stats)  # an edge of at most one vertex is always monochromatic
@@ -222,7 +238,7 @@ def find_proper_coloring(
 
 def find_proper_coloring_plain(
     n_vertices: int,
-    edges: Sequence[frozenset[int]],
+    edges: Sequence[Sequence[int]],
     b: int,
     max_nodes: Optional[int] = None,
 ) -> SearchResult:

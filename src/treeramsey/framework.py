@@ -441,7 +441,7 @@ class ConditionReport:
     holds: bool
     counterexample: Optional[tuple[int, ...]]  # coloring of the listed product items
     items: list[DomainElement]
-    edges: list[list[int]]
+    edges: list[tuple[int, ...]]
     stats: colorsearch.SearchStats
 
     @property
@@ -458,7 +458,7 @@ def _decide_products(
     """Shared engine: does every b-coloring of {l*r} make some l's row monochromatic?"""
     items: list[DomainElement] = []
     pos: dict[DomainElement, int] = {}
-    edges: list[list[int]] = []
+    edges: list[tuple[int, ...]] = []
     for l in lefts:
         row = []
         for r in rights:
@@ -467,10 +467,8 @@ def _decide_products(
                 pos[prod] = len(items)
                 items.append(prod)
             row.append(pos[prod])
-        edges.append(sorted(set(row)))
-    result = colorsearch.find_proper_coloring(
-        len(items), [frozenset(e) for e in edges], b, max_nodes=max_nodes
-    )
+        edges.append(tuple(sorted(set(row))))
+    result = colorsearch.find_proper_coloring(len(items), edges, b, max_nodes=max_nodes)
     return ConditionReport(result.holds, result.proper, items, edges, result.stats)
 
 

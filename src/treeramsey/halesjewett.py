@@ -107,12 +107,13 @@ def monochromatic_host_search(
     for n in range(s.n, max_size + 1):
         candidates: Sequence = all_trees(n) if tree_mode else all_forests(n)
         for cand in candidates:
+            # an embedding is strictly increasing, so its images are increasing tuples
             if tree_mode:
                 # the root's color never matters
                 mono_sets = [e.values[1:] for e in all_embeddings(s, cand)]
             else:
                 mono_sets = _forest_embeddings(s, cand)
-            if find_proper_coloring(cand.n, [frozenset(m) for m in mono_sets], b).holds:
+            if find_proper_coloring(cand.n, mono_sets, b).holds:
                 return cand
     raise NotFoundWithinBound(f"no monochromatic-guarantee host within {max_size} vertices")
 

@@ -221,10 +221,18 @@ def initial_subtree(t: OrderedTree, v: int) -> OrderedTree:
     """T^v = all vertices lexicographically below-or-equal v, as a canonical tree.
 
     In the canonical encoding this is literally the prefix 0..v, and the
-    inclusion back into T is the identity on ids.
+    inclusion back into T is the identity on ids.  A prefix of a canonical
+    tree is canonical and its ancestor masks are the prefix of T's (every
+    predecessor of w is at most w), so the prefix is not validated again.
     """
     t._check(v)
-    return OrderedTree(t.parent[: v + 1])
+    if v == t.n - 1:
+        return t
+    prefix = object.__new__(OrderedTree)
+    object.__setattr__(prefix, "parent", t.parent[: v + 1])
+    object.__setattr__(prefix, "n", v + 1)
+    object.__setattr__(prefix, "anc_mask", t.anc_mask[: v + 1])
+    return prefix
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,20 @@ candidate tree onto the small tree, one edge per composing map, and ask
 whether every coloring leaves some edge monochromatic.  Verdicts carry the
 counterexample coloring when they fail and are replayable without redoing the
 search.
+
+The builders hold value tuples as bytes and read each composite f o g off as
+bytes(g).translate(table_f), table_f being f's values padded to 256 bytes;
+so S and T may have at most 256 vertices, and larger ones raise
+ResourceCapExceeded before anything is enumerated.  Every edge comes out as a
+tuple of vertex positions in increasing order, the form colorsearch asks for:
+a rigid g has increasing first occurrences, so f -> f o g keeps the
+lexicographic order in which the vertices are listed (see _mn_hypergraph).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from . import colorsearch
@@ -77,107 +84,147 @@ class WitnessReport:
         return self.verdict == "holds"
 
 
-def _composite_values(
-    f_dom: tuple[Optional[int], ...],
-    fs: Sequence[tuple[int, ...]],
-    g_cod: tuple[Optional[int], ...],
-    gv: tuple[int, ...],
-) -> list[tuple[int, ...]]:
-    """The value tuples of f o g for every f in fs, a family of value tuples on one domain.
+_BYTE_VALUES = 256  # bytes.translate reads a composite through a 256-entry table
 
-    f_dom and g_cod are the parent arrays of dom(f) and cod(g); cod(g) = dom(f)
-    is checked once for the family.  Every value is already range-checked in
-    the family's value table, so each composite is read off with one
-    itemgetter and no TreeMap is built.
+
+def _check_byte_width(s: OrderedTree, t: OrderedTree) -> None:
+    """Refuse S or T with more than 256 vertices, before anything is enumerated.
+
+    The builders hold every value tuple of a map into S or T as bytes, so each
+    value must lie below 256.
     """
-    if fs and g_cod != f_dom:
-        raise DomainMismatch("cod(g) != dom(f)")
-    if len(gv) == 1:  # itemgetter with one index returns the value, not a tuple
-        return [(fv[gv[0]],) for fv in fs]
-    return list(map(itemgetter(*gv), fs))
+    if s.n > _BYTE_VALUES or t.n > _BYTE_VALUES:
+        raise ResourceCapExceeded(
+            f"witness hypergraphs need S and T of at most {_BYTE_VALUES} vertices, "
+            f"got {s.n} and {t.n}"
+        )
+
+
+def _tables(fs: Sequence[tuple[int, ...]]) -> list[bytes]:
+    """f's values padded to 256 bytes, for each f in fs: g.translate(table) is f o g.
+
+    The padding is never read: g's values are range-checked in its value table
+    and cod(g) = dom(f) is checked once per family, so they index f's values.
+    """
+    return [bytes(fv).ljust(_BYTE_VALUES, b"\0") for fv in fs]
 
 
 def _mn_hypergraph(
     s: OrderedTree, t: OrderedTree, u: OrderedTree
-) -> tuple[list[tuple[int, ...]], list[frozenset[int]]]:
-    """Vertices: maps in RS(U, S) by value tuple; one edge per g0 in RS(U, T)."""
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Vertices: maps in RS(U, S) by value tuple; one edge per g0 in RS(U, T).
+
+    Each edge lists the positions of f o g0 over f in RS(T, S), in the
+    lexicographic order of f, built as one column per f over all g0.  That
+    order is increasing: f1 o g0 and f2 o g0 first differ at e(x), the first
+    occurrence in g0 of the least x with f1(x) != f2(x), since g0 takes only
+    values below x before e(x); so f -> f o g0 keeps the lexicographic order
+    in which RS(U, S) is listed.  S or T with more than 256 vertices raises
+    ResourceCapExceeded.
+    """
+    _check_byte_width(s, t)
     vertices = list(rigid_surjection_values(u, s, False))
-    pos = {v: i for i, v in enumerate(vertices)}
-    fs = rigid_surjection_values(t, s, False)
-    edges = [
-        frozenset(map(pos.__getitem__, _composite_values(t.parent, fs, t.parent, gv)))
-        for gv in rigid_surjection_values(u, t, False)
+    pos = {bytes(v): i for i, v in enumerate(vertices)}
+    gvs = rigid_surjection_values(u, t, False)
+    gs = list(map(bytes, gvs))
+    columns = [
+        list(map(pos.__getitem__, [g.translate(table) for g in gs]))
+        for table in _tables(rigid_surjection_values(t, s, False))
     ]
+    del gs  # freed before the edge tuples are made, which lowers the peak memory
+    edges = list(zip(*columns)) if columns else [()] * len(gvs)
     return vertices, edges
 
 
-_SealedFamilies = list[tuple[int, OrderedTree, tuple[tuple[int, ...], ...]]]
+_SealedFamilies = list[tuple[int, OrderedTree, list[bytes]]]
 
 
 def _sealed_families(s: OrderedTree, t: OrderedTree) -> _SealedFamilies:
-    """(t, T^t, the sealed maps T^t -> S) for every vertex t of T that has such maps."""
+    """(t, T^t, the sealed maps T^t -> S as translate tables) for every vertex t of T
+    that has such maps; S or T with more than 256 vertices raises ResourceCapExceeded."""
+    _check_byte_width(s, t)
     families = []
     for tv in range(t.n):
         t_cut = initial_subtree(t, tv)
         fs = rigid_surjection_values(t_cut, s, True)
         if fs:
-            families.append((tv, t_cut, fs))
+            families.append((tv, t_cut, _tables(fs)))
     return families
 
 
-def _sealed_edge_keys(
-    g_dom: OrderedTree, g_cod: OrderedTree, gv: tuple[int, ...], families: _SealedFamilies
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The (cut, values) keys of the sealed edge of g: g_dom -> g_cod with values gv:
-    f o g^t for every t and f in families.
+def _sealed_edges(
+    g_dom: OrderedTree,
+    g_cod: OrderedTree,
+    gvs: Sequence[tuple[int, ...]],
+    families: _SealedFamilies,
+) -> list[list[bytes]]:
+    """The sealed edge of each g: g_dom -> g_cod with values in gvs: the values
+    of f o g^t for every t and f in families, as bytes (a composite on U^cut
+    has cut + 1 values).
 
     g^t is g cut at its injection i: the restriction to U^{i(t)}, whose values
-    must be exactly 0..t (onto T^t); T^t is the prefix 0..t of cod(g).  The
-    injection is verified here, so a g that is not rigid raises NotRigid.
+    must be exactly 0..t (onto T^t); T^t is the prefix 0..t of cod(g), checked
+    against each family's domain once.  The injection is verified here, so a g
+    that is not rigid raises NotRigid.  Within a family the composites come in
+    the lexicographic order of f (see _mn_hypergraph), and the cuts i(t)
+    increase with t.
     """
-    e = _injection_values(g_dom.anc_mask, g_cod.parent, gv)
-    if e is None:
-        raise NotRigid(f"{list(gv)} is not a rigid surjection")
-    keys = []
     cod = g_cod.parent
-    for tv, t_cut, fs in families:
-        cut = e[tv]
-        prefix = gv[: cut + 1]
-        if set(prefix) != set(range(tv + 1)):
-            raise VerificationFailed(
-                f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
-            )
-        composites = _composite_values(t_cut.parent, fs, cod[: tv + 1], prefix)
-        keys += [(cut, values) for values in composites]
-    return keys
+    checks = []
+    for tv, t_cut, tables in families:
+        if t_cut.parent != cod[: tv + 1]:
+            raise DomainMismatch("cod(g) != dom(f)")
+        checks.append((tv, set(range(tv + 1)), tables))
+    anc = g_dom.anc_mask
+    edges = []
+    for gv in gvs:
+        e = _injection_values(anc, cod, gv)
+        if e is None:
+            raise NotRigid(f"{list(gv)} is not a rigid surjection")
+        g = bytes(gv)
+        edge: list[bytes] = []
+        for tv, onto, tables in checks:
+            prefix = g[: e[tv] + 1]
+            if set(prefix) != onto:
+                raise VerificationFailed(
+                    f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
+                )
+            edge += [prefix.translate(table) for table in tables]
+        edges.append(edge)
+    return edges
 
 
 def _sealed_hypergraph(
     s: OrderedTree, t: OrderedTree, u: OrderedTree
-) -> tuple[list[tuple[int, tuple[int, ...]]], list[frozenset[int]]]:
+) -> tuple[list[tuple[int, tuple[int, ...]]], list[tuple[int, ...]]]:
     """Vertices: sealed maps from every initial subtree of U onto S, keyed by
-    (cut, values); one edge per cut v0 and sealed g: U^{v0} -> T, collecting
-    f o g^t over t in T and sealed f: T^t -> S."""
+    (cut, values) and listed cut by cut; one edge per cut v0 and sealed
+    g: U^{v0} -> T, collecting f o g^t over t in T and sealed f: T^t -> S.
+
+    Each edge lists positions in increasing order: composites on a larger cut
+    come later in the vertex list, the cuts i(t) increase with t, and within
+    one cut f -> f o g^t keeps the lexicographic order (see _mn_hypergraph).
+    S or T with more than 256 vertices raises ResourceCapExceeded.
+    """
+    families = _sealed_families(s, t)
     cuts = [initial_subtree(u, v) for v in range(u.n)]
     vertices: list[tuple[int, tuple[int, ...]]] = []
-    pos: dict[tuple[int, tuple[int, ...]], int] = {}
+    pos: dict[bytes, int] = {}  # a value string fixes its cut: its length is cut + 1
     for v, u_cut in enumerate(cuts):
         for values in rigid_surjection_values(u_cut, s, True):
-            key = (v, values)
-            pos[key] = len(vertices)
-            vertices.append(key)
-    families = _sealed_families(s, t)
+            pos[bytes(values)] = len(vertices)
+            vertices.append((v, values))
     edges = [
-        frozenset(map(pos.__getitem__, _sealed_edge_keys(u_cut, t, gv, families)))
+        tuple(map(pos.__getitem__, edge))
         for u_cut in cuts
-        for gv in rigid_surjection_values(u_cut, t, True)
+        for edge in _sealed_edges(u_cut, t, rigid_surjection_values(u_cut, t, True), families)
     ]
     return vertices, edges
 
 
 def _hypergraph(
     mode: str, s: OrderedTree, t: OrderedTree, u: OrderedTree
-) -> tuple[list, list[frozenset[int]]]:
+) -> tuple[list, list[tuple[int, ...]]]:
     """The hypergraph a decision in this mode searches: mn, or else sealed."""
     build = _mn_hypergraph if mode == "mn" else _sealed_hypergraph
     return build(s, t, u)
@@ -529,8 +576,8 @@ def derivation_intermediates(
     old_top_t = t_plus.n - 2
     families = _sealed_families(s_plus, t_plus)
     for g_plus in all_rigid_surjections(u, t_plus, sealed=True):
-        keys = _sealed_edge_keys(u, t_plus, g_plus.values, families)
-        colors = {sealed_color(cut, values) for cut, values in keys}
+        [edge] = _sealed_edges(u, t_plus, [g_plus.values], families)
+        colors = {sealed_color(len(values) - 1, tuple(values)) for values in edge}
         if len(colors) <= 1:
             g = restrict_conjugate(g_plus, old_top_t)
             y0 = g.dom.n - 1

@@ -332,6 +332,15 @@ def test_verify_transfer_budget_cap_exit_3(capsys, tmp_path):
     assert captured.err.startswith("resource cap: ")
 
 
+def test_witness_check_over_256_vertices_exits_3(files, capsys, tmp_path):
+    big = tmp_path / "c257.json"
+    serialize.save_json(str(big), serialize.tree_to_json(trees.chain(257)))
+    code = main(["witness", "check", "--b", "2", "--s", files["c2"], "--t", str(big), "--u", str(big)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ")
+
+
 @pytest.mark.parametrize(
     "mode_args, missing",
     [(["--mode", "chain"], "--k and --l"), (["--mode", "mn"], "--s and --t")],

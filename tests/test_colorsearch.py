@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeramsey import framework, halesjewett, trees, witness
+from treeramsey import colorsearch, framework, halesjewett, trees, witness
 from treeramsey.colorsearch import (
     find_proper_coloring,
     find_proper_coloring_plain,
     has_monochromatic_edge,
 )
 from treeramsey.enumeration import all_embeddings, all_rigid_surjections
-from treeramsey.errors import ResourceCapExceeded
+from treeramsey.errors import NotFoundWithinBound, ResourceCapExceeded
 
 from _oracles import find_proper_coloring_enumerate
 
@@ -120,7 +120,7 @@ def hypergraphs(draw):
     edges = []
     for _ in range(edge_count):
         size = draw(st.integers(min_value=0, max_value=min(4, n)))
-        edges.append(frozenset(draw(st.permutations(range(n)))[:size]))
+        edges.append(tuple(sorted(draw(st.permutations(range(n)))[:size])))
     b = draw(st.integers(min_value=1, max_value=3))
     return n, edges, b
 
@@ -136,6 +136,18 @@ def test_engines_agree(case):
     for res in (pruned, plain, table):
         if res.proper is not None:
             assert not has_monochromatic_edge(res.proper, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs(), st.randoms(use_true_random=False))
+def test_solver_ignores_the_listing_order_of_edges(case, rnd):
+    n, edges, b = case
+    listed = find_proper_coloring(n, edges, b)
+    shuffled = edges[:]
+    rnd.shuffle(shuffled)
+    for relisted in (shuffled, edges[::-1]):
+        res = find_proper_coloring(n, relisted, b)
+        assert res.proper == listed.proper and res.stats == listed.stats
 
 
 def test_engines_agree_on_small_witness_hypergraphs():
@@ -156,6 +168,68 @@ def test_engines_agree_on_small_witness_hypergraphs():
                     assert solved.holds == plain.holds, (build.__name__, u.parent, b)
                     if solved.proper is not None:
                         assert not has_monochromatic_edge(solved.proper, edges)
+
+
+def _old_edge_order(edges):
+    """The distinct vertex sets of the edges, by size and then sorted elements."""
+    return sorted(set(map(frozenset, edges)), key=lambda e: (len(e), sorted(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs())
+def test_solver_edge_order_is_the_frozenset_order(case):
+    _, edges, _ = case  # mixed sizes and duplicates
+    assert colorsearch._edge_order(edges) == [tuple(sorted(e)) for e in _old_edge_order(edges)]
+
+
+def test_solver_edge_order_is_the_frozenset_order_on_witness_hypergraphs():
+    # for increasing tuples, sorted(set(...)) and a stable sort by size give the
+    # (size, sorted elements) order of the vertex sets, so propagation is unchanged
+    s = trees.chain(2)
+    for build, t in [
+        (witness._mn_hypergraph, trees.chain(4)),
+        (witness._sealed_hypergraph, trees.tree([None, 0, 1, 1])),
+    ]:
+        for n in range(1, 8):
+            for u in trees.all_trees(n):
+                _, edges = build(s, t, u)
+                expected = [tuple(sorted(e)) for e in _old_edge_order(edges)]
+                assert colorsearch._edge_order(edges) == expected, (build.__name__, u.parent)
+
+
+def _increasing_tuple(edge):
+    return type(edge) is tuple and all(x < y for x, y in zip(edge, edge[1:]))
+
+
+def test_every_caller_passes_increasing_tuples(monkeypatch):
+    solve = colorsearch.find_proper_coloring
+    calls = []
+
+    def checking(n_vertices, edges, b, max_nodes=None, max_colorings=None):
+        calls.append(len(edges))
+        assert all(map(_increasing_tuple, edges)), [e for e in edges if not _increasing_tuple(e)][:3]
+        return solve(n_vertices, edges, b, max_nodes, max_colorings)
+
+    monkeypatch.setattr(colorsearch, "find_proper_coloring", checking)
+    monkeypatch.setattr(halesjewett, "find_proper_coloring", checking)
+    s = trees.chain(2)
+    for n in range(1, 8):
+        for u in trees.all_trees(n):
+            witness.check_witness_mn(2, s, trees.chain(4), u)
+            witness.check_witness_sealed(2, s, trees.tree([None, 0, 1, 1]), u)
+    assert len(calls) == 2 * sum(len(trees.all_trees(n)) for n in range(1, 8))
+    del calls[:]
+    framework.scan_lp_r_consistency(3, 2)
+    assert len(calls) >= 50
+    del calls[:]
+    inputs = [f for n in range(4) for f in trees.all_forests(n)]
+    inputs += [t for n in range(1, 4) for t in trees.all_trees(n)]
+    for host in inputs:
+        try:
+            halesjewett.monochromatic_host_search(host, 2, 6)
+        except NotFoundWithinBound:
+            pass
+    assert calls and any(calls)
 
 
 def _sizes(edges):

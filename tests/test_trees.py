@@ -249,6 +249,19 @@ def test_initial_subtree_downward_closed():
             assert sub.parent == t.parent[: v + 1]
 
 
+def test_initial_subtree_is_the_validated_prefix():
+    # the prefix is cut without running the canonicity pass again: it must be
+    # the tree the constructor builds from the same parent prefix, masks and all
+    for t in trees_up_to(7):
+        assert trees.initial_subtree(t, t.n - 1) is t
+        for v in range(t.n):
+            cut = trees.initial_subtree(t, v)
+            built = trees.OrderedTree(t.parent[: v + 1])
+            assert type(cut) is trees.OrderedTree and cut == built
+            assert cut.n == built.n and cut.anc_mask == built.anc_mask
+            assert cut.height == built.height and cut.leaves == built.leaves
+
+
 # --- attach and oplus ------------------------------------------------------
 
 

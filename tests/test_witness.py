@@ -11,6 +11,7 @@ from treeramsey.errors import (
     NotFoundWithinBound,
     NotRigid,
     PrerequisiteFailed,
+    ResourceCapExceeded,
     VerificationFailed,
 )
 from treeramsey.maps import TreeMap, classify, compose, identity, injection_of, is_sealed
@@ -367,7 +368,7 @@ def test_sealed_edges_match_composition_space_products():
 
 
 def test_builders_match_compose_oracles():
-    # the value-tuple builders give the compose-based hypergraphs, in order,
+    # the byte-string builders give the compose-based hypergraphs, in order,
     # for every U up to 7 vertices in the two benchmark shapes
     cases = [("mn", C2, trees.chain(4), u) for u in trees_up_to(7)]
     cases += [("sealed", C2, trees.tree([None, 0, 1, 1]), u) for u in trees_up_to(7)]
@@ -378,11 +379,15 @@ def test_builders_match_compose_oracles():
         for t in trees_up_to(3)
         for u in trees_up_to(4)
     ]
+    # each edge must also list its vertices in increasing order
     for mode, s, t, u in cases:
-        if mode == "mn":
-            assert wit._mn_hypergraph(s, t, u) == mn_hypergraph_by_compose(s, t, u)
-        else:
-            assert wit._sealed_hypergraph(s, t, u) == sealed_hypergraph_by_compose(s, t, u)
+        build, oracle = (
+            (wit._mn_hypergraph, mn_hypergraph_by_compose)
+            if mode == "mn"
+            else (wit._sealed_hypergraph, sealed_hypergraph_by_compose)
+        )
+        oracle_vertices, oracle_edges = oracle(s, t, u)
+        assert build(s, t, u) == (oracle_vertices, [tuple(sorted(e)) for e in oracle_edges])
 
 
 def _clear_enumeration_caches():
@@ -450,6 +455,30 @@ def test_sealed_build_refuses_a_restriction_that_is_not_onto(monkeypatch):
     monkeypatch.setattr(wit, "_injection_values", early_injection)
     with pytest.raises(VerificationFailed, match="not onto"):
         wit._sealed_hypergraph(C2, C2, C3)
+
+
+def test_builders_refuse_more_than_256_vertices_before_enumerating(monkeypatch):
+    # the composites are bytes, so S and T must have at most 256 vertices
+    def refuse(*args):
+        raise AssertionError("enumerated before the width check")
+
+    big = trees.chain(257)
+    monkeypatch.setattr(wit, "rigid_surjection_values", refuse)
+    monkeypatch.setattr(wit, "initial_subtree", refuse)
+    for build in (wit._mn_hypergraph, wit._sealed_hypergraph):
+        for s, t in [(C2, big), (big, C2)]:
+            with pytest.raises(ResourceCapExceeded, match="at most 256 vertices"):
+                build(s, t, C3)
+
+
+def test_builders_take_256_vertices():
+    # the widest trees allowed: value 255 is the last entry of a full table
+    t = trees.chain(256)  # its only rigid surjection onto itself is the identity
+    identity_values = tuple(range(256))
+    assert wit._mn_hypergraph(t, t, t) == ([identity_values], [(0,)])
+    assert wit._sealed_hypergraph(t, t, t) == ([(255, identity_values)], [(0,)])
+    vertices, edges = wit._mn_hypergraph(C1, t, t)
+    assert vertices == [(0,) * 256] and edges == [(0,)]
 
 
 def test_three_engines_agree_on_witness_instances():
