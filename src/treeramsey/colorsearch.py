@@ -13,7 +13,9 @@ host embedding is increasing.  find_proper_coloring orders the distinct
 edges by size and then lexicographically, with sorted(set(edges)) and a
 stable sort by length.  On increasing tuples that is the order of the vertex
 sets by (size, sorted elements), so the propagation order and the node counts
-depend on the hypergraph only, not on how a caller lists its edges.
+depend on the hypergraph only, not on how a caller lists its edges.  An edge
+that is not a tuple raises TypeError: frozensets, say, would be sorted by
+the subset order, and that order depends on the listing.
 
 find_proper_coloring takes the hypergraph as built: it only removes duplicate
 edges.  No library hypergraph has an edge inside another, because all of its
@@ -120,13 +122,16 @@ def find_proper_coloring(
 
     max_nodes caps assignments, max_colorings caps complete assignments;
     exceeding either raises ResourceCapExceeded with the stats so far.  A
-    color count b below 1 or a negative cap raises ValueError.
+    color count b below 1 or a negative cap raises ValueError, and an edge
+    that is not a tuple raises TypeError.
     """
     if b < 1:
         raise ValueError("need b >= 1")
     cap = _node_cap(max_nodes)
     if max_colorings is not None and max_colorings < 0:
         raise ValueError(f"coloring cap must be >= 0, got {max_colorings}")
+    if not set(map(type, edges)) <= {tuple}:
+        raise TypeError("edges must be tuples of vertex indices in increasing order")
     # The order fixes the propagation order, so node counts do not depend on
     # how a builder lists its edges.
     edges = _edge_order(edges)

@@ -46,7 +46,6 @@ __all__ = [
     "injection_of",
     "is_rigid_surjection",
     "is_sealed",
-    "is_a_rigid",
     "compose",
     "identity",
     "rigid_from_embedding",
@@ -91,6 +90,16 @@ def _check_values(values: Sequence[int], dom_n: int, cod_n: int) -> None:
     for v in values:
         if not (0 <= v < cod_n):
             raise VertexOutOfRange(f"value {v} outside codomain of size {cod_n}")
+
+
+def _trusted_map(dom: OrderedTree, cod: OrderedTree, values: tuple[int, ...]) -> TreeMap:
+    """A TreeMap of values already range-checked against dom and cod, as a value
+    table's are, built without running _check_values a second time."""
+    m = object.__new__(TreeMap)
+    object.__setattr__(m, "dom", dom)
+    object.__setattr__(m, "cod", cod)
+    object.__setattr__(m, "values", values)
+    return m
 
 
 def identity(t: OrderedTree) -> TreeMap:
@@ -173,15 +182,6 @@ def is_sealed(f: TreeMap) -> bool:
     """
     e = f.injection
     return e is not None and e.values[-1] == f.dom.n - 1
-
-
-def is_a_rigid(f: TreeMap, a_size: int) -> bool:
-    """Rigid surjection restricting to the identity on the bottom chain A."""
-    if not (1 <= a_size <= f.dom.n and a_size <= f.cod.n):
-        return False
-    if any(f.values[i] != i for i in range(a_size)):
-        return False
-    return is_rigid_surjection(f)
 
 
 @dataclass(frozen=True)

@@ -110,15 +110,6 @@ def map_from_json(payload: dict, normalize: bool = False) -> TreeMap:
     return TreeMap(dom, cod, _ints(_field(payload, "values", "map"), "map values"))
 
 
-def coloring_to_json(colors, b: int) -> dict:
-    return {
-        "schema": "coloring",
-        "version": SCHEMA_VERSIONS["coloring"],
-        "b": b,
-        "colors": list(colors),
-    }
-
-
 def coloring_from_json(payload: dict) -> tuple[tuple[int, ...], int]:
     _check_version(payload, "coloring")
     colors = _ints(_field(payload, "colors", "coloring"), "coloring colors")

@@ -13,13 +13,21 @@ ResourceCapExceeded before anything is enumerated.  Every edge comes out as a
 tuple of vertex positions in increasing order, the form colorsearch asks for:
 a rigid g has increasing first occurrences, so f -> f o g keeps the
 lexicographic order in which the vertices are listed (see _mn_hypergraph).
+
+The sealed hypergraph of U is a stack of per-cut layers, one for each
+initial subtree U^c: the layer holds the sealed maps U^c -> S as vertices
+and the edges of the sealed g: U^c -> T.  A layer depends on U^c alone, so it
+is cached per (S, T, U^c) and shared by every tree with that prefix; its
+positions are global for all of them, the offset being the vertex count of
+the cuts below (see _sealed_layer).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import colorsearch
 from .colorsearch import SearchStats
@@ -136,9 +144,10 @@ def _mn_hypergraph(
     return vertices, edges
 
 
-_SealedFamilies = list[tuple[int, OrderedTree, list[bytes]]]
+_SealedFamilies = tuple[tuple[int, OrderedTree, list[bytes]], ...]
 
 
+@lru_cache(maxsize=None)
 def _sealed_families(s: OrderedTree, t: OrderedTree) -> _SealedFamilies:
     """(t, T^t, the sealed maps T^t -> S as translate tables) for every vertex t of T
     that has such maps; S or T with more than 256 vertices raises ResourceCapExceeded."""
@@ -149,49 +158,87 @@ def _sealed_families(s: OrderedTree, t: OrderedTree) -> _SealedFamilies:
         fs = rigid_surjection_values(t_cut, s, True)
         if fs:
             families.append((tv, t_cut, _tables(fs)))
-    return families
+    return tuple(families)
 
 
-def _sealed_edges(
+def _sealed_columns(
     g_dom: OrderedTree,
     g_cod: OrderedTree,
     gvs: Sequence[tuple[int, ...]],
     families: _SealedFamilies,
-) -> list[list[bytes]]:
-    """The sealed edge of each g: g_dom -> g_cod with values in gvs: the values
-    of f o g^t for every t and f in families, as bytes (a composite on U^cut
+) -> list[tuple[list[int], list[list[bytes]]]]:
+    """The sealed edges of the maps g: g_dom -> g_cod with values in gvs, as
+    columns: for each family t, the cut i(t) of every g, and for each f of the
+    family the values of f o g^t for every g, as bytes (a composite on U^cut
     has cut + 1 values).
 
-    g^t is g cut at its injection i: the restriction to U^{i(t)}, whose values
-    must be exactly 0..t (onto T^t); T^t is the prefix 0..t of cod(g), checked
-    against each family's domain once.  The injection is verified here, so a g
-    that is not rigid raises NotRigid.  Within a family the composites come in
+    g^t is g cut at its injection i: the restriction to U^{i(t)}, which must
+    be onto 0..t (onto T^t); T^t is the prefix 0..t of cod(g), checked
+    against each family's domain once.  The injection is verified here, once
+    per g, so a g that is not rigid raises NotRigid.  A verified g takes its
+    values in increasing order of first occurrence, so a prefix of g is onto
+    0..t iff its largest value is t.  Within a family the composites come in
     the lexicographic order of f (see _mn_hypergraph), and the cuts i(t)
     increase with t.
     """
     cod = g_cod.parent
-    checks = []
-    for tv, t_cut, tables in families:
+    for tv, t_cut, _ in families:
         if t_cut.parent != cod[: tv + 1]:
             raise DomainMismatch("cod(g) != dom(f)")
-        checks.append((tv, set(range(tv + 1)), tables))
     anc = g_dom.anc_mask
-    edges = []
-    for gv in gvs:
-        e = _injection_values(anc, cod, gv)
-        if e is None:
-            raise NotRigid(f"{list(gv)} is not a rigid surjection")
-        g = bytes(gv)
-        edge: list[bytes] = []
-        for tv, onto, tables in checks:
-            prefix = g[: e[tv] + 1]
-            if set(prefix) != onto:
+    injections = [_injection_values(anc, cod, gv) for gv in gvs]
+    if None in injections:
+        raise NotRigid(f"{list(gvs[injections.index(None)])} is not a rigid surjection")
+    gs = list(map(bytes, gvs))
+    columns = []
+    for tv, _, tables in families:
+        cuts = [e[tv] for e in injections]
+        prefixes = [g[: cut + 1] for g, cut in zip(gs, cuts)]
+        for prefix, gv in zip(prefixes, gvs):
+            if max(prefix) != tv:
                 raise VerificationFailed(
                     f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
                 )
-            edge += [prefix.translate(table) for table in tables]
-        edges.append(edge)
-    return edges
+        columns.append((cuts, [[prefix.translate(table) for prefix in prefixes] for table in tables]))
+    return columns
+
+
+class _SealedLayer(NamedTuple):
+    """The part of a sealed hypergraph that the top cut c of U adds: the sealed
+    maps U^c -> S as vertices, and one edge per sealed g: U^c -> T."""
+
+    vertices: list[tuple[int, tuple[int, ...]]]
+    edges: list[tuple[int, ...]]
+    positions: tuple[dict[bytes, int], ...]  # per cut 0..c: value bytes -> position
+    end: int  # the vertex count of the cuts 0..c
+
+
+@lru_cache(maxsize=None)
+def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree) -> _SealedLayer:
+    """The layer of U's top cut, on top of the layer of its prefix U^{n-2}.
+
+    The vertices of the cuts below c are those of U^{c-1}'s hypergraph, since
+    the cuts of U^{c-1} are the cuts of U below c; so every position is global
+    for every tree with this prefix, the offset of cut c being the vertex
+    count below it.  Each cut keeps its own position map, and the layer only
+    refers to the maps below it: a composite f o g^t lies on the cut i(t) <= c.
+    """
+    c = u.n - 1
+    if c:
+        below = _sealed_layer(s, t, initial_subtree(u, c - 1))
+        offset, positions = below.end, below.positions
+    else:
+        offset, positions = 0, ()
+    tops = rigid_surjection_values(u, s, True)
+    positions += ({bytes(values): offset + i for i, values in enumerate(tops)},)
+    gvs = rigid_surjection_values(u, t, True)
+    columns = [
+        [positions[cut][x] for cut, x in zip(cuts, composites)]
+        for cuts, family in _sealed_columns(u, t, gvs, _sealed_families(s, t))
+        for composites in family
+    ]
+    edges = list(zip(*columns)) if columns else [()] * len(gvs)
+    return _SealedLayer([(c, values) for values in tops], edges, positions, offset + len(tops))
 
 
 def _sealed_hypergraph(
@@ -201,24 +248,18 @@ def _sealed_hypergraph(
     (cut, values) and listed cut by cut; one edge per cut v0 and sealed
     g: U^{v0} -> T, collecting f o g^t over t in T and sealed f: T^t -> S.
 
-    Each edge lists positions in increasing order: composites on a larger cut
-    come later in the vertex list, the cuts i(t) increase with t, and within
-    one cut f -> f o g^t keeps the lexicographic order (see _mn_hypergraph).
-    S or T with more than 256 vertices raises ResourceCapExceeded.
+    The hypergraph is the concatenation of one cached layer per cut (see
+    _sealed_layer), built from the lowest cut up, so that each layer finds
+    the one below it cached.  Each edge lists positions in increasing order:
+    composites on a larger cut come later in the vertex list, the cuts i(t)
+    increase with t, and within one cut f -> f o g^t keeps the lexicographic
+    order (see _mn_hypergraph).  S or T with more than 256 vertices raises
+    ResourceCapExceeded before any layer is built.
     """
-    families = _sealed_families(s, t)
-    cuts = [initial_subtree(u, v) for v in range(u.n)]
-    vertices: list[tuple[int, tuple[int, ...]]] = []
-    pos: dict[bytes, int] = {}  # a value string fixes its cut: its length is cut + 1
-    for v, u_cut in enumerate(cuts):
-        for values in rigid_surjection_values(u_cut, s, True):
-            pos[bytes(values)] = len(vertices)
-            vertices.append((v, values))
-    edges = [
-        tuple(map(pos.__getitem__, edge))
-        for u_cut in cuts
-        for edge in _sealed_edges(u_cut, t, rigid_surjection_values(u_cut, t, True), families)
-    ]
+    _check_byte_width(s, t)
+    layers = [_sealed_layer(s, t, initial_subtree(u, c)) for c in range(u.n)]
+    vertices = [vertex for layer in layers for vertex in layer.vertices]
+    edges = [edge for layer in layers for edge in layer.edges]
     return vertices, edges
 
 
@@ -576,8 +617,11 @@ def derivation_intermediates(
     old_top_t = t_plus.n - 2
     families = _sealed_families(s_plus, t_plus)
     for g_plus in all_rigid_surjections(u, t_plus, sealed=True):
-        [edge] = _sealed_edges(u, t_plus, [g_plus.values], families)
-        colors = {sealed_color(len(values) - 1, tuple(values)) for values in edge}
+        colors = {
+            sealed_color(cut, tuple(composite))
+            for [cut], family in _sealed_columns(u, t_plus, [g_plus.values], families)
+            for [composite] in family
+        }
         if len(colors) <= 1:
             g = restrict_conjugate(g_plus, old_top_t)
             y0 = g.dom.n - 1

@@ -381,3 +381,39 @@ def extends_by_quantifier(b, a, universe):
             if not is_composable(b, x) or space_mul(a, x) != space_mul(b, x):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests use
+
+
+def count_colorings(k: int, b: int, pin_first: bool = False) -> int:
+    """len(list(enum_colorings(k, b, pin_first))), refusing the same inputs."""
+    if k < 0 or b < 1:
+        raise ValueError("need k >= 0 and b >= 1")
+    if k == 0:
+        return 1
+    return b ** (k - 1) if pin_first else b**k
+
+
+def is_a_rigid(f, a_size: int) -> bool:
+    """Rigid surjection restricting to the identity on the bottom chain A."""
+    from treeramsey.maps import is_rigid_surjection
+
+    if not (1 <= a_size <= f.dom.n and a_size <= f.cod.n):
+        return False
+    if any(f.values[i] != i for i in range(a_size)):
+        return False
+    return is_rigid_surjection(f)
+
+
+def coloring_to_json(colors, b: int) -> dict:
+    """The coloring payload that serialize.coloring_from_json reads."""
+    from treeramsey.serialize import SCHEMA_VERSIONS
+
+    return {
+        "schema": "coloring",
+        "version": SCHEMA_VERSIONS["coloring"],
+        "b": b,
+        "colors": list(colors),
+    }

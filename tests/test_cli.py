@@ -6,6 +6,8 @@ from treeramsey import halesjewett, serialize, trees
 from treeramsey.cli import main
 from treeramsey.maps import TreeMap
 
+from _oracles import coloring_to_json
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -196,7 +198,7 @@ def test_exit_code_map_non_integer_value(files, capsys, tmp_path, bad):
 @pytest.mark.parametrize("key", ["colors", "b"])
 @pytest.mark.parametrize("bad", NON_INTEGERS, ids=NON_INTEGER_IDS)
 def test_exit_code_coloring_non_integer_entry(files, capsys, tmp_path, key, bad):
-    payload = serialize.coloring_to_json((0, 1), 2)
+    payload = coloring_to_json((0, 1), 2)
     if key == "colors":
         payload["colors"][0] = bad
     else:
@@ -405,7 +407,7 @@ def test_negative_env_var_node_cap_is_an_input_error(files, capsys, monkeypatch)
 
 
 def test_coloring_json_roundtrip():
-    payload = serialize.coloring_to_json((0, 1, 1), 2)
+    payload = coloring_to_json((0, 1, 1), 2)
     colors, b = serialize.coloring_from_json(payload)
     assert colors == (0, 1, 1) and b == 2
 

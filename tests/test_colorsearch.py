@@ -15,12 +15,12 @@ from _oracles import find_proper_coloring_enumerate
 
 
 def test_singleton_edge_blocks_everything():
-    res = find_proper_coloring(3, [frozenset({1})], 5)
+    res = find_proper_coloring(3, [(1,)], 5)
     assert res.holds
 
 
 def test_empty_edge_blocks_everything():
-    assert find_proper_coloring(3, [frozenset()], 2).holds
+    assert find_proper_coloring(3, [()], 2).holds
 
 
 def test_no_edges_always_properly_colorable():
@@ -29,19 +29,27 @@ def test_no_edges_always_properly_colorable():
 
 
 def test_one_color_with_real_edges_holds():
-    assert find_proper_coloring(3, [frozenset({0, 1, 2})], 1).holds
+    assert find_proper_coloring(3, [(0, 1, 2)], 1).holds
 
 
 @pytest.mark.parametrize("b", [0, -1])
-@pytest.mark.parametrize("edges", [[], [frozenset()], [frozenset({1})], [frozenset({0, 1, 2})]])
+@pytest.mark.parametrize("edges", [[], [()], [(1,)], [(0, 1, 2)]])
 @pytest.mark.parametrize("engine", [find_proper_coloring, find_proper_coloring_plain])
 def test_fewer_than_one_color_is_refused(engine, edges, b):
     with pytest.raises(ValueError):
         engine(3, edges, b)
 
 
+@pytest.mark.parametrize("edge", [frozenset({0, 1}), [0, 1], range(2)])
+def test_solver_refuses_an_edge_that_is_not_a_tuple(edge):
+    # a frozenset would be ordered by the subset order, so the propagation
+    # order could depend on how the edges are listed
+    with pytest.raises(TypeError, match="tuples"):
+        find_proper_coloring(3, [(1, 2), edge], 2)
+
+
 def test_triangle_of_pairs_needs_three_colors():
-    edges = [frozenset(p) for p in [(0, 1), (1, 2), (0, 2)]]
+    edges = [(0, 1), (1, 2), (0, 2)]
     assert find_proper_coloring(3, edges, 2).holds
     res = find_proper_coloring(3, edges, 3)
     assert res.proper is not None
@@ -49,18 +57,18 @@ def test_triangle_of_pairs_needs_three_colors():
 
 
 def test_found_colorings_are_proper():
-    edges = [frozenset({0, 1, 2}), frozenset({2, 3, 4}), frozenset({0, 3})]
+    edges = [(0, 1, 2), (2, 3, 4), (0, 3)]
     res = find_proper_coloring(5, edges, 2)
     assert res.proper is not None and not has_monochromatic_edge(res.proper, edges)
 
 
 def test_node_cap():
-    edges = [frozenset({i, (i + 1) % 12}) for i in range(12)]
+    edges = [tuple(sorted((i, (i + 1) % 12))) for i in range(12)]
     with pytest.raises(ResourceCapExceeded):
         find_proper_coloring(12, edges, 2, max_nodes=3)
 
 
-@pytest.mark.parametrize("edges", [[], [frozenset({1})], [frozenset({0, 1, 2})]])
+@pytest.mark.parametrize("edges", [[], [(1,)], [(0, 1, 2)]])
 @pytest.mark.parametrize("engine", [find_proper_coloring, find_proper_coloring_plain])
 def test_negative_caps_are_refused(engine, edges, monkeypatch):
     with pytest.raises(ValueError):
@@ -76,7 +84,7 @@ def test_negative_caps_are_refused(engine, edges, monkeypatch):
 
 
 def test_zero_caps_stay_valid():
-    edges = [frozenset({0, 1, 2})]
+    edges = [(0, 1, 2)]
     for engine in (find_proper_coloring, find_proper_coloring_plain):
         with pytest.raises(ResourceCapExceeded):
             engine(3, edges, 2, max_nodes=0)
@@ -86,7 +94,7 @@ def test_zero_caps_stay_valid():
 
 def test_forced_colors_count_as_nodes():
     # the first decision forces the rest of the path: one node per vertex, no branching
-    edges = [frozenset({i, i + 1}) for i in range(9)]
+    edges = [(i, i + 1) for i in range(9)]
     res = find_proper_coloring(10, edges, 2)
     assert res.proper is not None and not has_monochromatic_edge(res.proper, edges)
     assert res.stats.nodes == 10 and res.stats.colorings_examined == 1
@@ -94,21 +102,21 @@ def test_forced_colors_count_as_nodes():
 
 def test_long_odd_cycle_holds_without_recursion():
     n = 1501
-    edges = [frozenset({i, (i + 1) % n}) for i in range(n)]
+    edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
     assert find_proper_coloring(n, edges, 2).holds
 
 
 def test_plain_checker_long_odd_cycle_holds_without_recursion():
     # witness replay re-decides every holds report with the plain checker
     n = 1501
-    edges = [frozenset({i, (i + 1) % n}) for i in range(n)]
+    edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
     res = find_proper_coloring_plain(n, edges, 2)
     assert res.holds
 
 
 def test_long_path_colored_without_recursion():
     n = 1500
-    edges = [frozenset({i, i + 1}) for i in range(n - 1)]
+    edges = [(i, i + 1) for i in range(n - 1)]
     res = find_proper_coloring(n, edges, 2)
     assert res.proper is not None and not has_monochromatic_edge(res.proper, edges)
 

@@ -6,7 +6,6 @@ from treeramsey import enumeration, trees
 from treeramsey.enumeration import (
     all_embeddings,
     all_rigid_surjections,
-    count_colorings,
     enum_colorings,
     enum_embeddings,
     enum_rigid_surjections,
@@ -15,7 +14,12 @@ from treeramsey.enumeration import (
 from treeramsey.errors import VertexOutOfRange
 from treeramsey.maps import TreeMap, classify, is_embedding
 
-from _oracles import embeddings_by_meet_loop, rigid_surjections_by_meet_loop, stirling2
+from _oracles import (
+    count_colorings,
+    embeddings_by_meet_loop,
+    rigid_surjections_by_meet_loop,
+    stirling2,
+)
 
 C2, C3 = trees.chain(2), trees.chain(3)
 Y = trees.tree([None, 0, 0])
@@ -231,3 +235,67 @@ def test_embedding_kernel_matches_meet_loop_oracle():
         for t in trees_up_to(7):
             got = [e.values for e in enum_embeddings(s, t)]
             assert got == embeddings_by_meet_loop(s, t), (s, t)
+
+
+def _clear_table_caches():
+    all_rigid_surjections.cache_clear()
+    rigid_surjection_values.cache_clear()
+    enumeration._prefix_table.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def meet_loop_tables():
+    # the oracle's tables for every domain of at most 8 vertices and codomain of at most 4
+    cods = list(trees_up_to(4))
+    return {
+        (dom, cod, sealed): rigid_surjections_by_meet_loop(dom, cod, sealed)
+        for dom in trees_up_to(8)
+        for cod in cods
+        for sealed in (False, True)
+    }
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_prefix_tables_match_meet_loop_oracle_from_cold_caches(meet_loop_tables, order):
+    # in reverse order each tree's table is built before its prefix's
+    cases = list(meet_loop_tables.items())
+    if order == "reverse":
+        cases.reverse()
+    _clear_table_caches()
+    try:
+        for (dom, cod, sealed), expected in cases:
+            assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
+    finally:
+        _clear_table_caches()
+    assert len(cases) == 9 * 2 * sum(len(trees.all_trees(n)) for n in range(1, 9))
+
+
+def test_deep_domains_fill_their_prefix_tables_in_steps(meet_loop_tables, monkeypatch):
+    # with a step of 3 levels no call of _prefix_table recurses through more
+    # than 3 prefixes below it, and the tables are unchanged
+    table, depth, deepest = enumeration._prefix_table, [0], [0]
+
+    def tracking(dom, cod):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return table(dom, cod)
+        finally:
+            depth[0] -= 1
+
+    _clear_table_caches()
+    monkeypatch.setattr(enumeration, "_DEPTH", 3)
+    monkeypatch.setattr(enumeration, "_prefix_table", tracking)
+    try:
+        for (dom, cod, sealed), expected in reversed(meet_loop_tables.items()):
+            assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
+    finally:
+        monkeypatch.undo()
+        _clear_table_caches()
+    assert deepest[0] == 4
+
+
+def test_value_tables_are_the_prefix_tables():
+    # the public table hands out the cached prefix table, not a copy
+    dom, cod = trees.tree([None, 0, 1, 1, 0]), C2
+    assert rigid_surjection_values(dom, cod, False) is enumeration._prefix_table(dom.parent, cod.parent)

@@ -22,6 +22,7 @@ from _fixtures import assert_fixture
 from _oracles import (
     _conclusion_holds,
     definitional_point_flags,
+    is_a_rigid,
     monochromatic_host_by_enumeration,
     transfer_witness_by_loops,
 )
@@ -670,4 +671,4 @@ def test_pipeline_nontrivial_bottom_chain():
         t1 = maps.TreeMap(
             trees.oplus(2, result.tensors[0].forest), trees.oplus(2, PT), cert.t_maps[0]
         )
-        assert maps.is_a_rigid(t1, 2)
+        assert is_a_rigid(t1, 2)

@@ -26,7 +26,7 @@ from treeramsey.maps import (
     try_injection,
 )
 
-from _oracles import is_morphism_by_meet_loop, try_injection_by_fiber_meet
+from _oracles import is_a_rigid, is_morphism_by_meet_loop, try_injection_by_fiber_meet
 
 C1, C2, C3, C4 = (trees.chain(n) for n in (1, 2, 3, 4))
 Y = trees.tree([None, 0, 0])
@@ -409,8 +409,6 @@ def test_block_condition_examples():
 
 
 def test_block_condition_maps_are_a_rigid():
-    from treeramsey.maps import is_a_rigid
-
     for a, l, i in [(1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 1)]:
         dom, cod = trees.chain(a + l * i), trees.chain(a + l)
         for vals in itertools.product(range(a + l), repeat=l * i):

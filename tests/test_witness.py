@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from treeramsey import serialize, trees, witness as wit
+from treeramsey import enumeration, serialize, trees, witness as wit
 from treeramsey.enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
 from treeramsey.errors import (
     NotFoundWithinBound,
@@ -391,11 +391,54 @@ def test_builders_match_compose_oracles():
 
 
 def _clear_enumeration_caches():
+    # the prefix tables and the sealed layers too, so that a build redoes its
+    # work and reads the patched names
     all_rigid_surjections.cache_clear()
     rigid_surjection_values.cache_clear()
+    enumeration._prefix_table.cache_clear()
+    wit._sealed_families.cache_clear()
+    wit._sealed_layer.cache_clear()
 
 
-def test_sealed_build_computes_each_injection_once(monkeypatch):
+@pytest.fixture()
+def cold_caches():
+    _clear_enumeration_caches()
+    yield
+    _clear_enumeration_caches()
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_sealed_layers_match_compose_oracle_from_cold_caches(order):
+    # every U up to 8 vertices in the two benchmark shapes; in reverse order a
+    # tree's layers and tables are built before its prefix asks for them
+    cases = [(t, u) for t in (trees.chain(4), trees.tree([None, 0, 1, 1])) for u in trees_up_to(8)]
+    expected = {}
+    for t, u in cases:
+        vertices, edges = sealed_hypergraph_by_compose(C2, t, u)
+        expected[t, u] = (vertices, [tuple(sorted(e)) for e in edges])
+    if order == "reverse":
+        cases.reverse()
+    _clear_enumeration_caches()
+    try:
+        for t, u in cases:
+            assert wit._sealed_hypergraph(C2, t, u) == expected[t, u], (t, u)
+    finally:
+        _clear_enumeration_caches()
+
+
+def test_sealed_layers_are_shared_with_the_prefix(cold_caches):
+    # U's hypergraph is its prefix's with U's top layer added, one layer per cut cached
+    u = trees.tree([None, 0, 1, 1, 0, 4])
+    t = trees.tree([None, 0, 1, 1])
+    prefix_vertices, prefix_edges = wit._sealed_hypergraph(C2, t, trees.initial_subtree(u, u.n - 2))
+    top = wit._sealed_layer(C2, t, u)
+    vertices, edges = wit._sealed_hypergraph(C2, t, u)
+    assert vertices == prefix_vertices + top.vertices and edges == prefix_edges + top.edges
+    assert top.end == len(vertices) and len(top.positions) == u.n
+    assert wit._sealed_layer.cache_info().currsize == u.n
+
+
+def test_sealed_build_computes_each_injection_once(monkeypatch, cold_caches):
     # work counts, not time: from cold caches neither build makes a TreeMap,
     # and the sealed build verifies exactly one injection per g
     s, t, u = C2, trees.tree([None, 0, 1, 1]), trees.tree([None, 0, 1, 2, 3, 1, 1])
@@ -428,7 +471,7 @@ def test_sealed_build_computes_each_injection_once(monkeypatch):
     assert sorted(injected) == sorted(gs)
 
 
-def test_sealed_build_refuses_a_g_that_is_not_rigid(monkeypatch):
+def test_sealed_build_refuses_a_g_that_is_not_rigid(monkeypatch, cold_caches):
     # a value table that slips in a non-rigid g: the reversed values of a
     # sealed map send the root to the top, so no injection exists
     s, t, u = C2, C3, trees.chain(4)
@@ -445,7 +488,7 @@ def test_sealed_build_refuses_a_g_that_is_not_rigid(monkeypatch):
         wit._sealed_hypergraph(s, t, u)
 
 
-def test_sealed_build_refuses_a_restriction_that_is_not_onto(monkeypatch):
+def test_sealed_build_refuses_a_restriction_that_is_not_onto(monkeypatch, cold_caches):
     # an injection that cuts g one position early leaves t out of g^t
     original = wit._injection_values
 
