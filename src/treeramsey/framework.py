@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from . import colorsearch
 from .enumeration import rigid_surjection_values
 from .errors import NotComposable, NotSealed, VertexOutOfRange
-from .maps import _check_values, _injection_values
+from .maps import _cached_injection_values, _check_outside_values
 from .trees import OrderedTree, all_trees, initial_subtree
 
 __all__ = [
@@ -75,9 +75,11 @@ class DomainElement:
             raise VertexOutOfRange(f"cut_dom {self.cut_dom} outside ambient domain tree")
         if not (0 <= self.cut_cod < cod.n):
             raise VertexOutOfRange(f"cut_cod {self.cut_cod} outside ambient codomain tree")
+        if type(self.values) is not tuple:  # the injection table's key needs a tuple
+            object.__setattr__(self, "values", tuple(self.values))
         # The initial subtrees are prefixes, so the ambient masks and parents decide rigidity.
-        _check_values(self.values, self.cut_dom + 1, self.cut_cod + 1)
-        e = _injection_values(dom.anc_mask, cod.parent[: self.cut_cod + 1], self.values)
+        _check_outside_values(self.values, self.cut_dom + 1, self.cut_cod + 1)
+        e = _cached_injection_values(dom.anc_mask, cod.parent[: self.cut_cod + 1], self.values)
         if e is None or e[-1] != self.cut_dom:
             raise NotSealed(f"element values {self.values} are not a sealed rigid surjection")
         object.__setattr__(self, "injection", e)

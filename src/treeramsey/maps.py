@@ -18,12 +18,19 @@ morphism iff meet(e(v-1), e(v)) = e(parent(v)) for every v >= 1, because in
 preorder meet(v-1, v) = parent(v) and subtrees are index intervals.
 Classification never trusts a flag: the first-occurrence candidate is
 verified by the rule, so the same routine decides rigidity.
+
+The check runs once per distinct (T, S, values) while that input is in the
+bounded table _cached_injection_values, which try_injection (and so every
+predicate, classify and the restrictions) and framework's domain elements
+read.  The witness builders call the uncached _injection_values, because
+their inputs do not repeat.  Map values must be ints, not bools or floats:
+0.0, False and 0 would be one key of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -65,7 +72,9 @@ class TreeMap:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        _check_values(self.values, self.dom.n, self.cod.n)
+        if type(self.values) is not tuple:  # the injection table's key needs a tuple
+            object.__setattr__(self, "values", tuple(self.values))
+        _check_outside_values(self.values, self.dom.n, self.cod.n)
 
     def __call__(self, v: int) -> int:
         return self.values[v]
@@ -79,7 +88,7 @@ class TreeMap:
 
     @cached_property
     def injection(self) -> Optional[TreeMap]:
-        """try_injection(self): the verified injection, computed once (the map is frozen)."""
+        """try_injection(self): the verified injection, read once per map (the map is frozen)."""
         return try_injection(self)
 
 
@@ -90,6 +99,15 @@ def _check_values(values: Sequence[int], dom_n: int, cod_n: int) -> None:
     for v in values:
         if not (0 <= v < cod_n):
             raise VertexOutOfRange(f"value {v} outside codomain of size {cod_n}")
+
+
+def _check_outside_values(values: Sequence[int], dom_n: int, cod_n: int) -> None:
+    """_check_values for values that no library table made: each must also be an
+    int, not a bool or a float, which the injection table would take for 0 or 1."""
+    for v in values:
+        if type(v) is not int:
+            raise VertexOutOfRange(f"value {v!r} is not an int")
+    _check_values(values, dom_n, cod_n)
 
 
 def _trusted_map(dom: OrderedTree, cod: OrderedTree, values: tuple[int, ...]) -> TreeMap:
@@ -157,10 +175,26 @@ def _injection_values(
     return e if _galois_pair(dom_anc, cod_parent, values, e) else None
 
 
+INJECTION_TABLE_SIZE = 4096  # distinct (T, S, values); a cold calculus pass has 480
+
+
+@lru_cache(maxsize=INJECTION_TABLE_SIZE)
+def _cached_injection_values(
+    dom_anc: tuple[int, ...], cod_parent: tuple[Optional[int], ...], values: tuple[int, ...]
+) -> Optional[tuple[int, ...]]:
+    """_injection_values, run once per distinct input while it is in the table.
+
+    Callers pass int values, type-checked by _check_outside_values or made by a
+    library table, so equal keys are equal inputs.
+    """
+    return _injection_values(dom_anc, cod_parent, values)
+
+
 def try_injection(f: TreeMap) -> Optional[TreeMap]:
     """Injection of f if f is a rigid surjection, else None (see _injection_values)."""
-    e = _injection_values(f.dom.anc_mask, f.cod.parent, f.values)
-    return None if e is None else TreeMap(f.cod, f.dom, e)
+    e = _cached_injection_values(f.dom.anc_mask, f.cod.parent, f.values)
+    # first occurrences of the values: in range for cod -> dom already
+    return None if e is None else _trusted_map(f.cod, f.dom, e)
 
 
 def injection_of(f: TreeMap) -> TreeMap:
@@ -214,7 +248,8 @@ def compose(f: TreeMap, g: TreeMap) -> TreeMap:
     """Plain composition f o g; rigidity is preserved with composed injections."""
     if g.cod != f.dom:
         raise DomainMismatch("cod(g) != dom(f)")
-    return TreeMap(g.dom, f.cod, tuple(f.values[x] for x in g.values))
+    # g's values index f's, and f's are range-checked against f.cod
+    return _trusted_map(g.dom, f.cod, tuple([f.values[x] for x in g.values]))
 
 
 def rigid_from_embedding(e: TreeMap) -> TreeMap:
@@ -246,10 +281,15 @@ def restrict_initial(f: TreeMap, v: int) -> TreeMap:
     e = injection_of(f)
     f.cod._check(v)
     iv = e.values[v]
-    out = TreeMap(initial_subtree(f.dom, iv), initial_subtree(f.cod, v), f.values[: iv + 1])
-    if not out.is_surjective:  # image is exactly S^v
+    prefix = f.values[: iv + 1]
+    if not _onto_initial(prefix, v):
         raise VerificationFailed(f"restriction of {f} to the initial subtree of {v} is not onto")
-    return out
+    return _trusted_map(initial_subtree(f.dom, iv), initial_subtree(f.cod, v), prefix)
+
+
+def _onto_initial(values: tuple[int, ...], v: int) -> bool:
+    """Whether values (all >= 0) take exactly the values 0..v, i.e. map onto S^v."""
+    return max(values) == v and len(set(values)) == v + 1
 
 
 def conjugate_leaf(e: TreeMap, x: int) -> int:
@@ -282,10 +322,10 @@ def restrict_conjugate(f: TreeMap, x: int) -> TreeMap:
     """
     e = injection_of(f)
     y = conjugate_leaf(e, x)
-    out = TreeMap(initial_subtree(f.dom, y), initial_subtree(f.cod, x), f.values[: y + 1])
-    if not out.is_surjective:
+    prefix = f.values[: y + 1]
+    if not _onto_initial(prefix, x):
         raise VerificationFailed(f"restriction of {f} to the conjugate of leaf {x} is not onto")
-    return out
+    return _trusted_map(initial_subtree(f.dom, y), initial_subtree(f.cod, x), prefix)
 
 
 def check_block_condition(p: Sequence[int], a_size: int, l_size: int, i_size: int) -> bool:

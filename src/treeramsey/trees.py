@@ -11,6 +11,10 @@ as a parent array with ``parent[0] = None`` and ``parent[i] < i``.  Sibling
 order is index order.  Under this encoding the tree order is the ancestor
 relation and the lexicographic order is plain integer order, so tree equality
 is tuple equality.  All vertex ids in this package are 0-based.
+
+Parents are None or ints, never bools or floats.  The constructor checks
+canonicity and builds the ancestor masks once per distinct parent array,
+while it is in the bounded table _tree_masks.
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ def _raw_children(parent: ParentArray) -> list[list[int]]:
 def _raw_ancestors(parent: ParentArray, v: int) -> list[int]:
     """Predecessor chain of v, root first, v last."""
     chain = [v]
-    while parent[chain[-1]] is not None:
-        chain.append(parent[chain[-1]])
+    p = parent[v]
+    while p is not None:
+        chain.append(p)
+        p = parent[p]
     chain.reverse()
     return chain
 
@@ -94,13 +100,46 @@ def raw_lex_compare(parent: ParentArray, v: int, w: int) -> int:
     return LT if len(av) < len(aw) else GT  # one chain is a prefix: the predecessor comes first
 
 
+_PARENT_TYPES = frozenset({int, type(None)})
+TREE_TABLE_SIZE = 1024  # distinct parent arrays; a cold calculus pass has 65
+
+
+@lru_cache(maxsize=TREE_TABLE_SIZE)
+def _tree_masks(parent: tuple[Optional[int], ...]) -> tuple[int, ...]:
+    """The ancestor masks of a canonical parent array; NotCanonical (or NotATree) if
+    it is not one.  Run once per distinct parent array while it is in the table.
+
+    Callers refuse parents that are neither None nor an int before the lookup,
+    because a bool or a float would be the same key as an int.
+    """
+    n = len(parent)
+    if n == 0:
+        raise NotATree("trees are non-empty")
+    if parent[0] is not None:
+        raise NotCanonical("vertex 0 must be the root")
+    for i in range(1, n):
+        p = parent[i]
+        if type(p) is not int or not (0 <= p < i):
+            raise NotCanonical(f"parent[{i}] = {p!r} must be an int < {i}")
+    # Index order is preorder iff each vertex attaches to the rightmost
+    # path, i.e. its parent lies below the vertex just before it.
+    anc = [1]
+    for i in range(1, n):
+        p = parent[i]
+        if not (anc[i - 1] >> p) & 1:
+            raise NotCanonical(f"vertex {i} does not attach to the rightmost path")
+        anc.append(anc[p] | (1 << i))
+    return tuple(anc)
+
+
 @dataclass(frozen=True)
 class OrderedTree:
     """Canonical ordered tree: parent array in preorder, ``parent[i] < i``.
 
     ``n`` and ``anc_mask`` (bit v of anc_mask[w] = v below w, including w
-    itself) are set once by the constructor; equality and hashing use
-    ``parent`` only.
+    itself) are set once by the constructor, which reads the masks from the
+    bounded validation table _tree_masks; equality and hashing use ``parent``
+    only.  Parents are None or ints, never bools or floats.
     """
 
     parent: tuple[Optional[int], ...]
@@ -109,25 +148,14 @@ class OrderedTree:
 
     def __post_init__(self):
         parent = self.parent
-        n = len(parent)
-        if n == 0:
-            raise NotATree("trees are non-empty")
-        if parent[0] is not None:
-            raise NotCanonical("vertex 0 must be the root")
-        for i in range(1, n):
-            p = parent[i]
-            if not isinstance(p, int) or not (0 <= p < i):
-                raise NotCanonical(f"parent[{i}] = {p!r} must be an int < {i}")
-        # Index order is preorder iff each vertex attaches to the rightmost
-        # path, i.e. its parent lies below the vertex just before it.
-        anc = [1]
-        for i in range(1, n):
-            p = parent[i]
-            if not (anc[i - 1] >> p) & 1:
-                raise NotCanonical(f"vertex {i} does not attach to the rightmost path")
-            anc.append(anc[p] | (1 << i))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "anc_mask", tuple(anc))
+        if type(parent) is not tuple:  # the table's key, and the hash, need a tuple
+            parent = tuple(parent)
+            object.__setattr__(self, "parent", parent)
+        if not _PARENT_TYPES.issuperset(map(type, parent)):
+            _tree_masks.__wrapped__(parent)  # uncached, raises NotCanonical at the first fault
+        masks = _tree_masks(parent)
+        object.__setattr__(self, "n", len(masks))
+        object.__setattr__(self, "anc_mask", masks)
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -171,7 +199,8 @@ class OrderedTree:
         return raw_lex_compare(self.parent, v, w)
 
     def ancestors(self, v: int) -> list[int]:
-        self._check(v)
+        if not (0 <= v < self.n):
+            self._check(v)
         return _raw_ancestors(self.parent, v)
 
     def _check(self, v: int) -> None:
@@ -248,7 +277,7 @@ class OrderedForest:
 
     def __post_init__(self):
         for i, p in enumerate(self.parent):
-            if p is not None and (not isinstance(p, int) or not (0 <= p < i)):
+            if p is not None and (type(p) is not int or not (0 <= p < i)):
                 raise NotCanonical(f"forest parent[{i}] = {p!r} must be None or an int < {i}")
         one_plus(self)  # raises NotCanonical if the rooted version is not canonical
 

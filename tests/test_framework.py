@@ -31,6 +31,14 @@ def test_elements_must_be_sealed(ambients):
         make_element(ambients["C3"], 2, ambients["C2"], 1, (0, 1, 0))  # not sealed
 
 
+@pytest.mark.parametrize("values", [(0, 1.0), (0, True), (False, 1)])
+def test_element_values_must_be_ints(ambients, values):
+    # a sealed element with int values is in the injection table first
+    make_element(ambients["C2"], 1, ambients["C2"], 1, (0, 1))
+    with pytest.raises(VertexOutOfRange):
+        make_element(ambients["C2"], 1, ambients["C2"], 1, values)
+
+
 def _element_by_tree_maps(amb_dom, cut_dom, amb_cod, cut_cod, values):
     # the route through a TreeMap on two initial-subtree trees
     m = TreeMap(

@@ -8,7 +8,13 @@ import pytest
 
 from treeramsey import maps, trees
 from treeramsey.enumeration import all_embeddings, all_rigid_surjections
-from treeramsey.errors import DomainMismatch, NotLeaf, NotRigid
+from treeramsey.errors import (
+    DomainMismatch,
+    NotLeaf,
+    NotRigid,
+    VerificationFailed,
+    VertexOutOfRange,
+)
 from treeramsey.maps import (
     TreeMap,
     check_block_condition,
@@ -38,6 +44,14 @@ def trees_up_to(n):
         yield from trees.all_trees(k)
 
 
+@pytest.fixture()
+def cold_injections():
+    # the injection table outlives a test; clear it so that a count sees every check
+    maps._cached_injection_values.cache_clear()
+    yield
+    maps._cached_injection_values.cache_clear()
+
+
 # --- classification ---------------------------------------------------------
 
 
@@ -51,7 +65,7 @@ def test_classify_non_rigid_example():
     assert not fl.rigid_surjection and fl.injection is None
 
 
-def test_classify_reads_the_cached_injection(monkeypatch):
+def test_classify_reads_the_cached_injection(monkeypatch, cold_injections):
     # one injection computation per map, shared by classify and the predicates
     calls = []
     original = maps._injection_values
@@ -153,6 +167,79 @@ def test_non_rigid_injection_of_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(NotRigid):
             injection_of(f)
+
+
+def test_non_rigid_map_raises_on_every_call_from_the_table(cold_injections):
+    # a second map with the same values reads the table's None, and still raises
+    for _ in range(2):
+        f = TreeMap(Y, C2, (0, 1, 1))
+        for _ in range(2):
+            with pytest.raises(NotRigid):
+                injection_of(f)
+    assert maps._cached_injection_values.cache_info().misses == 1
+
+
+def _maps_onto_small_trees():
+    for s in trees_up_to(4):
+        for t in trees_up_to(5):
+            for vals in itertools.product(range(s.n), repeat=t.n):
+                yield t, s, vals
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_injection_table_agrees_with_the_kernel(cold_injections, warm):
+    # every map from a tree of <= 5 vertices onto one of <= 4, in chunks that
+    # fit the table: the table answers as the uncached kernel does, whether it
+    # starts cold or already holds the chunk, and computes each input once
+    table, size = maps._cached_injection_values, maps.INJECTION_TABLE_SIZE
+    cases = list(_maps_onto_small_trees())
+    rigid = 0
+    for start in range(0, len(cases), size):
+        chunk = cases[start : start + size]
+        table.cache_clear()
+        if warm:
+            for t, s, vals in chunk:
+                table(t.anc_mask, s.parent, vals)
+        for t, s, vals in chunk:
+            expected = maps._injection_values(t.anc_mask, s.parent, vals)
+            assert table(t.anc_mask, s.parent, vals) == expected
+            e = try_injection(TreeMap(t, s, vals))
+            assert (None if e is None else e.values) == expected
+            rigid += expected is not None
+        assert table.cache_info().misses == len(chunk)
+    assert rigid > 0 and len(cases) > size
+
+
+@pytest.mark.parametrize("values", [(0.0, 1.0), (False, True), (0, 1.0), (0, None)])
+def test_map_values_must_be_ints(values):
+    # 0.0 and False would share the table key of 0, so they are refused first
+    with pytest.raises(VertexOutOfRange):
+        TreeMap(C2, C2, values)
+
+
+def test_map_values_in_a_list_are_stored_as_a_tuple():
+    f = TreeMap(C3, C2, [0, 0, 1])
+    assert f.values == (0, 0, 1) and f == TreeMap(C3, C2, (0, 0, 1))
+    assert injection_of(f).values == (0, 2)
+
+
+def _with_injection(f, e_values):
+    # plant an injection the way the cached property stores it
+    f.__dict__["injection"] = maps._trusted_map(f.cod, f.dom, e_values)
+    return f
+
+
+def test_restrictions_refuse_a_prefix_that_misses_a_value():
+    # f = (0, 1, 1) on chain 3 with a planted injection (0, 0): the prefix up
+    # to "e(1)" is (0,), which misses 1
+    f = _with_injection(TreeMap(C3, C2, (0, 1, 1)), (0, 0))
+    with pytest.raises(VerificationFailed, match="not onto"):
+        restrict_initial(f, 1)
+    # through the planted embedding (0, 2, 3) of Y into the broom, the conjugate
+    # of leaf 1 is leaf 2, and the prefix (0, 0, 0) misses 1
+    g = _with_injection(TreeMap(BROOM3, Y, (0, 0, 0, 2)), (0, 2, 3))
+    with pytest.raises(VerificationFailed, match="not onto"):
+        restrict_conjugate(g, 1)
 
 
 def test_injection_of_raises_under_optimize():

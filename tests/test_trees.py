@@ -82,6 +82,52 @@ def test_canonical_constructor_matches_rightmost_path_walk():
     assert accepted == sum(catalan(n - 1) for n in range(1, 8))
 
 
+@pytest.mark.parametrize(
+    "parent, message",
+    [
+        ((None, 0.0), "parent[1] = 0.0 must be an int < 1"),
+        ((None, 0, True), "parent[2] = True must be an int < 2"),
+        ((None, 5, False), "parent[1] = 5 must be an int < 1"),
+        ((0.0,), "vertex 0 must be the root"),
+    ],
+)
+def test_parents_must_be_ints_even_when_an_equal_tree_is_in_the_table(parent, message):
+    # (None, 0.0) and (None, 0, True) equal valid parent tuples, which are
+    # built first; the type test runs before the validation table is read
+    trees.OrderedTree((None, 0))
+    trees.OrderedTree((None, 0, 1))
+    for _ in range(2):
+        with pytest.raises(NotCanonical) as exc:
+            trees.OrderedTree(parent)
+        assert str(exc.value) == message
+
+
+def test_forest_parents_must_be_ints():
+    with pytest.raises(NotCanonical):
+        trees.OrderedForest((None, True))
+
+
+def test_a_parent_list_is_stored_as_a_tuple():
+    t = trees.OrderedTree([None, 0, 1])
+    assert t.parent == (None, 0, 1) and t == trees.chain(3) and hash(t) == hash(trees.chain(3))
+
+
+def test_tree_validation_runs_once_per_parent_array():
+    trees._tree_masks.cache_clear()
+    try:
+        first = trees.OrderedTree((None, 0, 1, 0))
+        again = trees.OrderedTree((None, 0, 1, 0))
+        info = trees._tree_masks.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert again == first and again.anc_mask == first.anc_mask == (1, 3, 7, 9)
+        for _ in range(2):  # a refused array is not stored
+            with pytest.raises(NotCanonical):
+                trees.OrderedTree((None, 0, 0, 1))
+        assert trees._tree_masks.cache_info().currsize == 1
+    finally:
+        trees._tree_masks.cache_clear()
+
+
 def test_tree_equality_reads_the_parent_array_only():
     t = trees.tree([None, 0, 1, 0])
     assert t == trees.tree([None, 0, 1, 0]) and hash(t) == hash(trees.tree([None, 0, 1, 0]))
