@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 from . import colorsearch
 from .enumeration import rigid_surjection_values
 from .errors import NotComposable, NotSealed, VertexOutOfRange
-from .maps import _cached_injection_values, _check_outside_values
+from .maps import _cached_injection_values, _check_values
 from .trees import OrderedTree, all_trees, initial_subtree
 
 __all__ = [
@@ -78,7 +78,7 @@ class DomainElement:
         if type(self.values) is not tuple:  # the injection table's key needs a tuple
             object.__setattr__(self, "values", tuple(self.values))
         # The initial subtrees are prefixes, so the ambient masks and parents decide rigidity.
-        _check_outside_values(self.values, self.cut_dom + 1, self.cut_cod + 1)
+        _check_values(self.values, self.cut_dom + 1, self.cut_cod + 1)
         e = _cached_injection_values(dom.anc_mask, cod.parent[: self.cut_cod + 1], self.values)
         if e is None or e[-1] != self.cut_dom:
             raise NotSealed(f"element values {self.values} are not a sealed rigid surjection")

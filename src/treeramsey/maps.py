@@ -74,7 +74,7 @@ class TreeMap:
     def __post_init__(self):
         if type(self.values) is not tuple:  # the injection table's key needs a tuple
             object.__setattr__(self, "values", tuple(self.values))
-        _check_outside_values(self.values, self.dom.n, self.cod.n)
+        _check_values(self.values, self.dom.n, self.cod.n)
 
     def __call__(self, v: int) -> int:
         return self.values[v]
@@ -93,21 +93,16 @@ class TreeMap:
 
 
 def _check_values(values: Sequence[int], dom_n: int, cod_n: int) -> None:
-    """Refuse a value tuple that is not a total map from 0..dom_n-1 into 0..cod_n-1."""
+    """Refuse a value tuple that is not a total map from 0..dom_n-1 into 0..cod_n-1.
+
+    Each value must be an int, not a bool or a float, which the injection table
+    would take for 0 or 1.
+    """
     if len(values) != dom_n:
         raise DomainMismatch(f"map has {len(values)} values for a domain of size {dom_n}")
     for v in values:
-        if not (0 <= v < cod_n):
-            raise VertexOutOfRange(f"value {v} outside codomain of size {cod_n}")
-
-
-def _check_outside_values(values: Sequence[int], dom_n: int, cod_n: int) -> None:
-    """_check_values for values that no library table made: each must also be an
-    int, not a bool or a float, which the injection table would take for 0 or 1."""
-    for v in values:
-        if type(v) is not int:
-            raise VertexOutOfRange(f"value {v!r} is not an int")
-    _check_values(values, dom_n, cod_n)
+        if type(v) is not int or not (0 <= v < cod_n):
+            raise VertexOutOfRange(f"value {v!r} outside codomain of size {cod_n}")
 
 
 def _trusted_map(dom: OrderedTree, cod: OrderedTree, values: tuple[int, ...]) -> TreeMap:
@@ -184,8 +179,8 @@ def _cached_injection_values(
 ) -> Optional[tuple[int, ...]]:
     """_injection_values, run once per distinct input while it is in the table.
 
-    Callers pass int values, type-checked by _check_outside_values or made by a
-    library table, so equal keys are equal inputs.
+    Callers pass int values, type-checked by _check_values, so equal keys are
+    equal inputs.
     """
     return _injection_values(dom_anc, cod_parent, values)
 
@@ -249,7 +244,7 @@ def compose(f: TreeMap, g: TreeMap) -> TreeMap:
     if g.cod != f.dom:
         raise DomainMismatch("cod(g) != dom(f)")
     # g's values index f's, and f's are range-checked against f.cod
-    return _trusted_map(g.dom, f.cod, tuple([f.values[x] for x in g.values]))
+    return _trusted_map(g.dom, f.cod, tuple(f.values[x] for x in g.values))
 
 
 def rigid_from_embedding(e: TreeMap) -> TreeMap:

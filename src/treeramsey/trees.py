@@ -199,8 +199,7 @@ class OrderedTree:
         return raw_lex_compare(self.parent, v, w)
 
     def ancestors(self, v: int) -> list[int]:
-        if not (0 <= v < self.n):
-            self._check(v)
+        self._check(v)
         return _raw_ancestors(self.parent, v)
 
     def _check(self, v: int) -> None:

@@ -127,14 +127,16 @@ def test_count_colorings_refuses_what_enum_colorings_refuses(k, b):
 
 
 def test_value_table_refuses_an_out_of_range_kernel_value(monkeypatch):
-    # the table range-checks what the kernel yields; 2 is outside a 2-vertex codomain
-    monkeypatch.setattr(enumeration, "_rigid_surjections", lambda dom, cod, sealed: [(0, 2)])
-    rigid_surjection_values.cache_clear()
-    try:
-        with pytest.raises(VertexOutOfRange):
-            rigid_surjection_values(C2, C2, False)
-    finally:
+    # the table checks what the kernel yields: 2 is outside a 2-vertex codomain,
+    # and 1.0, although 0 <= 1.0 < 2, is not an int
+    for bad in ((0, 2), (0, 1.0)):
+        monkeypatch.setattr(enumeration, "_rigid_surjections", lambda dom, cod, sealed: [bad])
         rigid_surjection_values.cache_clear()
+        try:
+            with pytest.raises(VertexOutOfRange):
+                rigid_surjection_values(C2, C2, False)
+        finally:
+            rigid_surjection_values.cache_clear()
 
 
 def test_rigid_surjections_with_injection_partition_the_stream():
