@@ -18,7 +18,6 @@ from .trees import (  # noqa: F401
     canonicalize,
     chain,
     drop_root,
-    enum_trees,
     forest,
     initial_subtree,
     one_plus,
@@ -49,8 +48,6 @@ from .enumeration import (  # noqa: F401
     all_embeddings,
     all_rigid_surjections,
     enum_colorings,
-    enum_embeddings,
-    enum_rigid_surjections,
 )
 from .witness import (  # noqa: F401
     WitnessReport,

@@ -4,8 +4,9 @@ Exit codes: 0 success / verdict holds, 1 verdict fails, nothing found within
 bounds or a computed result failed its verification, 2 usage or input error,
 3 resource cap hit.  All output is deterministic: identical invocations print
 identical bytes, for any --jobs value.  RAMSEY_MAX_NODES sets the default
-search-node cap; --config FILE reads key=value lines used as flag defaults
-(true and false read as booleans, digits as integers).
+search-node cap; --config FILE reads key=value lines used as defaults of the
+top-level flags and of the chosen subcommand's flags (true and false read as
+booleans, digits as integers).
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from typing import Optional, Sequence
 
 from . import __version__, framework, halesjewett, serialize, witness
 
-from .enumeration import (
-    enum_embeddings,
-    enum_rigid_surjections,
-    rigid_surjection_values,
-)
+from .enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
 from .errors import (
     NotFoundWithinBound,
     ResourceCapExceeded,
@@ -177,9 +174,11 @@ def cmd_enum(args) -> int:
         dom = _load_tree(args.dom, args.normalize)
         cod = _load_tree(args.cod, args.normalize)
         if args.kind == "embedding":
-            ms = list(enum_embeddings(dom, cod))
+            ms = all_embeddings(dom, cod)
+        elif args.kind == "rigid":
+            ms = all_rigid_surjections(dom, cod)
         else:
-            ms = list(enum_rigid_surjections(dom, cod, sealed=args.kind == "sealed"))
+            ms = all_rigid_surjections(dom, cod, True)
         if args.count_only:
             _emit(args, {"count": len(ms)}, str(len(ms)))
         else:
@@ -533,15 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Sequence[str]:
-    if "--config" not in argv:
-        return argv
-    idx = list(argv).index("--config")
-    if idx + 1 >= len(argv):
-        parser.error("--config needs a file argument")
-    path = argv[idx + 1]
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Set the key=value lines of args.config as defaults of parser and of each
+    subcommand parser that args chose, whose own defaults would win otherwise."""
     defaults = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
@@ -551,23 +546,28 @@ def _apply_config(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Seque
             val = val.strip()
             if val.lower() in ("true", "false"):
                 defaults[key] = val.lower() == "true"
-            elif val.lstrip("-").isdigit():
+            elif val.removeprefix("-").isdecimal():
                 defaults[key] = int(val)
             else:
-                defaults[key] = val
-    parser.set_defaults(**defaults)
-    return argv
+                defaults[key] = val  # a flag with a type parses it, or refuses it (exit 2)
+    while parser is not None:
+        dests = {action.dest for action in parser._actions}
+        parser.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subs[0].choices.get(getattr(args, subs[0].dest)) if subs else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        argv = _apply_config(parser, argv)
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     args = parser.parse_args(argv)
+    if args.config is not None:
+        try:
+            _apply_config(parser, args)
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        args = parser.parse_args(argv)
     if args.version:
         sys.stdout.write(
             serialize.dumps(

@@ -1,12 +1,11 @@
-"""Deterministic generators for trees, maps of each kind, and colorings.
+"""Deterministic tables of the maps between ordered trees, and colorings.
 
-Enumeration order is part of the contract: trees come lexicographically by
-parent array, maps lexicographically by value tuple, colorings in counting
-order.  Two runs produce identical sequences; parallel consumers may split by
-value-tuple prefix ranges.
+Enumeration order is part of the contract: maps come lexicographically by
+value tuple, colorings in counting order.  Two runs produce identical
+sequences.
 
 Embeddings come from one list-building backtracking over value tuples
-(_embeddings).  Rigid surjections are extended from the prefix of their
+(all_embeddings).  Rigid surjections are extended from the prefix of their
 domain instead: in canonical form a tree without its last vertex is its
 initial subtree, the one a sweep over trees decides just before, and a rigid
 surjection restricts to one on that prefix.  So each table of value tuples
@@ -26,8 +25,7 @@ table has exactly one cache key.  The witness builders and the composition
 space read it directly.  all_rigid_surjections is the cached TreeMap view
 over that table, for callers that want maps, made without checking the
 tuples again; embeddings are TreeMaps from the start, and all_embeddings
-caches them.  enum_rigid_surjections and enum_embeddings stream the cached
-views.
+caches them.
 """
 
 from __future__ import annotations
@@ -38,49 +36,14 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .maps import TreeMap, _check_values, _trusted_map
-from .trees import OrderedTree, all_trees, enum_trees  # re-exported tree generators
+from .trees import OrderedTree
 
 __all__ = [
-    "enum_trees",
-    "all_trees",
-    "enum_embeddings",
     "all_embeddings",
-    "enum_rigid_surjections",
     "all_rigid_surjections",
     "rigid_surjection_values",
     "enum_colorings",
 ]
-
-
-def _embeddings(dom: OrderedTree, cod: OrderedTree) -> list[TreeMap]:
-    """The embeddings dom -> cod in lexicographic order, built as one list.
-
-    Values are assigned in increasing vertex order; vertex v may take a value
-    t of cod when t > e(v-1) and meet(e(v-1), t) = e(parent(v)), the
-    consecutive meet law.
-    """
-    ns, nt = dom.n, cod.n
-    if ns > nt:
-        return []
-    anc = cod.anc_mask
-    parent = dom.parent
-    vals = [0] * ns  # root goes to root
-    out: list[TreeMap] = []
-
-    def extend(v: int) -> None:
-        if v == ns:
-            out.append(TreeMap(dom, cod, tuple(vals)))
-            return
-        prev = vals[v - 1]
-        prev_anc = anc[prev]
-        meet = vals[parent[v]]
-        for t in range(prev + 1, nt - (ns - v) + 1):
-            if (prev_anc & anc[t]).bit_length() - 1 == meet:
-                vals[v] = t
-                extend(v + 1)
-
-    extend(1)
-    return out
 
 
 def _strict_ancestors(dom: tuple) -> tuple[int, list[int]]:
@@ -176,15 +139,53 @@ def _fill_from_below(dom: tuple, cod: tuple) -> None:
             _prefix_table(dom[:size], cod[:j])
 
 
-def _rigid_surjections(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool
-) -> tuple[tuple[int, ...], ...]:
-    """The value tuples of the rigid surjections dom -> cod in lexicographic order.
+@lru_cache(maxsize=None)
+def all_embeddings(dom: OrderedTree, cod: OrderedTree) -> tuple[TreeMap, ...]:
+    """The embeddings dom -> cod in lexicographic order by value tuple.
 
-    A sealed map sends the top of dom, its last vertex, to the top of cod as
-    a first occurrence, so with |cod| < |dom| the sealed maps are the
-    fresh-top extensions of RS(dom', cod minus its top), and there are none
-    onto one vertex; otherwise the only candidate, the identity, is sealed.
+    Embeddings are strictly increasing in the canonical numbering (monotone +
+    injective), fix the root, and preserve meets.
+
+    Values are assigned in increasing vertex order; vertex v may take a value
+    t of cod when t > e(v-1) and meet(e(v-1), t) = e(parent(v)), the
+    consecutive meet law.
+    """
+    ns, nt = dom.n, cod.n
+    if ns > nt:
+        return ()
+    anc = cod.anc_mask
+    parent = dom.parent
+    vals = [0] * ns  # root goes to root
+    out: list[TreeMap] = []
+
+    def extend(v: int) -> None:
+        if v == ns:
+            out.append(TreeMap(dom, cod, tuple(vals)))
+            return
+        prev = vals[v - 1]
+        prev_anc = anc[prev]
+        meet = vals[parent[v]]
+        for t in range(prev + 1, nt - (ns - v) + 1):
+            if (prev_anc & anc[t]).bit_length() - 1 == meet:
+                vals[v] = t
+                extend(v + 1)
+
+    extend(1)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def rigid_surjection_values(
+    dom: OrderedTree, cod: OrderedTree, sealed: bool, /
+) -> tuple[tuple[int, ...], ...]:
+    """The value tuples of the rigid surjections dom -> cod in lexicographic order,
+    each range-checked once here.
+
+    With sealed, only the sealed ones.  A sealed map sends the top of dom, its
+    last vertex, to the top of cod as a first occurrence, so with |cod| < |dom|
+    the sealed maps are the fresh-top extensions of RS(dom', cod minus its
+    top), and there are none onto one vertex; otherwise the only candidate, the
+    identity, is sealed.
     """
     d, c = dom.parent, cod.parent
     top = sealed and len(c) < len(d)
@@ -196,40 +197,7 @@ def _rigid_surjections(
         _fill_from_below(d, c)
     table = _prefix_table(d, c)
     if top:
-        return tuple(_fresh_extensions(table, cod.parent, _strict_ancestors(dom.parent)[0]))
-    return table
-
-
-def enum_embeddings(dom: OrderedTree, cod: OrderedTree) -> Iterator[TreeMap]:
-    """All embeddings dom -> cod, lexicographically by value tuple.
-
-    Embeddings are strictly increasing in the canonical numbering (monotone +
-    injective), fix the root, and preserve meets (see _embeddings).
-    """
-    yield from all_embeddings(dom, cod)
-
-
-def enum_rigid_surjections(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool = False
-) -> Iterator[TreeMap]:
-    """All rigid surjections dom -> cod, lexicographically by value tuple.
-
-    With sealed, only the sealed ones (see _rigid_surjections).
-    """
-    yield from all_rigid_surjections(dom, cod, sealed)
-
-
-@lru_cache(maxsize=None)
-def all_embeddings(dom: OrderedTree, cod: OrderedTree) -> tuple[TreeMap, ...]:
-    return tuple(_embeddings(dom, cod))
-
-
-@lru_cache(maxsize=None)
-def rigid_surjection_values(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool, /
-) -> tuple[tuple[int, ...], ...]:
-    """The value tuples of the rigid surjections dom -> cod, each range-checked once here."""
-    table = _rigid_surjections(dom, cod, sealed)
+        table = tuple(_fresh_extensions(table, cod.parent, _strict_ancestors(dom.parent)[0]))
     for values in table:
         _check_values(values, dom.n, cod.n)
     return table
@@ -253,7 +221,7 @@ def rigid_surjections_with_injection(e: TreeMap) -> tuple[TreeMap, ...]:
     from .maps import injection_of
 
     return tuple(
-        f for f in enum_rigid_surjections(e.cod, e.dom) if injection_of(f) == e
+        f for f in all_rigid_surjections(e.cod, e.dom) if injection_of(f) == e
     )
 
 

@@ -82,10 +82,6 @@ class TreeMap:
     def __repr__(self) -> str:
         return f"TreeMap({list(self.values)}: {self.dom.n}->{self.cod.n})"
 
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.cod.n
-
     @cached_property
     def injection(self) -> Optional[TreeMap]:
         """try_injection(self): the verified injection, read once per map (the map is frozen)."""

@@ -400,8 +400,6 @@ class QPoint(NamedTuple):
 class TensorIndex:
     """S x I as a canonical ordered forest plus the bidirectional vertex index."""
 
-    base: OrderedForest
-    alphabet: int
     forest: OrderedForest
     points: tuple[TensorPoint, ...]  # vertex id -> point
 
@@ -440,6 +438,7 @@ def _tensor_order(s: OrderedForest, k: int) -> list[TensorPoint]:
     return out
 
 
+@lru_cache(maxsize=None)
 def tensor(s: OrderedForest, i: int) -> TensorIndex:
     """Fan out the forest S along the alphabet I.
 
@@ -448,14 +447,9 @@ def tensor(s: OrderedForest, i: int) -> TensorIndex:
     ht(s1) the letters compare in I.  The linear order makes each block
     {(s, u + (i,))} an ascending interval (see _tensor_order).
     """
-    return _tensor_cached(s, i)
-
-
-@lru_cache(maxsize=None)
-def _tensor_cached(s: OrderedForest, k: int) -> TensorIndex:
-    if k < 1:
+    if i < 1:
         raise EmptyAlphabet("alphabet must be non-empty")
-    pts = _tensor_order(s, k)
+    pts = _tensor_order(s, i)
     pos = {pt: idx for idx, pt in enumerate(pts)}
     parent: list[Optional[int]] = []
     for pt in pts:
@@ -469,16 +463,15 @@ def _tensor_cached(s: OrderedForest, k: int) -> TensorIndex:
             continue
         parent.append(pos[par])
     out = OrderedForest(tuple(parent))
-    if out.n != sum(k ** s.height[v] for v in range(s.n)):
-        raise VerificationFailed(f"tensor of {s} with {k} letters has {out.n} points")
-    return TensorIndex(s, k, out, tuple(pts))
+    if out.n != sum(i ** s.height[v] for v in range(s.n)):
+        raise VerificationFailed(f"tensor of {s} with {i} letters has {out.n} points")
+    return TensorIndex(out, tuple(pts))
 
 
 @dataclass(frozen=True)
 class QIndex:
     """The level-cut index Q(S, I) with its linear order and the Q x I identification."""
 
-    base: OrderedForest
     alphabet: int
     points: tuple[QPoint, ...]  # position in the linear order -> point
 
@@ -495,23 +488,19 @@ class QIndex:
         return QPoint(pt.s, pt.t[:-1]), pt.t[-1]
 
 
+@lru_cache(maxsize=None)
 def q_set(s: OrderedForest, i: int) -> QIndex:
-    """Q(S, I) = pairs (s, u) with ht(s) = |u| + 1, ordered by block position in S x I."""
-    return _q_set_cached(s, i)
+    """Q(S, I) = pairs (s, u) with ht(s) = |u| + 1, ordered by block position in S x I:
+    the cut of each block's letter-0 point."""
+    pts = [QPoint(p.s, p.t[:-1]) for p in tensor(s, i).points if p.t[-1] == 0]
+    return QIndex(i, tuple(pts))
 
 
 @lru_cache(maxsize=None)
-def _q_set_cached(s: OrderedForest, k: int) -> QIndex:
-    if k < 1:
-        raise EmptyAlphabet("alphabet must be non-empty")
-    pts = [QPoint(p.s, p.t[:-1]) for p in _tensor_order(s, k) if p.t[-1] == 0]
-    return QIndex(s, k, tuple(pts))
-
-
-@lru_cache(maxsize=None)
-def _trees_of_size(n: int) -> tuple[OrderedTree, ...]:
+def all_trees(n: int) -> tuple[OrderedTree, ...]:
+    """All canonical ordered trees with exactly n vertices, in lexicographic order."""
     if n < 1:
-        return ()
+        raise VertexOutOfRange("trees are non-empty; need n >= 1")
     if n == 1:
         return (OrderedTree((None,)),)
     results: list[OrderedTree] = []
@@ -529,21 +518,8 @@ def _trees_of_size(n: int) -> tuple[OrderedTree, ...]:
     return tuple(results)
 
 
-def enum_trees(n: int) -> Iterable[OrderedTree]:
-    """All canonical ordered trees with exactly n vertices, in lexicographic order."""
-    if n < 1:
-        raise VertexOutOfRange("trees are non-empty; need n >= 1")
-    return iter(_trees_of_size(n))
-
-
-def all_trees(n: int) -> tuple[OrderedTree, ...]:
-    if n < 1:
-        raise VertexOutOfRange("trees are non-empty; need n >= 1")
-    return _trees_of_size(n)
-
-
 def all_forests(n: int) -> tuple[OrderedForest, ...]:
     """All ordered forests on n vertices (roots of (n+1)-vertex trees removed)."""
     if n < 0:
         raise VertexOutOfRange("forest size must be >= 0")
-    return tuple(drop_root(t) for t in _trees_of_size(n + 1))
+    return tuple(drop_root(t) for t in all_trees(n + 1))

@@ -616,7 +616,7 @@ def derivation_intermediates(
     }
     old_top_t = t_plus.n - 2
     families = _sealed_families(s_plus, t_plus)
-    for g_plus in all_rigid_surjections(u, t_plus, sealed=True):
+    for g_plus in all_rigid_surjections(u, t_plus, True):
         colors = {
             sealed_color(cut, tuple(composite))
             for [cut], family in _sealed_columns(u, t_plus, [g_plus.values], families)

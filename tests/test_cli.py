@@ -307,6 +307,70 @@ def test_config_file_booleans(capsys, tmp_path, value, expected):
     assert code == 0 and out == expected
 
 
+def _exit_code(*argv):
+    # argparse refuses a bad flag value by raising SystemExit
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_config_equals_form_applies(files, capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max_nodes=1\n")
+    code, _ = run(
+        capsys, f"--config={cfg}", "witness", "check", "--b", "2",
+        "--s", files["c2"], "--t", files["c3"], "--u", files["c3"],
+    )
+    assert code == 3  # the configured cap applies
+
+
+def test_config_sets_subcommand_flags(capsys, tmp_path):
+    # without the key the search finds the minimal witness, m = 6
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max_vertices=3\n")
+    argv = ("witness", "search", "--mode", "chain", "--b", "2", "--k", "2", "--l", "3")
+    code, out = run(capsys, "--config", str(cfg), *argv)
+    assert code == 1 and out == ""
+    code, out = run(capsys, "--config", str(cfg), *argv, "--max-vertices", "6")
+    assert code == 0 and out == "witness [None, 0, 1, 2, 3, 4] (holds)\n"
+
+
+@pytest.mark.parametrize("value", ["--5", "5x", "-5"])
+def test_config_bad_int_value_is_an_input_error(files, capsys, tmp_path, value):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"max_nodes={value}\n")
+    code = _exit_code(
+        "--config", str(cfg), "witness", "check", "--b", "2",
+        "--s", files["c2"], "--t", files["c3"], "--u", files["c3"],
+    )
+    assert code == 2 and capsys.readouterr().out == ""
+
+
+def test_enum_maps_lists_the_tables(capsys, tmp_path):
+    from treeramsey.enumeration import all_embeddings, all_rigid_surjections
+
+    small = [t for n in range(1, 5) for t in trees.all_trees(n)]
+    paths = {}
+    for i, t in enumerate(small):
+        paths[t] = str(tmp_path / f"t{i}.json")
+        serialize.save_json(paths[t], serialize.tree_to_json(t))
+    tables = {
+        "embedding": all_embeddings,
+        "rigid": all_rigid_surjections,
+        "sealed": lambda dom, cod: all_rigid_surjections(dom, cod, True),
+    }
+    for kind, table in tables.items():
+        for dom in small:
+            for cod in small:
+                code, out = run(
+                    capsys, "--json", "enum", "maps", "--kind", kind,
+                    "--dom", paths[dom], "--cod", paths[cod],
+                )
+                maps = [list(m.values) for m in table(dom, cod)]
+                assert code == 0 and json.loads(out) == {"count": len(maps), "maps": maps}
+
+
 def test_verification_failure_exits_1(capsys, tmp_path, monkeypatch):
     forest = tmp_path / "pt.json"
     serialize.save_json(str(forest), serialize.tree_to_json(trees.point_forest(1)))

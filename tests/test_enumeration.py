@@ -7,8 +7,6 @@ from treeramsey.enumeration import (
     all_embeddings,
     all_rigid_surjections,
     enum_colorings,
-    enum_embeddings,
-    enum_rigid_surjections,
     rigid_surjection_values,
 )
 from treeramsey.errors import VertexOutOfRange
@@ -31,13 +29,13 @@ def trees_up_to(n):
 
 
 def test_rigid_surjection_examples():
-    assert [m.values for m in enum_rigid_surjections(C3, C2)] == [
+    assert [m.values for m in all_rigid_surjections(C3, C2)] == [
         (0, 0, 1),
         (0, 1, 0),
         (0, 1, 1),
     ]
-    assert [m.values for m in enum_rigid_surjections(Y, C2)] == [(0, 0, 1), (0, 1, 0)]
-    assert [m.values for m in enum_rigid_surjections(C3, C2, sealed=True)] == [(0, 0, 1)]
+    assert [m.values for m in all_rigid_surjections(Y, C2)] == [(0, 0, 1), (0, 1, 0)]
+    assert [m.values for m in all_rigid_surjections(C3, C2, sealed=True)] == [(0, 0, 1)]
 
 
 def test_embedding_examples():
@@ -59,19 +57,19 @@ def test_streams_complete_against_classifier():
                     brute_sealed.add(vals)
                 if fl.embedding:
                     brute_emb.add(vals)
-            assert {m.values for m in enum_rigid_surjections(dom, cod)} == brute_rigid
+            assert {m.values for m in all_rigid_surjections(dom, cod)} == brute_rigid
             assert {
-                m.values for m in enum_rigid_surjections(dom, cod, sealed=True)
+                m.values for m in all_rigid_surjections(dom, cod, sealed=True)
             } == brute_sealed
-            assert {m.values for m in enum_embeddings(dom, cod)} == brute_emb
+            assert {m.values for m in all_embeddings(dom, cod)} == brute_emb
 
 
 def test_streams_sorted_and_duplicate_free():
     for dom in trees_up_to(5):
         for cod in trees_up_to(4):
             for stream in (
-                [m.values for m in enum_rigid_surjections(dom, cod)],
-                [m.values for m in enum_embeddings(cod, dom)],
+                [m.values for m in all_rigid_surjections(dom, cod)],
+                [m.values for m in all_embeddings(cod, dom)],
             ):
                 assert stream == sorted(stream)
                 assert len(set(stream)) == len(stream)
@@ -80,8 +78,8 @@ def test_streams_sorted_and_duplicate_free():
 def test_two_runs_identical():
     for dom in trees_up_to(4):
         for cod in trees_up_to(4):
-            first = [m.values for m in enum_rigid_surjections(dom, cod)]
-            second = [m.values for m in enum_rigid_surjections(dom, cod)]
+            first = [m.values for m in all_rigid_surjections(dom, cod)]
+            second = [m.values for m in all_rigid_surjections(dom, cod)]
             assert first == second
 
 
@@ -130,7 +128,7 @@ def test_value_table_refuses_an_out_of_range_kernel_value(monkeypatch):
     # the table checks what the kernel yields: 2 is outside a 2-vertex codomain,
     # and 1.0, although 0 <= 1.0 < 2, is not an int
     for bad in ((0, 2), (0, 1.0)):
-        monkeypatch.setattr(enumeration, "_rigid_surjections", lambda dom, cod, sealed: [bad])
+        monkeypatch.setattr(enumeration, "_prefix_table", lambda dom, cod: [bad])
         rigid_surjection_values.cache_clear()
         try:
             with pytest.raises(VertexOutOfRange):
@@ -176,16 +174,16 @@ def test_streams_complete_against_classifier_full_bound():
                     brute_rigid.add(vals)
                     if e.values[-1] == dom.n - 1:
                         brute_sealed.add(vals)
-            assert {m.values for m in enum_rigid_surjections(dom, cod)} == brute_rigid
+            assert {m.values for m in all_rigid_surjections(dom, cod)} == brute_rigid
             assert {
-                m.values for m in enum_rigid_surjections(dom, cod, sealed=True)
+                m.values for m in all_rigid_surjections(dom, cod, sealed=True)
             } == brute_sealed
             brute_emb = {
                 vals
                 for vals in it.product(range(dom.n), repeat=cod.n)
                 if is_embedding(TreeMap(cod, dom, vals))
             }
-            assert {m.values for m in enum_embeddings(cod, dom)} == brute_emb
+            assert {m.values for m in all_embeddings(cod, dom)} == brute_emb
 
 
 def test_rigid_kernel_matches_meet_loop_oracle():
@@ -195,7 +193,7 @@ def test_rigid_kernel_matches_meet_loop_oracle():
         for cod in trees_up_to(4):
             for sealed in (False, True):
                 expected = rigid_surjections_by_meet_loop(dom, cod, sealed)
-                got = [m.values for m in enum_rigid_surjections(dom, cod, sealed=sealed)]
+                got = [m.values for m in all_rigid_surjections(dom, cod, sealed=sealed)]
                 assert got == expected, (dom, cod, sealed)
                 assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
                 cases += 1
@@ -222,20 +220,10 @@ def test_one_value_table_per_argument_triple():
         rigid_surjection_values.cache_clear()
 
 
-def test_enum_views_stream_the_cached_maps():
-    # the generators hand out the cached TreeMaps, not a second set
-    for dom in trees_up_to(4):
-        for cod in trees_up_to(4):
-            assert list(map(id, enum_embeddings(dom, cod))) == list(map(id, all_embeddings(dom, cod)))
-            for sealed in (False, True):
-                streamed = enum_rigid_surjections(dom, cod, sealed=sealed)
-                assert list(map(id, streamed)) == list(map(id, all_rigid_surjections(dom, cod, sealed)))
-
-
 def test_embedding_kernel_matches_meet_loop_oracle():
     for s in trees_up_to(6):
         for t in trees_up_to(7):
-            got = [e.values for e in enum_embeddings(s, t)]
+            got = [e.values for e in all_embeddings(s, t)]
             assert got == embeddings_by_meet_loop(s, t), (s, t)
 
 

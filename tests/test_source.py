@@ -81,9 +81,9 @@ UNBOUNDED_TABLES = {
     ("enumeration", "_prefix_table"),
     ("witness", "_sealed_families"),
     ("witness", "_sealed_layer"),
-    ("trees", "_tensor_cached"),
-    ("trees", "_q_set_cached"),
-    ("trees", "_trees_of_size"),
+    ("trees", "tensor"),
+    ("trees", "q_set"),
+    ("trees", "all_trees"),
 }
 
 

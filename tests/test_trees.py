@@ -451,8 +451,8 @@ def test_enum_trees_counts_match_catalan():
 
 
 def test_enum_trees_spec_examples():
-    assert [t.parent for t in trees.enum_trees(1)] == [(None,)]
-    three = {t.parent for t in trees.enum_trees(3)}
+    assert [t.parent for t in trees.all_trees(1)] == [(None,)]
+    three = {t.parent for t in trees.all_trees(3)}
     assert three == {(None, 0, 0), (None, 0, 1)}  # Y and the chain
     assert len(trees.all_trees(4)) == 5
 

@@ -407,6 +407,19 @@ def cold_caches():
     _clear_enumeration_caches()
 
 
+def test_derivation_reads_the_sealed_view_under_its_one_call_form(cold_caches):
+    # the library passes sealed positionally, so the derivation's table is the
+    # one that the call form all_rigid_surjections(u, t_plus, True) finds
+    u, _ = wit.search_witness(2, Y, Y, mode="sealed", max_vertices=5)
+    rs = all_rigid_surjections(wit.assemble_V(u).tree, C2)
+    wit.derivation_intermediates(2, C2, C2, u, {m.values: 0 for m in rs})
+    t_plus, _ = wit.assemble_plus(C2)
+    before = all_rigid_surjections.cache_info()
+    all_rigid_surjections(u, t_plus, True)
+    after = all_rigid_surjections.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 def test_sealed_layers_match_compose_oracle_from_cold_caches(order):
     # every U up to 8 vertices in the two benchmark shapes; in reverse order a
