@@ -532,9 +532,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_dests(parser: argparse.ArgumentParser) -> set[str]:
+    """The dests of the flags of parser and of every subcommand parser below it."""
+    subs = [sub for a in parser._actions if isinstance(a, argparse._SubParsersAction) for sub in a.choices.values()]
+    return {a.dest for a in parser._actions if a.option_strings}.union(*map(_flag_dests, subs))
+
+
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Set the key=value lines of args.config as defaults of parser and of each
-    subcommand parser that args chose, whose own defaults would win otherwise."""
+    subcommand parser that args chose, whose own defaults would win otherwise.
+    A key naming no flag of any parser raises ValueError; a key naming another
+    subcommand's flag is left unused, so one file serves several commands."""
     defaults = {}
     with open(args.config, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -550,6 +558,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 defaults[key] = int(val)
             else:
                 defaults[key] = val  # a flag with a type parses it, or refuses it (exit 2)
+    unknown = sorted(defaults.keys() - _flag_dests(parser))
+    if unknown:
+        raise ValueError(f"--config key {', '.join(unknown)} names no flag")
     while parser is not None:
         dests = {action.dest for action in parser._actions}
         parser.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
@@ -564,7 +575,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.config is not None:
         try:
             _apply_config(parser, args)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2
         args = parser.parse_args(argv)

@@ -430,11 +430,12 @@ class TransferCell:
     A word map p is a full value tuple over the chain A + (Q x I) with the
     block condition; Q x I is identified with S x I positionally, block qq at
     positions qq*i .. qq*i + i - 1.  The very good word of v is its parent's
-    plus the first hit of v's on-path block QPoint(v, parent's word); a point
-    is leading iff its last letter is its block's first hit, and good iff p
-    hits its own block and the word below the top letter is the very good
-    word's.  check_word_map decides the transfer identities symbolically over
-    opaque rho-values, so one pass covers every sealed (and plain) rho exactly.
+    plus the first hit of v's on-path block x_v = QPoint(v, parent's word),
+    and a cut is on a very good path iff it is its vertex's x_v (cuts); a
+    point is leading iff its last letter is its block's first hit, and good
+    iff p hits its own block and that block is on-path.  check_word_map
+    decides the transfer identities symbolically over opaque rho-values, so
+    one pass covers every sealed (and plain) rho exactly.
 
     Locality: check_word_map reads p only through the very good words (one
     letter per vertex; they fix j_p and the cuts x_v) and the single values
@@ -466,18 +467,24 @@ class TransferCell:
             words.append(u + (letter(self.q.position_of[QPoint(v, u)], v),))
         return words
 
+    def cuts(self, words: Sequence[tuple[int, ...]]) -> list[int]:
+        """x_v per vertex v: the cut of Q on v's very good word, its on-path
+        block.  A cut qq lies on a very good path iff x[points[qq].s] == qq."""
+        return [self.q.position_of[QPoint(v, word[:-1])] for v, word in enumerate(words)]
+
     def structure(self, p: Sequence[int]):
-        """(min hit per block, very good word positions and words per vertex)."""
+        """(min hit per block, very good words, and their cuts x_v per vertex)."""
         minhit = [_first_hit(p, self.a, self.i, qq) - qq * self.i for qq in range(self.nq)]
         words = self._words(lambda qq, v: minhit[qq])
-        vg_pos = [self.tensor.vertex_of[TensorPoint(v, word)] for v, word in enumerate(words)]
-        return minhit, words, vg_pos
+        return minhit, words, self.cuts(words)
 
     def transfer_maps(self, p: Sequence[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
         """(values of pi_p on A + (S x I), values of j_p on A + S, very good
-        words of p); build_pi says what pi_p and j_p are."""
-        a = self.a
-        _, words, vg_pos = self.structure(p)
+        words of p); build_pi says what pi_p and j_p are.  Block qq of S x I
+        is the interval from qq*i, so j_p(v) = a + x_v*i + the last letter
+        of v's word."""
+        a, i = self.a, self.i
+        _, words, x = self.structure(p)
         points = self.q.points
         pi_vals = list(range(a))
         for pos in range(self.n_block):
@@ -487,11 +494,9 @@ class TransferCell:
                 continue
             qq = pv - a
             sv = points[qq].s
-            if qq == pos // self.i and points[qq].u == words[sv][:-1]:
-                pi_vals.append(a + sv)
-            else:
-                pi_vals.append(0)  # min A
-        return pi_vals, list(range(a)) + [a + pos for pos in vg_pos], words
+            pi_vals.append(a + sv if qq == pos // i and x[sv] == qq else 0)  # else min A
+        j_vals = list(range(a)) + [a + x_v * i + word[-1] for x_v, word in zip(x, words)]
+        return pi_vals, j_vals, words
 
     def check_word_map(self, p: Sequence[int]) -> None:
         """Verify the full executable transfer lemma for one word map.
@@ -515,44 +520,26 @@ class TransferCell:
         if not _galois_pair(self.dom_anc, self.cod_tree.parent, pi_vals, j_vals):
             raise VerificationFailed("pi and j are not a Galois pair")
 
-        # transfer identity with symbolic rho, sealed variant for every cut vertex
+        # symbolic rho per vertex (A has one value when a = 1), and r per cut:
+        # rho of the cut's vertex on its very good path, min A off it
+        x = self.cuts(words)
+        rho = [("rho", u) if a > 1 else 0 for u in range(s.n)]
+        r = [rho[pt.s] if x[pt.s] == qq else 0 for qq, pt in enumerate(self.q.points)]
+
+        # transfer identity, sealed variant for every cut vertex
         for v in range(s.n):
-            x_v = self.q.position_of[QPoint(v, words[v][:-1])]
             for w in range(a, j_vals[a + v] + 1):
-                pv = p[w]
-                if pv < a:
-                    lhs = pv
-                else:
-                    qq = pv - a
-                    if qq == x_v:
-                        lhs = TOP
-                    else:
-                        qpt = self.q.points[qq]
-                        lhs = ("rho", qpt.s) if words[qpt.s][:-1] == qpt.u else 0
-                image = pi_vals[w]
-                if image < a:
-                    rhs = image
-                else:
-                    sv = image - a
-                    rhs = TOP if sv == v else ("rho", sv)
-                if a == 1:
-                    lhs = TOP if lhs is TOP else 0
-                    rhs = TOP if rhs is TOP else 0
+                pv, image = p[w], pi_vals[w]
+                lhs = pv if pv < a else TOP if pv - a == x[v] else r[pv - a]
+                rhs = image if image < a else TOP if image - a == v else rho[image - a]
                 if lhs != rhs:
                     raise VerificationFailed(f"sealed transfer identity fails at v={v}, w={w}")
 
         # plain variant over the whole domain
         for w in range(a, a + self.n_block):
-            pv = p[w]
-            if pv < a:
-                lhs = pv
-            else:
-                qpt = self.q.points[pv - a]
-                lhs = ("rho", qpt.s) if words[qpt.s][:-1] == qpt.u else 0
-            image = pi_vals[w]
-            rhs = image if image < a else ("rho", image - a)
-            if a == 1:
-                lhs, rhs = 0, 0
+            pv, image = p[w], pi_vals[w]
+            lhs = pv if pv < a else r[pv - a]
+            rhs = image if image < a else rho[image - a]
             if lhs != rhs:
                 raise VerificationFailed(f"plain transfer identity fails at w={w}")
 
@@ -572,7 +559,7 @@ class TransferCell:
         off_path_minima = (0, 1) if self.nq > self.s.n else (0,)
         for letters in itertools.product(range(i), repeat=self.s.n):
             words = self._words(lambda qq, v: letters[v])
-            on_path_minima = {self.q.position_of[QPoint(v, w[:-1])]: w[-1] for v, w in enumerate(words)}
+            on_path_minima = dict(zip(self.cuts(words), letters))
             for off in off_path_minima:
                 allowed: list[list[int]] = [[v] for v in in_a]
                 for qq in range(self.nq):
@@ -599,14 +586,14 @@ def classify_point(
 ) -> PointFlags:
     """The leading / good / very good flags of a point (vertex, word) of S x I under p."""
     cell = _checked_cell(s, i_size, a_size, p)
-    minhit, words, _ = cell.structure(p)
+    minhit, _, x = cell.structure(p)
     sv, word = point[0], tuple(point[1])
     pos = cell.tensor.vertex_of.get(TensorPoint(sv, word))
     if pos is None:
         raise VertexOutOfRange(f"({sv}, {word}) is not a point of S x I")
     qq = pos // i_size
     leading = word[-1] == minhit[qq]
-    on_path = word[:-1] == words[sv][:-1]
+    on_path = x[sv] == qq
     return PointFlags(
         leading=leading,
         good=p[a_size + pos] == a_size + qq and on_path,
@@ -618,9 +605,13 @@ def very_good_word(
     s: OrderedForest, i_size: int, a_size: int, p: Sequence[int], s_vertex: int
 ) -> tuple[int, ...]:
     """The unique word making (s_vertex, word) very good."""
-    if not 0 <= s_vertex < s.n:
-        raise VertexOutOfRange(f"vertex {s_vertex} not in forest of size {s.n}")
+    _check_vertex(s, s_vertex)
     return _checked_cell(s, i_size, a_size, p).structure(p)[1][s_vertex]
+
+
+def _check_vertex(s: OrderedForest, v: int) -> None:
+    if not 0 <= v < s.n:
+        raise VertexOutOfRange(f"vertex {v} not in forest of size {s.n}")
 
 
 def _pi_and_j(cell: TransferCell, p: Sequence[int]) -> tuple[TreeMap, TreeMap, list[tuple[int, ...]]]:
@@ -648,14 +639,11 @@ def build_pi(
     return pi, j
 
 
-def _r_values(cell: TransferCell, words: list[tuple[int, ...]], rho: TreeMap, length: int) -> list[int]:
-    """Values of r on the first `length` cuts of Q: rho(s) when the cut lies on
-    the very good word of its vertex s, min A otherwise."""
+def _r_values(cell: TransferCell, x: list[int], rho: TreeMap, length: int) -> list[int]:
+    """Values of r on the first `length` cuts of Q: rho(s) when the cut is x_s,
+    on the very good path of its vertex s, min A otherwise."""
     a = cell.a
-    return [
-        rho.values[a + qpt.s] if words[qpt.s][:-1] == qpt.u else 0
-        for qpt in cell.q.points[:length]
-    ]
+    return [rho.values[a + pt.s] if x[pt.s] == qq else 0 for qq, pt in enumerate(cell.q.points[:length])]
 
 
 def build_r(
@@ -669,8 +657,10 @@ def build_r(
     """The sealed companion r: A + Q^{x_v} -> A + 1 with r o p^{x_v} = rho o pi_p^v.
 
     rho must be a sealed identity-on-A map from A + S^v onto A + 1; the
-    identity is verified pointwise before returning.
+    identity is verified pointwise before returning.  A vertex v outside S
+    raises VertexOutOfRange before anything else is checked.
     """
+    _check_vertex(s, v)
     cell = _checked_cell(s, i_size, a_size, p)
     a = a_size
     exp_dom = oplus(a, _forest_prefix(s, v))
@@ -679,8 +669,9 @@ def build_r(
     if any(rho.values[k] != k for k in range(a)):
         raise NotSealed("rho must fix A pointwise")
     pi, _, words = _pi_and_j(cell, p)
-    x_v = cell.q.position_of[QPoint(v, words[v][:-1])]
-    r_vals = tuple(range(a)) + tuple(_r_values(cell, words, rho, x_v)) + (a,)
+    x = cell.cuts(words)
+    x_v = x[v]
+    r_vals = tuple(range(a)) + tuple(_r_values(cell, x, rho, x_v)) + (a,)
     r = TreeMap(chain(a + x_v + 1), rho.cod, r_vals)
     # verify the transfer identity pointwise; p lives on the chain A + (Q x I),
     # pi on the tree A + (S x I), equal as linear orders, so compare values
@@ -700,7 +691,7 @@ def build_r_plain(
     if rho.dom != oplus(a, s) or rho.cod.n != a or any(rho.values[k] != k for k in range(a)):
         raise NotSealed("rho must be an identity-on-A map from A + S to A")
     pi, _, words = _pi_and_j(cell, p)
-    r_vals = tuple(range(a)) + tuple(_r_values(cell, words, rho, cell.nq))
+    r_vals = tuple(range(a)) + tuple(_r_values(cell, cell.cuts(words), rho, cell.nq))
     r = TreeMap(chain(a + cell.nq), rho.cod, r_vals)
     if compose(r, _p_as_chain_map(cell, p)).values != compose(rho, pi).values:
         raise BlockConditionViolated("plain transfer identity fails")
@@ -808,9 +799,10 @@ def _cut_colors(
     map A1 + F^v -> A1 + 1 composed through t, then any choice of later slots."""
     colors = set()
     pre = _forest_prefix(first_forest, v)
+    t_v = restrict_initial(t, a1 + v)
     for s1_vals in itertools.product(range(a1), repeat=v):
         s1 = _sealed_tree_map(a1, pre, s1_vals)
-        first = _sealed_word_of_map(compose(s1, restrict_initial(t, a1 + v)), a1)
+        first = _sealed_word_of_map(compose(s1, t_v), a1)
         for rest in itertools.product(*later):
             colors.add(color_of[(first, *rest)])
     return colors

@@ -470,22 +470,16 @@ def tensor(s: OrderedForest, i: int) -> TensorIndex:
 
 @dataclass(frozen=True)
 class QIndex:
-    """The level-cut index Q(S, I) with its linear order and the Q x I identification."""
+    """The level-cut index Q(S, I): its points in linear order and their positions.
 
-    alphabet: int
+    Block qq of S x I is the interval from qq*i of tensor(S, I), so the cut
+    qq with letter k is the point at position qq*i + k there."""
+
     points: tuple[QPoint, ...]  # position in the linear order -> point
 
     @cached_property
     def position_of(self) -> dict[QPoint, int]:
         return {pt: idx for idx, pt in enumerate(self.points)}
-
-    def to_tensor_point(self, q: QPoint, letter: int) -> TensorPoint:
-        if not (0 <= letter < self.alphabet):
-            raise VertexOutOfRange(f"letter {letter} outside alphabet of size {self.alphabet}")
-        return TensorPoint(q.s, q.u + (letter,))
-
-    def from_tensor_point(self, pt: TensorPoint) -> tuple[QPoint, int]:
-        return QPoint(pt.s, pt.t[:-1]), pt.t[-1]
 
 
 @lru_cache(maxsize=None)
@@ -493,7 +487,7 @@ def q_set(s: OrderedForest, i: int) -> QIndex:
     """Q(S, I) = pairs (s, u) with ht(s) = |u| + 1, ordered by block position in S x I:
     the cut of each block's letter-0 point."""
     pts = [QPoint(p.s, p.t[:-1]) for p in tensor(s, i).points if p.t[-1] == 0]
-    return QIndex(i, tuple(pts))
+    return QIndex(tuple(pts))
 
 
 @lru_cache(maxsize=None)

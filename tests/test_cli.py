@@ -336,6 +336,23 @@ def test_config_sets_subcommand_flags(capsys, tmp_path):
     assert code == 0 and out == "witness [None, 0, 1, 2, 3, 4] (holds)\n"
 
 
+def test_config_key_naming_no_flag_is_an_input_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max_node=1\n")  # misspelt max_nodes
+    code = main(["--config", str(cfg), "witness", "search", "--mode", "chain", "--b", "2", "--k", "2", "--l", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "max_node" in captured.err
+
+
+def test_config_key_of_another_subcommand_is_unused(capsys, tmp_path):
+    # max_vertices is a witness search flag, so enum trees leaves it unused
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max_vertices=3\n")
+    code, out = run(capsys, "--config", str(cfg), "enum", "trees", "--n", "2")
+    assert code == 0 and out == "[None, 0]\n"
+
+
 @pytest.mark.parametrize("value", ["--5", "5x", "-5"])
 def test_config_bad_int_value_is_an_input_error(files, capsys, tmp_path, value):
     cfg = tmp_path / "cfg"

@@ -416,6 +416,25 @@ def _words(cell, p):
     return tuple(cell.structure(p)[1])
 
 
+def test_cuts_and_j_match_the_definitional_very_good_points():
+    # x_v is the block of v's very good point by definition, and j_p read
+    # positionally from x_v equals the lookup of that point in S x I
+    for cell in _cells(3, 3_000, alphabets=(1, 2, 3)):
+        f, a, isz, ti = cell.s, cell.a, cell.i, cell.tensor
+        t_pos = {(pt.s, pt.t): k for k, pt in enumerate(ti.points)}
+        q_pos = {(qp.s, qp.u): k for k, qp in enumerate(cell.q.points)}
+        for p in hj.block_condition_maps(a, cell.nq, isz):
+            _, words, x = cell.structure(p)
+            very_good = {
+                pt.s: t_pos[pt] // isz
+                for pt in ti.points
+                if definitional_point_flags(f.parent, a, p, q_pos, t_pos, pt.s, pt.t)[2]
+            }
+            assert x == [very_good[v] for v in range(f.n)]
+            _, j_vals, _ = cell.transfer_maps(p)
+            assert j_vals[a:] == [a + ti.vertex_of[trees.TensorPoint(v, w)] for v, w in enumerate(words)]
+
+
 def test_verify_transfer_cells_small():
     # the oracle: check_word_map on every block-condition map of each cell,
     # and j is the injection the generic classifier computes for pi
@@ -601,6 +620,15 @@ def test_points_outside_s_x_i_raise_vertex_out_of_range():
         with pytest.raises(VertexOutOfRange):
             hj.very_good_word(C2F, 2, 1, p, v)
     assert issubclass(VertexOutOfRange, IndexError)  # callers catching IndexError still do
+
+
+def test_build_r_refuses_a_vertex_outside_the_forest():
+    # refused before v's very good word is looked up, not as a bare IndexError
+    rho = hj._sealed_tree_map(1, PT, ())
+    for v in (1, 5, -1):
+        with pytest.raises(IndexError) as exc:
+            hj.build_r(PT, 2, 1, (0, 1, 0), v, rho)
+        assert type(exc.value) is VertexOutOfRange
 
 
 # --- the pipeline ----------------------------------------------------------------

@@ -410,14 +410,11 @@ def test_tensor_identities_exhaustive():
                 assert ti.forest.n == sum(k ** f.height[v] for v in range(f.n))
                 assert len(q.points) * k == ti.forest.n
                 # blocks partition the tensor order into ascending intervals and
-                # the pairing with Q x I is an order isomorphism
-                positions = [
-                    ti.vertex_of[q.to_tensor_point(qp, i)] for qp in q.points for i in range(k)
-                ]
-                assert positions == list(range(ti.forest.n))
-                for qp in q.points:
+                # the pairing with Q x I is an order isomorphism: cut qq with
+                # letter i is the point at position qq*k + i
+                for qq, qp in enumerate(q.points):
                     for i in range(k):
-                        assert q.from_tensor_point(q.to_tensor_point(qp, i)) == (qp, i)
+                        assert ti.points[qq * k + i] == trees.TensorPoint(qp.s, qp.u + (i,))
 
 
 def test_tensor_partial_order_matches_definition():
