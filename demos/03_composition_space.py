@@ -10,7 +10,6 @@ Ramsey/pigeonhole decision on a small family.
 
 from treeramsey import framework as fw
 from treeramsey import trees
-from treeramsey.enumeration import all_rigid_surjections
 
 C2, C3, C4 = trees.chain(2), trees.chain(3), trees.chain(4)
 
@@ -46,27 +45,18 @@ for bound in (2, 3):
     )
 
 print("\n== a Ramsey decision on families ==")
-p_elements = {
-    fw.DomainElement(amb["T"], cut, amb["S"], 1, m.values)
-    for cut in range(3)
-    for m in all_rigid_surjections(trees.initial_subtree(C3, cut), C2, sealed=True)
-}
+p_elements = fw.maximal_elements(amb["T"], amb["S"], 1)
 fam_p = fw.FamilySet(frozenset(p_elements), "P")
-f_elements = {
-    fw.DomainElement(amb["V"], cut, amb["T"], 2, m.values)
-    for cut in range(4)
-    for m in all_rigid_surjections(trees.initial_subtree(C4, cut), C3, sealed=True)
-}
+f_elements = fw.maximal_elements(amb["V"], amb["T"], 2)
 fam_f = fw.FamilySet(frozenset(f_elements), "F")
 rep = fw.check_R(fam_f, fam_p, 2)
 print(f"|P| = {len(fam_p)}, |F| = {len(fam_f)}, condition (R) at b=2: {rep.verdict}")
 if rep.counterexample:
     print(f"  defeating coloring over {len(rep.items)} products: {rep.counterexample}")
 
-ys = sorted({fw.truncate(x) for x in fam_p.elements}, key=lambda e: (e.cut_dom, e.values))
-y = ys[-1]
+y = fam_p.fiber_bases()[-1]
 fib = fw.fiber(fam_p, y)
-a = fw.restrict_element(sorted(f_elements, key=lambda e: (e.cut_dom, e.values))[-1], y.cut_dom)
+a = fw.restrict_element(f_elements[-1], y.cut_dom)
 lp = fw.check_LP(fam_p, y, fam_f, a, 2)
 print(f"fiber at {y}: {len(fib)} elements; condition (LP) there: {lp.verdict}")
 

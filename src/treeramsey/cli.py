@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import __version__, framework, halesjewett, serialize, witness
 
-from .enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
+from .enumeration import all_embeddings, all_rigid_surjections
 from .errors import (
     NotFoundWithinBound,
     ResourceCapExceeded,
@@ -213,16 +213,8 @@ def cmd_framework(args) -> int:
     amb_s = framework.Ambient("S", uni_s)
     amb_t = framework.Ambient("T", uni_t)
     amb_v = framework.Ambient("V", uni_v)
-    p_elems = set()
-    for cut_dom in range(uni_t.n):
-        for values in rigid_surjection_values(
-            initial_subtree(uni_t, cut_dom), initial_subtree(uni_s, args.s_cut), True
-        ):
-            p_elems.add(framework.DomainElement(amb_t, cut_dom, amb_s, args.s_cut, values))
-    f_elems = set()
-    for cut_dom in range(uni_v.n):
-        for values in rigid_surjection_values(initial_subtree(uni_v, cut_dom), uni_t, True):
-            f_elems.add(framework.DomainElement(amb_v, cut_dom, amb_t, uni_t.n - 1, values))
+    p_elems = framework.maximal_elements(amb_t, amb_s, args.s_cut)
+    f_elems = framework.maximal_elements(amb_v, amb_t, uni_t.n - 1)
     if not p_elems or not f_elems:
         raise SchemaError("empty family: no sealed rigid surjections for these parameters")
     fam_p = framework.FamilySet(frozenset(p_elems), "P")
@@ -230,17 +222,11 @@ def cmd_framework(args) -> int:
     if args.fw_cmd == "check-r":
         rep = framework.check_R(fam_f, fam_p, args.b, max_nodes=args.max_nodes)
     else:
-        ys = sorted(
-            {framework.truncate(x) for x in fam_p.elements},
-            key=lambda e: (e.cut_dom, e.values),
-        )
+        ys = fam_p.fiber_bases()
         if not (0 <= args.y_index < len(ys)):
             raise SchemaError(f"--y-index out of range (0..{len(ys) - 1})")
         y = ys[args.y_index]
-        cands = sorted(
-            {framework.restrict_element(x, y.cut_dom) for x in fam_f.elements},
-            key=lambda e: (e.cut_dom, e.values),
-        )
+        cands = fam_f.restriction_candidates(y)
         if not (0 <= args.a_index < len(cands)):
             raise SchemaError(f"--a-index out of range (0..{len(cands) - 1})")
         rep = framework.check_LP(fam_p, y, fam_f, cands[args.a_index], args.b, max_nodes=args.max_nodes)

@@ -121,7 +121,9 @@ def find_proper_coloring(
     """Propagating backtracking search for a coloring with every edge non-monochromatic.
 
     max_nodes caps assignments, max_colorings caps complete assignments;
-    exceeding either raises ResourceCapExceeded with the stats so far.  A
+    exceeding either raises ResourceCapExceeded with the stats so far.  The
+    search reaches at most one complete assignment, the proper coloring it
+    returns, so only max_colorings = 0 can be exceeded.  A
     color count b below 1 or a negative cap raises ValueError, and an edge
     that is not a tuple raises TypeError.
     """
@@ -172,12 +174,6 @@ def find_proper_coloring(
             stats.nodes += 1
             colors[v] = c
             assigned.append(v)
-            if len(assigned) == n_vertices:
-                stats.colorings_examined += 1
-                if max_colorings is not None and stats.colorings_examined > max_colorings:
-                    raise ResourceCapExceeded(
-                        f"coloring search exceeded {max_colorings} examined colorings", stats
-                    )
             bit = 1 << c
             ok = True
             for i in incident[v]:  # every counter of v is updated, so undo can revert them all
@@ -224,6 +220,12 @@ def find_proper_coloring(
         while pos < n_vertices and colors[order[pos]] >= 0:
             pos += 1
         if pos == n_vertices:
+            # propagation completes only proper assignments: this is the one examined
+            stats.colorings_examined = 1
+            if max_colorings == 0:
+                raise ResourceCapExceeded(
+                    f"coloring search exceeded {max_colorings} examined colorings", stats
+                )
             return SearchResult(tuple(colors), stats)
         v = order[pos]
         options = domain[v] if decisions else 1  # pin color 0 on the first decision

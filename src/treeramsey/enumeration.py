@@ -4,14 +4,14 @@ Enumeration order is part of the contract: maps come lexicographically by
 value tuple, colorings in counting order.  Two runs produce identical
 sequences.
 
-Embeddings come from one list-building backtracking over value tuples
-(all_embeddings).  Rigid surjections are extended from the prefix of their
-domain instead: in canonical form a tree without its last vertex is its
-initial subtree, the one a sweep over trees decides just before, and a rigid
-surjection restricts to one on that prefix.  So each table of value tuples
-is its prefix's table extended by one value per map (_prefix_table, cached
-by parent arrays, in closed form onto one vertex or onto a codomain at least
-as large as the domain).
+Both kinds of map are extended from the prefix of their domain: in
+canonical form a tree without its last vertex is its initial subtree, and a
+rigid surjection or an embedding restricts to one on that prefix.  So each
+table of rigid value tuples is its prefix's table extended by one value per
+map (_prefix_table, cached by parent arrays, the prefix being the tree a
+sweep over trees decides just before; in closed form onto one vertex or onto
+a codomain at least as large as the domain), and all_embeddings extends its
+value tuples one domain vertex at a time, in one pass with no recursion.
 Each new value is tested in constant time, against its predecessor only, by
 the consecutive meet law of maps (see the maps module docstring).  The
 prefix tables stay cached beside the tables read from them: a sweep over
@@ -146,32 +146,24 @@ def all_embeddings(dom: OrderedTree, cod: OrderedTree) -> tuple[TreeMap, ...]:
     Embeddings are strictly increasing in the canonical numbering (monotone +
     injective), fix the root, and preserve meets.
 
-    Values are assigned in increasing vertex order; vertex v may take a value
-    t of cod when t > e(v-1) and meet(e(v-1), t) = e(parent(v)), the
-    consecutive meet law.
+    The value tuples on the prefix dom^{v-1} are extended one domain vertex
+    v at a time: v may take a value t of cod when t > e(v-1) and
+    meet(e(v-1), t) = e(parent(v)), the consecutive meet law.
     """
     ns, nt = dom.n, cod.n
     if ns > nt:
         return ()
     anc = cod.anc_mask
-    parent = dom.parent
-    vals = [0] * ns  # root goes to root
-    out: list[TreeMap] = []
-
-    def extend(v: int) -> None:
-        if v == ns:
-            out.append(TreeMap(dom, cod, tuple(vals)))
-            return
-        prev = vals[v - 1]
-        prev_anc = anc[prev]
-        meet = vals[parent[v]]
-        for t in range(prev + 1, nt - (ns - v) + 1):
-            if (prev_anc & anc[t]).bit_length() - 1 == meet:
-                vals[v] = t
-                extend(v + 1)
-
-    extend(1)
-    return tuple(out)
+    table = [(0,)]  # root goes to root
+    for v in range(1, ns):
+        par = dom.parent[v]
+        table = [
+            vals + (t,)
+            for vals in table
+            for t in range(vals[-1] + 1, nt - (ns - v) + 1)
+            if (anc[vals[-1]] & anc[t]).bit_length() - 1 == vals[par]
+        ]
+    return tuple(TreeMap(dom, cod, vals) for vals in table)
 
 
 @lru_cache(maxsize=None)

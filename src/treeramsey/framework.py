@@ -31,6 +31,7 @@ __all__ = [
     "Ambient",
     "DomainElement",
     "FamilySet",
+    "maximal_elements",
     "space_mul",
     "truncate",
     "extends",
@@ -173,7 +174,33 @@ class FamilySet:
         return len(self.elements)
 
     def sorted_elements(self) -> list[DomainElement]:
-        return sorted(self.elements, key=lambda e: (e.cut_dom, e.values))
+        return sorted(self.elements, key=_by_cut_then_values)
+
+    def fiber_bases(self) -> list[DomainElement]:
+        """The bases y of the fibres P^y, the distinct truncations of the members, sorted."""
+        return sorted({truncate(x) for x in self.elements}, key=_by_cut_then_values)
+
+    def restriction_candidates(self, y: DomainElement) -> list[DomainElement]:
+        """The distinct restrictions of the members to the domain of y, sorted:
+        the witnesses a with a * y defined that an (LP) scan tries."""
+        restrictions = {restrict_element(x, y.cut_dom) for x in self.elements}
+        return sorted(restrictions, key=_by_cut_then_values)
+
+
+def _by_cut_then_values(e: DomainElement) -> tuple[int, tuple[int, ...]]:
+    return (e.cut_dom, e.values)
+
+
+def maximal_elements(amb_dom: Ambient, amb_cod: Ambient, cut_cod: int) -> list[DomainElement]:
+    """The members of a maximal family: every sealed map from an initial
+    subtree of amb_dom onto the cut cut_cod of amb_cod, ordered by domain
+    cut, then by values."""
+    cod = initial_subtree(amb_cod.tree, cut_cod)
+    return [
+        DomainElement(amb_dom, cut_dom, amb_cod, cut_cod, values)
+        for cut_dom in range(amb_dom.tree.n)
+        for values in rigid_surjection_values(initial_subtree(amb_dom.tree, cut_dom), cod, True)
+    ]
 
 
 def family_mul(f: FamilySet, g: FamilySet) -> FamilySet:
@@ -209,26 +236,26 @@ class Universe:
 
     One tagged ambient per canonical tree; elements are every sealed rigid
     surjection between every pair of initial subtrees (same-ambient pairs
-    included).
+    included), listed maximal family by maximal family.
     """
 
     bound: int
     ambients: list[Ambient] = field(default_factory=list)
     elements: list[DomainElement] = field(default_factory=list)
+    _p_families: list[FamilySet] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         trees = [t for n in range(1, self.bound + 1) for t in all_trees(n)]
         self.ambients = [Ambient(f"T{i}", t) for i, t in enumerate(trees)]
+        groups = {}
         for amb_dom in self.ambients:
             for amb_cod in self.ambients:
                 for cut_cod in range(amb_cod.tree.n):
-                    cod = initial_subtree(amb_cod.tree, cut_cod)
-                    for cut_dom in range(amb_dom.tree.n):
-                        dom = initial_subtree(amb_dom.tree, cut_dom)
-                        for values in rigid_surjection_values(dom, cod, True):
-                            self.elements.append(
-                                DomainElement(amb_dom, cut_dom, amb_cod, cut_cod, values)
-                            )
+                    members = maximal_elements(amb_dom, amb_cod, cut_cod)
+                    self.elements += members
+                    if members:
+                        groups[(amb_dom.tag, amb_cod.tag, cut_cod)] = frozenset(members)
+        self._p_families = [FamilySet(v, "P") for _, v in sorted(groups.items())]
 
     @cached_property
     def by_dom_tag(self) -> dict[str, list[DomainElement]]:
@@ -239,17 +266,12 @@ class Universe:
 
     def maximal_p_families(self) -> list[FamilySet]:
         """For each (codomain prefix, domain ambient): all sealed maps onto it."""
-        groups: dict[tuple[str, str, int], set[DomainElement]] = {}
-        for e in self.elements:
-            groups.setdefault((e.amb_dom.tag, e.amb_cod.tag, e.cut_cod), set()).add(e)
-        return [FamilySet(frozenset(v), "P") for _, v in sorted(groups.items())]
+        return list(self._p_families)
 
     def maximal_f_families(self) -> list[FamilySet]:
-        out = []
-        for p in self.maximal_p_families():
-            if p.r_cut == p.r_ambient.tree.n - 1:
-                out.append(FamilySet(p.elements, "F"))
-        return out
+        return [
+            FamilySet(p.elements, "F") for p in self._p_families if p.r_cut == p.r_ambient.tree.n - 1
+        ]
 
 
 @dataclass
@@ -530,13 +552,10 @@ def scan_lp_r_consistency(bound: int, b: int, max_nodes: Optional[int] = None) -
             if r_rep.holds:
                 continue
             lp_all = True
-            for y in sorted({truncate(x) for x in p.elements}, key=lambda e: (e.cut_dom, e.values)):
-                candidates = sorted(
-                    {restrict_element(x, y.cut_dom) for x in f.elements},
-                    key=lambda e: (e.cut_dom, e.values),
-                )
+            for y in p.fiber_bases():
                 if not any(
-                    check_LP(p, y, f, a, b, max_nodes=max_nodes).holds for a in candidates
+                    check_LP(p, y, f, a, b, max_nodes=max_nodes).holds
+                    for a in f.restriction_candidates(y)
                 ):
                     lp_all = False
                     break

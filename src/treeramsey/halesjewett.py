@@ -431,11 +431,13 @@ class TransferCell:
     block condition; Q x I is identified with S x I positionally, block qq at
     positions qq*i .. qq*i + i - 1.  The very good word of v is its parent's
     plus the first hit of v's on-path block x_v = QPoint(v, parent's word),
-    and a cut is on a very good path iff it is its vertex's x_v (cuts); a
-    point is leading iff its last letter is its block's first hit, and good
-    iff p hits its own block and that block is on-path.  check_word_map
-    decides the transfer identities symbolically over opaque rho-values, so
-    one pass covers every sealed (and plain) rho exactly.
+    and a cut is on a very good path iff it is its vertex's x_v (_words
+    builds the words and their cuts in one pass, parents first); a point is
+    leading iff its last letter is its block's first hit, and good iff p
+    hits its own block and that block is on-path.  check_word_map decides
+    the transfer identities symbolically over opaque rho-values, so one pass
+    covers every sealed (and plain) rho exactly; companion reads r off rho
+    for symbolic and concrete rho alike.
 
     Locality: check_word_map reads p only through the very good words (one
     letter per vertex; they fix j_p and the cuts x_v) and the single values
@@ -458,31 +460,29 @@ class TransferCell:
     def word_count(self) -> int:
         return count_block_maps(self.a, self.nq, self.i)
 
-    def _words(self, letter) -> list[tuple[int, ...]]:
-        """Very good words, parents first: letter(qq, v) is the first hit of
-        v's on-path block qq = QPoint(v, parent's word)."""
+    def _words(self, letter) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Very good words and their cuts x_v, parents first: x_v is v's
+        on-path block QPoint(v, parent's word), and letter(x_v, v) the first
+        hit in it.  A cut qq lies on a very good path iff x[points[qq].s] == qq."""
         words: list[tuple[int, ...]] = []
+        x: list[int] = []
         for v, par in enumerate(self.s.parent):
             u = () if par is None else words[par]
-            words.append(u + (letter(self.q.position_of[QPoint(v, u)], v),))
-        return words
-
-    def cuts(self, words: Sequence[tuple[int, ...]]) -> list[int]:
-        """x_v per vertex v: the cut of Q on v's very good word, its on-path
-        block.  A cut qq lies on a very good path iff x[points[qq].s] == qq."""
-        return [self.q.position_of[QPoint(v, word[:-1])] for v, word in enumerate(words)]
+            qq = self.q.position_of[QPoint(v, u)]
+            words.append(u + (letter(qq, v),))
+            x.append(qq)
+        return words, x
 
     def structure(self, p: Sequence[int]):
         """(min hit per block, very good words, and their cuts x_v per vertex)."""
         minhit = [_first_hit(p, self.a, self.i, qq) - qq * self.i for qq in range(self.nq)]
-        words = self._words(lambda qq, v: minhit[qq])
-        return minhit, words, self.cuts(words)
+        return (minhit, *self._words(lambda qq, v: minhit[qq]))
 
-    def transfer_maps(self, p: Sequence[int]) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
-        """(values of pi_p on A + (S x I), values of j_p on A + S, very good
-        words of p); build_pi says what pi_p and j_p are.  Block qq of S x I
-        is the interval from qq*i, so j_p(v) = a + x_v*i + the last letter
-        of v's word."""
+    def transfer_maps(self, p: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+        """(values of pi_p on A + (S x I), values of j_p on A + S, the cuts
+        x_v of p's very good words); build_pi says what pi_p and j_p are.
+        Block qq of S x I is the interval from qq*i, so j_p(v) = a + x_v*i +
+        the last letter of v's word."""
         a, i = self.a, self.i
         _, words, x = self.structure(p)
         points = self.q.points
@@ -496,7 +496,13 @@ class TransferCell:
             sv = points[qq].s
             pi_vals.append(a + sv if qq == pos // i and x[sv] == qq else 0)  # else min A
         j_vals = list(range(a)) + [a + x_v * i + word[-1] for x_v, word in zip(x, words)]
-        return pi_vals, j_vals, words
+        return pi_vals, j_vals, x
+
+    def companion(self, x: Sequence[int], rho: Sequence, length: int) -> list:
+        """The values of the companion r on the first length cuts of Q: rho(s)
+        on the cut x_s, the very good path of its vertex s, and min A off the
+        paths.  rho lists its values on S by vertex, symbolic or concrete."""
+        return [rho[pt.s] if x[pt.s] == qq else 0 for qq, pt in enumerate(self.q.points[:length])]
 
     def check_word_map(self, p: Sequence[int]) -> None:
         """Verify the full executable transfer lemma for one word map.
@@ -511,20 +517,13 @@ class TransferCell:
         and it runs the same Galois-pair check on the same pair.
         """
         a, s = self.a, self.s
-        pi_vals, j_vals, words = self.transfer_maps(p)
-        for v in range(s.n):  # prefix coherence of very good words
-            par = s.parent[v]
-            if par is not None and words[par] != words[v][: s.height[par]]:
-                raise VerificationFailed(f"very good words of {par} and {v} are not prefix coherent")
-
+        pi_vals, j_vals, x = self.transfer_maps(p)
         if not _galois_pair(self.dom_anc, self.cod_tree.parent, pi_vals, j_vals):
             raise VerificationFailed("pi and j are not a Galois pair")
 
-        # symbolic rho per vertex (A has one value when a = 1), and r per cut:
-        # rho of the cut's vertex on its very good path, min A off it
-        x = self.cuts(words)
+        # symbolic rho per vertex (A has one value when a = 1), and r per cut
         rho = [("rho", u) if a > 1 else 0 for u in range(s.n)]
-        r = [rho[pt.s] if x[pt.s] == qq else 0 for qq, pt in enumerate(self.q.points)]
+        r = self.companion(x, rho, self.nq)
 
         # transfer identity, sealed variant for every cut vertex
         for v in range(s.n):
@@ -558,8 +557,7 @@ class TransferCell:
         in_a = list(range(a))
         off_path_minima = (0, 1) if self.nq > self.s.n else (0,)
         for letters in itertools.product(range(i), repeat=self.s.n):
-            words = self._words(lambda qq, v: letters[v])
-            on_path_minima = dict(zip(self.cuts(words), letters))
+            on_path_minima = dict(zip(self._words(lambda qq, v: letters[v])[1], letters))
             for off in off_path_minima:
                 allowed: list[list[int]] = [[v] for v in in_a]
                 for qq in range(self.nq):
@@ -614,15 +612,15 @@ def _check_vertex(s: OrderedForest, v: int) -> None:
         raise VertexOutOfRange(f"vertex {v} not in forest of size {s.n}")
 
 
-def _pi_and_j(cell: TransferCell, p: Sequence[int]) -> tuple[TreeMap, TreeMap, list[tuple[int, ...]]]:
+def _pi_and_j(cell: TransferCell, p: Sequence[int]) -> tuple[TreeMap, TreeMap, list[int]]:
     """pi_p and j_p as tree maps, verified to be a rigid surjection with that
-    exact injection, and the very good words of p."""
-    pi_vals, j_vals, words = cell.transfer_maps(p)
+    exact injection, and the cuts x_v of p's very good words."""
+    pi_vals, j_vals, x = cell.transfer_maps(p)
     pi = TreeMap(cell.dom_tree, cell.cod_tree, tuple(pi_vals))
     j = TreeMap(cell.cod_tree, cell.dom_tree, tuple(j_vals))
     if injection_of(pi) != j:  # raises NotRigid when pi is not rigid
         raise BlockConditionViolated("transfer map's injection differs from the very-good embedding")
-    return pi, j, words
+    return pi, j, x
 
 
 def build_pi(
@@ -637,13 +635,6 @@ def build_pi(
     """
     pi, j, _ = _pi_and_j(_checked_cell(s, i_size, a_size, p), p)
     return pi, j
-
-
-def _r_values(cell: TransferCell, x: list[int], rho: TreeMap, length: int) -> list[int]:
-    """Values of r on the first `length` cuts of Q: rho(s) when the cut is x_s,
-    on the very good path of its vertex s, min A otherwise."""
-    a = cell.a
-    return [rho.values[a + pt.s] if x[pt.s] == qq else 0 for qq, pt in enumerate(cell.q.points[:length])]
 
 
 def build_r(
@@ -668,10 +659,9 @@ def build_r(
         raise NotSealed("rho must be a sealed identity-on-A map from A + S^v onto A + 1")
     if any(rho.values[k] != k for k in range(a)):
         raise NotSealed("rho must fix A pointwise")
-    pi, _, words = _pi_and_j(cell, p)
-    x = cell.cuts(words)
+    pi, _, x = _pi_and_j(cell, p)
     x_v = x[v]
-    r_vals = tuple(range(a)) + tuple(_r_values(cell, x, rho, x_v)) + (a,)
+    r_vals = tuple(range(a)) + tuple(cell.companion(x, rho.values[a:], x_v)) + (a,)
     r = TreeMap(chain(a + x_v + 1), rho.cod, r_vals)
     # verify the transfer identity pointwise; p lives on the chain A + (Q x I),
     # pi on the tree A + (S x I), equal as linear orders, so compare values
@@ -690,8 +680,8 @@ def build_r_plain(
     a = a_size
     if rho.dom != oplus(a, s) or rho.cod.n != a or any(rho.values[k] != k for k in range(a)):
         raise NotSealed("rho must be an identity-on-A map from A + S to A")
-    pi, _, words = _pi_and_j(cell, p)
-    r_vals = tuple(range(a)) + tuple(_r_values(cell, cell.cuts(words), rho, cell.nq))
+    pi, _, x = _pi_and_j(cell, p)
+    r_vals = tuple(range(a)) + tuple(cell.companion(x, rho.values[a:], cell.nq))
     r = TreeMap(chain(a + cell.nq), rho.cod, r_vals)
     if compose(r, _p_as_chain_map(cell, p)).values != compose(rho, pi).values:
         raise BlockConditionViolated("plain transfer identity fails")

@@ -256,11 +256,17 @@ def initial_subtree(t: OrderedTree, v: int) -> OrderedTree:
     t._check(v)
     if v == t.n - 1:
         return t
-    prefix = object.__new__(OrderedTree)
-    object.__setattr__(prefix, "parent", t.parent[: v + 1])
-    object.__setattr__(prefix, "n", v + 1)
-    object.__setattr__(prefix, "anc_mask", t.anc_mask[: v + 1])
-    return prefix
+    return _trusted_tree(t.parent[: v + 1], t.anc_mask[: v + 1])
+
+
+def _trusted_tree(parent: tuple[Optional[int], ...], anc_mask: tuple[int, ...]) -> OrderedTree:
+    """The tree of a parent array that is canonical by construction, with its
+    ancestor masks, made without validating it again."""
+    t = object.__new__(OrderedTree)
+    object.__setattr__(t, "parent", parent)
+    object.__setattr__(t, "n", len(parent))
+    object.__setattr__(t, "anc_mask", anc_mask)
+    return t
 
 
 @dataclass(frozen=True)
@@ -408,60 +414,38 @@ class TensorIndex:
         return {pt: v for v, pt in enumerate(self.points)}
 
 
-def _tensor_order(s: OrderedForest, k: int) -> list[TensorPoint]:
-    """Vertices of S x I in their linear order.
-
-    The order is the preorder of the tensor forest in which the letter
-    successor (s, t with last letter incremented) precedes the fan-out
-    successors (s', t + (0,)), the latter ascending in S.  This is the unique
-    ordered-forest order in which every block {(s, u + (i,)) : i in I} is an
-    interval ascending in the letter, which makes the identification with
-    Q(S, I) x I an isomorphism of linear orders.
-    """
-    children_s: list[list[int]] = [[] for _ in range(s.n)]
-    for v in range(s.n):
-        p = s.parent[v]
-        if p is not None:
-            children_s[p].append(v)
-    out: list[TensorPoint] = []
-
-    def visit(v: int, word: tuple[int, ...]) -> None:
-        out.append(TensorPoint(v, word))
-        if word[-1] + 1 < k:
-            visit(v, word[:-1] + (word[-1] + 1,))
-        for c in children_s[v]:
-            visit(c, word + (0,))
-
-    for m in range(s.n):
-        if s.parent[m] is None:
-            visit(m, (0,))
-    return out
-
-
 @lru_cache(maxsize=None)
 def tensor(s: OrderedForest, i: int) -> TensorIndex:
     """Fan out the forest S along the alphabet I.
 
     Vertices are pairs (s, t) with ht(s) = |t|; (s1,t1) lies below (s2,t2) when
     s1 is below s2, the words agree strictly below level ht(s1), and at level
-    ht(s1) the letters compare in I.  The linear order makes each block
-    {(s, u + (i,))} an ascending interval (see _tensor_order).
+    ht(s1) the letters compare in I.  A point's immediate successors are its
+    letter successor (s, t with the last letter incremented) and then its
+    fan-out successors (s', t + (0,)), ascending in S; the vertices are listed
+    in the preorder of that forest, the unique ordered-forest order in which
+    every block {(s, u + (i,)) : i in I} is an interval ascending in the
+    letter, which makes the identification with Q(S, I) x I an isomorphism of
+    linear orders.  One pass with an explicit stack lists each point with its
+    parent's position.
     """
     if i < 1:
         raise EmptyAlphabet("alphabet must be non-empty")
-    pts = _tensor_order(s, i)
-    pos = {pt: idx for idx, pt in enumerate(pts)}
+    children: list[list[int]] = [[] for _ in range(s.n)]
+    for v, p in enumerate(s.parent):
+        if p is not None:
+            children[p].append(v)
+    pts: list[TensorPoint] = []
     parent: list[Optional[int]] = []
-    for pt in pts:
-        v, word = pt
-        if word[-1] > 0:
-            par = TensorPoint(v, word[:-1] + (word[-1] - 1,))
-        elif s.parent[v] is not None:
-            par = TensorPoint(s.parent[v], word[:-1])
-        else:
-            parent.append(None)
-            continue
-        parent.append(pos[par])
+    stack = [(m, (0,), None) for m in reversed(s.minima)]
+    while stack:
+        v, word, par = stack.pop()
+        here = len(pts)
+        pts.append(TensorPoint(v, word))
+        parent.append(par)
+        stack += [(c, word + (0,), here) for c in reversed(children[v])]
+        if word[-1] + 1 < i:  # popped first: the letter successor precedes the fan-out
+            stack.append((v, word[:-1] + (word[-1] + 1,), here))
     out = OrderedForest(tuple(parent))
     if out.n != sum(i ** s.height[v] for v in range(s.n)):
         raise VerificationFailed(f"tensor of {s} with {i} letters has {out.n} points")
@@ -492,24 +476,23 @@ def q_set(s: OrderedForest, i: int) -> QIndex:
 
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> tuple[OrderedTree, ...]:
-    """All canonical ordered trees with exactly n vertices, in lexicographic order."""
+    """All canonical ordered trees with exactly n vertices, in lexicographic order.
+
+    Each is a tree of all_trees(n - 1) with a last vertex attached to its
+    rightmost path, the predecessors of its last vertex, taken in ascending
+    order, which keeps the parent arrays in lexicographic order.
+    """
     if n < 1:
         raise VertexOutOfRange("trees are non-empty; need n >= 1")
     if n == 1:
         return (OrderedTree((None,)),)
-    results: list[OrderedTree] = []
-    parent: list[Optional[int]] = [None] * n
-
-    def extend(i: int, rightmost: tuple[int, ...]) -> None:
-        if i == n:
-            results.append(OrderedTree(tuple(parent)))
-            return
-        for p in rightmost:  # ascending => lexicographic order on parent arrays
-            parent[i] = p
-            extend(i + 1, tuple(x for x in rightmost if x <= p) + (i,))
-
-    extend(1, (0,))
-    return tuple(results)
+    top = 1 << (n - 1)
+    return tuple(
+        _trusted_tree(t.parent + (p,), t.anc_mask + (t.anc_mask[p] | top,))
+        for t in all_trees(n - 1)
+        for p in range(n - 1)
+        if t.anc_mask[-1] >> p & 1
+    )
 
 
 def all_forests(n: int) -> tuple[OrderedForest, ...]:

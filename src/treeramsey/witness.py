@@ -166,11 +166,11 @@ def _sealed_columns(
     g_cod: OrderedTree,
     gvs: Sequence[tuple[int, ...]],
     families: _SealedFamilies,
-) -> list[tuple[list[int], list[list[bytes]]]]:
+) -> list[list[list[bytes]]]:
     """The sealed edges of the maps g: g_dom -> g_cod with values in gvs, as
-    columns: for each family t, the cut i(t) of every g, and for each f of the
-    family the values of f o g^t for every g, as bytes (a composite on U^cut
-    has cut + 1 values).
+    columns: for each family t and each f of the family, the values of
+    f o g^t for every g, as bytes.  A composite on the cut i(t) of g has
+    i(t) + 1 values, so its length tells its cut.
 
     g^t is g cut at its injection i: the restriction to U^{i(t)}, which must
     be onto 0..t (onto T^t); T^t is the prefix 0..t of cod(g), checked
@@ -192,14 +192,13 @@ def _sealed_columns(
     gs = list(map(bytes, gvs))
     columns = []
     for tv, _, tables in families:
-        cuts = [e[tv] for e in injections]
-        prefixes = [g[: cut + 1] for g, cut in zip(gs, cuts)]
+        prefixes = [g[: e[tv] + 1] for g, e in zip(gs, injections)]
         for prefix, gv in zip(prefixes, gvs):
             if max(prefix) != tv:
                 raise VerificationFailed(
                     f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
                 )
-        columns.append((cuts, [[prefix.translate(table) for prefix in prefixes] for table in tables]))
+        columns.append([[prefix.translate(table) for prefix in prefixes] for table in tables])
     return columns
 
 
@@ -233,8 +232,8 @@ def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree) -> _SealedLaye
     positions += ({bytes(values): offset + i for i, values in enumerate(tops)},)
     gvs = rigid_surjection_values(u, t, True)
     columns = [
-        [positions[cut][x] for cut, x in zip(cuts, composites)]
-        for cuts, family in _sealed_columns(u, t, gvs, _sealed_families(s, t))
+        [positions[len(x) - 1][x] for x in composites]
+        for family in _sealed_columns(u, t, gvs, _sealed_families(s, t))
         for composites in family
     ]
     edges = list(zip(*columns)) if columns else [()] * len(gvs)
@@ -618,8 +617,8 @@ def derivation_intermediates(
     families = _sealed_families(s_plus, t_plus)
     for g_plus in all_rigid_surjections(u, t_plus, True):
         colors = {
-            sealed_color(cut, tuple(composite))
-            for [cut], family in _sealed_columns(u, t_plus, [g_plus.values], families)
+            sealed_color(len(composite) - 1, tuple(composite))
+            for family in _sealed_columns(u, t_plus, [g_plus.values], families)
             for [composite] in family
         }
         if len(colors) <= 1:

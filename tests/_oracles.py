@@ -241,6 +241,35 @@ def sealed_hypergraph_by_compose(s, t, u):
     return vertices, edges
 
 
+def tensor_by_recursion(s, k):
+    """The points of S x I (forest vertex, word) in the preorder of the fan-out,
+    letter successor first, fan-out successors ascending in S, and the parent
+    positions, rebuilt from the points through a position dict."""
+    children = [[v for v in range(s.n) if s.parent[v] == u] for u in range(s.n)]
+    points = []
+
+    def visit(v, word):
+        points.append((v, word))
+        if word[-1] + 1 < k:
+            visit(v, word[:-1] + (word[-1] + 1,))
+        for c in children[v]:
+            visit(c, word + (0,))
+
+    for m in range(s.n):
+        if s.parent[m] is None:
+            visit(m, (0,))
+    pos = {pt: idx for idx, pt in enumerate(points)}
+    parent = []
+    for v, word in points:
+        if word[-1] > 0:
+            parent.append(pos[(v, word[:-1] + (word[-1] - 1,))])
+        elif s.parent[v] is not None:
+            parent.append(pos[(s.parent[v], word[:-1])])
+        else:
+            parent.append(None)
+    return points, tuple(parent)
+
+
 def embeddings_by_meet_loop(dom, cod):
     """The value tuples of the embeddings dom -> cod in lexicographic order, by
     backtracking that checks each new value's meet law against every earlier

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
 
+from treeramsey import framework as fw
 from treeramsey import halesjewett, serialize, trees
 from treeramsey.cli import main
+from treeramsey.enumeration import rigid_surjection_values
 from treeramsey.maps import TreeMap
 
 from _oracles import coloring_to_json
@@ -541,3 +544,84 @@ def test_hj_search_coloring_cap_past_decimal_limit_exit_3(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("resource cap: ")
+
+
+def _save_tree(tmp_path, name, t):
+    path = tmp_path / f"{name}.json"
+    serialize.save_json(str(path), serialize.tree_to_json(t))
+    return str(path)
+
+
+def test_deep_inputs_keep_their_exit_codes(tmp_path, capsys):
+    # deeper than the interpreter's recursion limit: both tables are one pass
+    n = sys.getrecursionlimit() + 100
+    c = _save_tree(tmp_path, "chain", trees.chain(n))
+    code, out = run(capsys, "enum", "maps", "--kind", "embedding", "--dom", c, "--cod", c)
+    assert code == 0 and out == f"{list(range(n))}\n"
+    f = _save_tree(tmp_path, "forest", trees.forest([None] + list(range(n - 1))))
+    code, out = run(capsys, "trees", "tensor", "--forest", f, "--alphabet", "1")
+    assert code == 0 and out == f"{[None] + list(range(n - 1))} ({n} vertices)\n"
+
+
+LP_INSTANCE = {  # two fibre bases, with 2 and 3 witnesses a, holding and failing
+    "s": trees.tree([None, 0, 0]),
+    "t": trees.tree([None, 0, 0, 0]),
+    "v": trees.tree([None, 0, 0, 0, 0]),
+}
+
+
+def _lp_families(s, s_cut, t, v):
+    """P and F of check-lp built from the value tables, as the command describes them."""
+    amb_s, amb_t, amb_v = (fw.Ambient(tag, x) for tag, x in (("S", s), ("T", t), ("V", v)))
+    p = {
+        fw.DomainElement(amb_t, cut, amb_s, s_cut, values)
+        for cut in range(t.n)
+        for values in rigid_surjection_values(
+            trees.initial_subtree(t, cut), trees.initial_subtree(s, s_cut), True
+        )
+    }
+    f = {
+        fw.DomainElement(amb_v, cut, amb_t, t.n - 1, values)
+        for cut in range(v.n)
+        for values in rigid_surjection_values(trees.initial_subtree(v, cut), t, True)
+    }
+    return fw.FamilySet(frozenset(p), "P"), fw.FamilySet(frozenset(f), "F")
+
+
+def _by_cut(e):
+    return (e.cut_dom, e.values)
+
+
+def test_check_lp_prints_the_library_decision_at_every_index(tmp_path, capsys):
+    paths = {name: _save_tree(tmp_path, name, t) for name, t in LP_INSTANCE.items()}
+    argv = ["framework", "check-lp", "--s", paths["s"], "--s-cut", "2",
+            "--t", paths["t"], "--v", paths["v"], "--b", "2"]
+    p, f = _lp_families(LP_INSTANCE["s"], 2, LP_INSTANCE["t"], LP_INSTANCE["v"])
+    ys = sorted({fw.truncate(x) for x in p.elements}, key=_by_cut)
+    verdicts = []
+    for yi, y in enumerate(ys):
+        candidates = sorted({fw.restrict_element(x, y.cut_dom) for x in f.elements}, key=_by_cut)
+        for ai, a in enumerate(candidates):
+            rep = fw.check_LP(p, y, f, a, 2)
+            verdicts.append(rep.holds)
+            index = ["--y-index", str(yi), "--a-index", str(ai)]
+            code, out = run(capsys, *argv, *index)
+            assert (code, out) == (0 if rep.holds else 1, f"{rep.verdict}\n")
+            code, out = run(capsys, "--json", *argv, *index)
+            counterexample = None if rep.counterexample is None else list(rep.counterexample)
+            assert json.loads(out) == {
+                "holds": rep.holds, "items": len(rep.items), "edges": len(rep.edges),
+                "counterexample": counterexample,
+            }
+        _expect_input_error(capsys, *argv, "--y-index", str(yi), "--a-index", str(len(candidates)))
+    assert len(ys) == 2 and len(verdicts) == 5 and set(verdicts) == {True, False}
+    for yi in (len(ys), -1):
+        _expect_input_error(capsys, *argv, "--y-index", str(yi))
+
+
+def test_check_lp_refuses_an_empty_family(files, capsys):
+    # no sealed map from an initial subtree of c2 onto c3
+    _expect_input_error(
+        capsys, "framework", "check-lp", "--s", files["c3"], "--s-cut", "2",
+        "--t", files["c2"], "--v", files["c3"], "--b", "2",
+    )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,31 @@ def test_zero_caps_stay_valid():
             engine(3, edges, 2, max_nodes=0)
     with pytest.raises(ResourceCapExceeded):
         find_proper_coloring(3, edges, 2, max_colorings=0)
+
+
+def test_colorings_examined_is_the_proper_coloring_found():
+    # propagation completes only proper assignments, so the one complete
+    # assignment counted is the coloring returned, and a cap of 0 colorings
+    # is exceeded exactly when one is found, with the same nodes counted
+    rng = random.Random(20)
+    found = 0
+    for _ in range(3_000):
+        n, b = rng.randint(2, 10), rng.randint(2, 3)
+        edges = [
+            tuple(sorted(rng.sample(range(n), rng.randint(2, min(4, n)))))
+            for _ in range(rng.randint(1, 16))
+        ]
+        res = find_proper_coloring(n, edges, b)
+        assert res.stats.colorings_examined == (res.proper is not None)
+        found += res.proper is not None
+        if res.proper is None:
+            assert find_proper_coloring(n, edges, b, max_colorings=0).stats == res.stats
+        else:
+            with pytest.raises(ResourceCapExceeded) as exc:
+                find_proper_coloring(n, edges, b, max_colorings=0)
+            assert str(exc.value) == "coloring search exceeded 0 examined colorings"
+            assert exc.value.stats == res.stats
+    assert 0 < found < 3_000
 
 
 def test_forced_colors_count_as_nodes():

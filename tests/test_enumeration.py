@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -225,6 +226,12 @@ def test_embedding_kernel_matches_meet_loop_oracle():
         for t in trees_up_to(7):
             got = [e.values for e in all_embeddings(s, t)]
             assert got == embeddings_by_meet_loop(s, t), (s, t)
+
+
+def test_embeddings_between_deep_chains_need_no_recursion():
+    n = sys.getrecursionlimit() + 100
+    c = trees.chain(n)
+    assert [e.values for e in all_embeddings(c, c)] == [tuple(range(n))]
 
 
 def _clear_table_caches():

@@ -294,3 +294,52 @@ def test_lp_r_consistency_scan_clean():
 def test_lp_r_consistency_scan_bound_4():
     # the documented empirical cross-check at the acceptance bound
     assert fw.scan_lp_r_consistency(4, 2) == []
+
+
+def _by_cut(e):
+    return (e.cut_dom, e.values)
+
+
+def test_maximal_elements_are_every_sealed_map_onto_the_cut(ambients):
+    for dom, cod in itertools.product(ambients.values(), repeat=2):
+        for cut_cod in range(cod.tree.n):
+            onto = trees.initial_subtree(cod.tree, cut_cod)
+            literal = {
+                make_element(dom, cut, cod, cut_cod, m.values)
+                for cut in range(dom.tree.n)
+                for m in all_rigid_surjections(trees.initial_subtree(dom.tree, cut), onto, sealed=True)
+            }
+            assert fw.maximal_elements(dom, cod, cut_cod) == sorted(literal, key=_by_cut)
+
+
+def test_universe_families_are_its_elements_grouped():
+    uni = fw.Universe(3)
+    groups = {}
+    for e in uni.elements:
+        groups.setdefault((e.amb_dom.tag, e.amb_cod.tag, e.cut_cod), set()).add(e)
+    ps = [fw.FamilySet(frozenset(v), "P") for _, v in sorted(groups.items())]
+    assert uni.maximal_p_families() == ps
+    full = [p for p in ps if p.r_cut == p.r_ambient.tree.n - 1]
+    assert uni.maximal_f_families() == [fw.FamilySet(p.elements, "F") for p in full]
+
+
+def test_fiber_bases_and_restriction_candidates():
+    # the sorted distinct truncations of P, and for each, the sorted distinct
+    # restrictions of F's members that can multiply it
+    uni = fw.Universe(3)
+    fs = uni.maximal_f_families()
+    pairs = 0
+    for p in uni.maximal_p_families():
+        bases = p.fiber_bases()
+        assert bases == sorted({fw.truncate(x) for x in p.elements}, key=_by_cut)
+        for f in fs:
+            if f.r_ambient.tag != p.d_ambient.tag:
+                continue
+            for y in bases:
+                candidates = f.restriction_candidates(y)
+                assert candidates == sorted(
+                    {fw.restrict_element(x, y.cut_dom) for x in f.elements}, key=_by_cut
+                )
+                assert all(fw.is_composable(a, y) for a in candidates)
+                pairs += 1
+    assert pairs == 53

@@ -462,7 +462,7 @@ def test_galois_check_matches_witness_loops_on_corruptions():
                     cell = hj.TransferCell(f, isz, a)
                     n_cod, n_dom = a + f.n, a + cell.n_block
                     for p in hj.block_condition_maps(a, cell.nq, isz):
-                        pi_vals, j_vals, words = cell.transfer_maps(p)
+                        pi_vals, j_vals, cuts = cell.transfer_maps(p)
                         assert transfer_witness_by_loops(cell, pi_vals, j_vals)
                         corrupted = [
                             (pi_vals[:k] + [x] + pi_vals[k + 1 :], j_vals)
@@ -478,7 +478,7 @@ def test_galois_check_matches_witness_loops_on_corruptions():
                         for pi_c, j_c in corrupted:
                             ok = transfer_witness_by_loops(cell, pi_c, j_c)
                             verdicts[ok] += 1
-                            cell.transfer_maps = lambda _p: (pi_c, j_c, words)
+                            cell.transfer_maps = lambda _p: (pi_c, j_c, cuts)
                             try:
                                 cell.check_word_map(p)
                                 rejected = False
@@ -598,10 +598,10 @@ def test_covering_family_catches_local_faults_exactly():
             x = rng.randrange(n_cod if on_pi else n_dom)
 
             def corrupted(p, words=_words(cell, q), w=w, x=x, letter=q[w], on_pi=on_pi):
-                pi_vals, j_vals, vg_words = transfer_maps(p)
-                if tuple(vg_words) == words and (not on_pi or p[w] == letter):
+                pi_vals, j_vals, cuts = transfer_maps(p)
+                if _words(cell, p) == words and (not on_pi or p[w] == letter):
                     (pi_vals if on_pi else j_vals)[w] = x
-                return pi_vals, j_vals, vg_words
+                return pi_vals, j_vals, cuts
 
             cell.transfer_maps = corrupted
             ok = _passes(cell, literal)

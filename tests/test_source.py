@@ -112,3 +112,50 @@ def test_value_table_arguments_are_positional_and_required():
         p.kind is inspect.Parameter.POSITIONAL_ONLY and p.default is inspect.Parameter.empty
         for p in params
     )
+
+
+def _self_calling_nested_functions(paths):
+    """'outer.inner' for every function nested in another that calls itself by name."""
+    found = []
+
+    def visit(node, outer):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if outer is not None and any(
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.append(f"{outer}.{child.name}")
+                visit(child, child.name if outer is None else f"{outer}.{child.name}")
+            else:
+                visit(child, outer)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+def test_no_nested_function_calls_itself():
+    # a nested recursion goes one interpreter frame per level, so it ends in
+    # RecursionError on deep inputs; tables are built by passes over prefixes
+    assert _self_calling_nested_functions(SOURCES) == []
+
+
+def test_self_calling_nested_functions_are_found(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def outer(n):\n"
+        "    def walk(k):\n"
+        "        return k and walk(k - 1)\n"
+        "    def once(k):\n"
+        "        return outer(k)\n"
+        "    return walk(n)\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        def visit(v):\n"
+        "            visit(v)\n",
+        encoding="utf-8",
+    )
+    assert _self_calling_nested_functions([source]) == ["outer.walk", "method.visit"]

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from _oracles import (
     catalan,
     definitional_positions,
     rightmost_path_violation,
+    tensor_by_recursion,
     tree_tables_by_recurrence,
 )
 
@@ -417,6 +419,24 @@ def test_tensor_identities_exhaustive():
                         assert ti.points[qq * k + i] == trees.TensorPoint(qp.s, qp.u + (i,))
 
 
+def test_tensor_matches_the_recursive_preorder():
+    for n in range(0, 6):
+        for f in trees.all_forests(n):
+            for k in (1, 2, 3):
+                ti = trees.tensor(f, k)
+                points, parent = tensor_by_recursion(f, k)
+                assert [tuple(pt) for pt in ti.points] == points and ti.forest.parent == parent
+
+
+def test_tensor_of_a_deep_chain_forest_needs_no_recursion():
+    n = sys.getrecursionlimit() + 500
+    f = trees.forest([None] + list(range(n - 1)))
+    ti = trees.tensor(f, 1)
+    assert ti.forest.parent == f.parent
+    assert ti.points[-1] == trees.TensorPoint(n - 1, (0,) * n)
+    assert len(trees.q_set(f, 1).points) == n
+
+
 def test_tensor_partial_order_matches_definition():
     def below_def(f, p1, p2):
         (s1, t1), (s2, t2) = p1, p2
@@ -459,6 +479,16 @@ def test_enum_trees_sorted_and_unique():
         parents = [t.parent[1:] for t in trees.all_trees(n)]
         assert parents == sorted(parents)
         assert len(set(parents)) == len(parents)
+
+
+def test_enum_trees_carry_their_validated_masks():
+    # each tree is its prefix of one vertex fewer, a tree of the previous size,
+    # extended without validating it again: its masks are the validated ones
+    for n in range(1, 9):
+        smaller = set(trees.all_trees(n - 1)) if n > 1 else set()
+        for t in trees.all_trees(n):
+            assert t.n == n and t.anc_mask == trees._tree_masks.__wrapped__(t.parent)
+            assert n == 1 or trees.initial_subtree(t, n - 2) in smaller
 
 
 def test_trees_are_rigid():
