@@ -160,9 +160,25 @@ def cmd_rs(args) -> int:
 # ---------------------------------------------------------------------------
 # enum
 
+MAX_ENUM_TREES = 250_000  # the 208,012 trees on 13 vertices pass, 14 vertices do not
+
+
+def _check_tree_count(n: int) -> None:
+    """Raise ResourceCapExceeded when the n-vertex trees, Catalan(n - 1) of
+    them, exceed MAX_ENUM_TREES; the count is built up one size at a time, so
+    a huge n stops as soon as the cap is passed."""
+    count = 1  # Catalan(0)
+    for m in range(n - 1):
+        count = count * 2 * (2 * m + 1) // (m + 2)
+        if count > MAX_ENUM_TREES:
+            raise ResourceCapExceeded(
+                f"Catalan({n - 1}) trees on {n} vertices exceed the cap of {MAX_ENUM_TREES}"
+            )
+
 
 def cmd_enum(args) -> int:
     if args.enum_cmd == "trees":
+        _check_tree_count(args.n)
         ts = all_trees(args.n)
         if args.count_only:
             _emit(args, {"count": len(ts)}, str(len(ts)))

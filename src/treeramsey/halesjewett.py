@@ -17,9 +17,11 @@ free values (in A) strictly between A and the cut.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import and_, or_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .colorsearch import find_proper_coloring
@@ -282,6 +284,66 @@ def _conclusion_classes(
     )
 
 
+# bit r of each byte value, as a bytes.translate table per r: 2^r zeros, 2^r ones, repeated
+_BIT_TABLES = tuple((bytes(1 << r) + b"\1" * (1 << r)) * (128 >> r) for r in range(8))
+
+
+def _color_masks(t: int, k: int, b: int, pin_first: bool, n: int) -> list[int]:
+    """One n-bit set per color c: bit j is set iff coloring j of
+    enum_colorings(k, b, pin_first) gives item t color c.
+
+    Item t's color is digit k-1-t of j in base b (pinned: j lists the items
+    after the first, and item 0 is always color 0), so each set repeats one
+    period of b*s bits, s = b^(k-1-t), doubled by shifts.
+    """
+    full = (1 << n) - 1
+    if pin_first and t == 0:
+        return [full] + [0] * (b - 1)
+    s = b ** (k - 1 - t)
+    masks = []
+    for c in range(b):
+        mask, width = ((1 << s) - 1) << (c * s), b * s
+        while width < n:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask & full)
+    return masks
+
+
+def _witness_indices(hits: Sequence[tuple[int, int]], n: int) -> Sequence[int]:
+    """Per coloring j < n, the candidate index idx of the hit (idx, set) whose
+    set holds bit j (the sets partition the n colorings).
+
+    The indices are bit-sliced: slice q is the union of the sets whose idx has
+    bit q.  Each slice is spread to one lane of w bytes per coloring (w = 1
+    for indices below 256, then 2, then 4), bit r of each of its bytes
+    translated into the lanes r, r + 8, ..., and shifted to bit q of its
+    lane, so the union of the slices holds each coloring's index in its lane.
+    """
+    bits = max(idx for idx, _ in hits).bit_length()
+    width = 1 if bits <= 8 else 2 if bits <= 16 else 4
+    nbytes = (n + 7) // 8
+    total = 0
+    for q in range(bits):
+        part = 0
+        for idx, hit in hits:
+            if idx >> q & 1:
+                part |= hit
+        packed, spread = part.to_bytes(nbytes, "little"), bytearray(nbytes * 8 * width)
+        for r, table in enumerate(_BIT_TABLES):
+            spread[r * width :: 8 * width] = packed.translate(table)
+        total |= int.from_bytes(spread, "little") << q
+    lanes = total.to_bytes(nbytes * 8 * width, "little")
+    if width == 1:
+        return lanes[:n]
+    from array import array  # only for indices past 255
+
+    values = array("H" if width == 2 else "I", lanes)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values[:n]
+
+
 def _first_witnesses(
     objects: list,
     candidates: Iterable[tuple[tuple[int, ...], ...]],
@@ -292,31 +354,58 @@ def _first_witnesses(
     pin_first: bool,
 ) -> Optional[list[tuple[tuple[int, ...], ...]]]:
     """The first candidate whose conclusion holds, for every b-coloring of the
-    objects in enumeration order, or None once a coloring defeats every
+    objects in enum_colorings order, or None once a coloring defeats every
     candidate.
 
-    Each candidate is compiled once: its classes are monochromatic iff every
-    object of a class has the color of the class's smallest index, so the
-    check is one comparison of two tuples of colors.
+    Every candidate is compiled first: its classes are monochromatic iff every
+    object of a class has the color of the class's smallest index, a set of
+    (anchor, member) pairs.  The colorings are then decided all at once, as
+    bits of one integer: a pair's "same color" set comes from the items'
+    _color_masks (with b = 2 it is the complement of their color-1 masks'
+    xor), a candidate's satisfying set is the intersection over its pairs,
+    and the candidates in order take the colorings still unassigned.  Any
+    coloring left over defeats every candidate.
     """
     index = {obj: k for k, obj in enumerate(objects)}
-    compiled = []
+    tuples, compiled = [], []
     for p_tuple in candidates:
         classes = _conclusion_classes(p_tuple, a_sizes, l_sizes, i, index)
-        pairs = sorted({(min(c), k) for c in classes for k in c if k != min(c)})
-        # the leading empty slice makes both getters return tuples for any number of pairs
-        anchors = itemgetter(slice(0), *(f for f, _ in pairs))
-        others = itemgetter(slice(0), *(k for _, k in pairs))
-        compiled.append((p_tuple, anchors, others))
-    found = []
-    for coloring in enum_colorings(len(objects), b, pin_first=pin_first):
-        for p_tuple, anchors, others in compiled:
-            if anchors(coloring) == others(coloring):
-                found.append(p_tuple)
+        tuples.append(p_tuple)
+        compiled.append(sorted({(min(c), k) for c in classes for k in c if k != min(c)}))
+    k = len(objects)
+    if b < 1:
+        raise ValueError("need k >= 0 and b >= 1")
+    n = b ** (k - 1 if pin_first and k else k)
+    full = (1 << n) - 1
+    masks: dict[int, list[int]] = {}
+    same: dict[tuple[int, int], int] = {}
+
+    def color_masks(t: int) -> list[int]:
+        if t not in masks:
+            masks[t] = _color_masks(t, k, b, pin_first, n)
+        return masks[t]
+
+    def same_color(pair: tuple[int, int]) -> int:
+        if pair not in same:
+            mf, mg = map(color_masks, pair)
+            same[pair] = full ^ mf[1] ^ mg[1] if b == 2 else functools.reduce(or_, map(and_, mf, mg))
+        return same[pair]
+
+    remaining, hits = full, []
+    for idx, pairs in enumerate(compiled):
+        hit = remaining
+        for pair in pairs:
+            hit &= same_color(pair)
+            if not hit:
                 break
-        else:
-            return None
-    return found
+        if hit:
+            hits.append((idx, hit))
+            remaining ^= hit
+            if not remaining:
+                break
+    if remaining:
+        return None
+    return list(map(tuples.__getitem__, _witness_indices(hits, n)))
 
 
 def hj_product_check(

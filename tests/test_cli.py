@@ -52,6 +52,34 @@ def test_enum_trees_count(capsys):
     assert code == 0 and out.strip() == "5"
 
 
+@pytest.mark.parametrize("n", ["14", "1200", "1000000000"])
+def test_enum_trees_refuses_a_count_over_the_cap_before_building(n, capsys, monkeypatch):
+    # Catalan(13) = 742,900 trees on 14 vertices is over the cap; 1200 once
+    # ended in a RecursionError traceback
+    import treeramsey.cli as cli
+
+    def refuse(n):
+        raise AssertionError("trees built for an over-cap n")
+
+    monkeypatch.setattr(cli, "all_trees", refuse)
+    code = main(["enum", "trees", "--n", n, "--count-only"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ") and f"on {n} vertices" in captured.err
+
+
+def test_enum_trees_cap_is_the_catalan_count(capsys, monkeypatch):
+    # a cap of exactly Catalan(n - 1) passes n, and one less refuses it
+    import treeramsey.cli as cli
+
+    for n, count in [(1, 1), (2, 1), (5, 14), (7, 132)]:
+        monkeypatch.setattr(cli, "MAX_ENUM_TREES", count)
+        assert run(capsys, "enum", "trees", "--n", str(n), "--count-only") == (0, f"{count}\n")
+        if count > 1:
+            monkeypatch.setattr(cli, "MAX_ENUM_TREES", count - 1)
+            assert run(capsys, "enum", "trees", "--n", str(n), "--count-only") == (3, "")
+
+
 def test_enum_maps(files, capsys):
     code, out = run(
         capsys, "--json", "enum", "maps", "--kind", "sealed",

@@ -231,11 +231,13 @@ CLASS_CASES = [
 ]
 
 
-def _oracle_witnesses(a_sizes, l_sizes, b, i, mode="direct", pin_first=True):
+def _oracle_witnesses(a_sizes, l_sizes, b, i, mode="direct", pin_first=True, candidates=None):
     """The search loop with the definitional conclusion: (coloring, first holding
-    candidate) for every coloring, or None once one defeats every candidate."""
+    candidate) for every coloring, or None once one defeats every candidate.
+    The candidates default to the mode's tuples."""
     objects = hj._tuple_objects(a_sizes, l_sizes, i)
-    candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, mode))
+    if candidates is None:
+        candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, mode))
     out = []
     for coloring in enum_colorings(len(objects), b, pin_first=pin_first):
         color_of = dict(zip(objects, coloring))
@@ -277,6 +279,102 @@ def test_full_certificate_matches_oracle_loop():
     expected = _oracle_witnesses([2], [2], 2, 2)
     assert len(cert.witnesses) == len(expected) == 2 ** 14
     assert cert.witnesses == [w for _, w in expected]
+
+
+def _swept(a_sizes, l_sizes, b, i, candidates, pin_first):
+    objects = hj._tuple_objects(a_sizes, l_sizes, i)
+    return hj._first_witnesses(objects, candidates, a_sizes, l_sizes, i, b, pin_first)
+
+
+def _expected(a_sizes, l_sizes, b, i, candidates, pin_first):
+    found = _oracle_witnesses(a_sizes, l_sizes, b, i, pin_first=pin_first, candidates=candidates)
+    return None if found is None else [w for _, w in found]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 7])
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("pin_first", [True, False])
+def test_color_masks_follow_enum_colorings(k, b, pin_first):
+    # bit j of item t's color-c mask is set iff coloring j gives t color c
+    colorings = list(enum_colorings(k, b, pin_first=pin_first))
+    n = len(colorings)
+    for t in range(k):
+        masks = hj._color_masks(t, k, b, pin_first, n)
+        assert len(masks) == b
+        for c, mask in enumerate(masks):
+            assert mask == sum(1 << j for j, coloring in enumerate(colorings) if coloring[t] == c)
+
+
+@pytest.mark.parametrize(
+    "a_sizes, l_sizes, b, i",
+    [([1, 2], [1, 1], 2, 2), ([2], [2], 2, 1), ([1], [2], 3, 2), ([1, 2], [1, 1], 3, 2), ([0], [1], 2, 1)],
+)
+def test_unpinned_sweep_matches_oracle_loop(a_sizes, l_sizes, b, i):
+    # pin_first=False is the lp_pipeline path: b^k colorings, item 0 free
+    candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, "direct"))
+    assert _swept(a_sizes, l_sizes, b, i, candidates, False) == _expected(
+        a_sizes, l_sizes, b, i, candidates, False
+    )
+
+
+@pytest.mark.parametrize("mode", ["direct", "reduction"])
+@pytest.mark.parametrize("a_sizes, l_sizes, i", [([1, 2], [1, 1], 2), ([2, 1], [1, 1], 3)])
+def test_three_colors_past_eight_bits_match_oracle_loop(a_sizes, l_sizes, i, mode):
+    # 3^7 and 3^6 pinned colorings: the first instance is defeated, the second decided
+    assert 3 ** (len(hj._tuple_objects(a_sizes, l_sizes, i)) - 1) >= 1 << 8
+    cert = hj.hj_product_check(a_sizes, l_sizes, 3, i, mode=mode)
+    expected = _oracle_witnesses(a_sizes, l_sizes, 3, i, mode)
+    assert (cert is None) == (expected is None) == (a_sizes == [1, 2])
+    if cert is not None:
+        assert cert.witnesses == [w for _, w in expected]
+
+
+@pytest.mark.parametrize("pin_first", [True, False])
+def test_zero_objects_have_one_empty_coloring(pin_first):
+    # k = 0: one coloring (), which the first candidate takes; no candidate defeats it
+    first = ((0,),)
+    assert hj._first_witnesses([], [first, ((1,),)], [1], [0], 1, 2, pin_first) == [first]
+    assert hj._first_witnesses([], [], [1], [0], 1, 2, pin_first) is None
+    assert hj.hj_product_check([1], [0], 2, 1).witnesses == [first]
+
+
+def test_defeated_instance_returns_none():
+    # (2, 2, 2) needs i = 2: at i = 1 some pinned coloring defeats every candidate
+    assert _oracle_witnesses([2], [2], 2, 1) is None
+    assert hj.hj_product_check([2], [2], 2, 1) is None
+    assert _swept([2], [2], 2, 1, list(hj._candidate_tuples([2], [2], 1, "direct")), False) is None
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2, 4])
+def test_candidate_indices_past_eight_bits(lead):
+    # 300 copies of a candidate some coloring defeats, ahead of the full list:
+    # the colorings the copies lose go to candidates at index 300 and up
+    a_sizes, l_sizes, i = [1, 2], [1, 1], 2
+    candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, "direct"))
+    padded = [candidates[lead]] * 300 + candidates
+    found = _swept(a_sizes, l_sizes, 2, i, padded, True)
+    assert found == _expected(a_sizes, l_sizes, 2, i, padded, True)
+    assert any(w != candidates[lead] for w in found)
+
+
+@pytest.mark.parametrize("top", [0, 1, 255, 256, (1 << 16) - 1, 1 << 16, 70_000])
+def test_witness_indices_read_every_lane_width(top):
+    # the colorings j < 37 go to candidates top, top-1, ... in turn: one, two
+    # and four bytes a lane
+    n = 37
+    owners = [top - j % min(top + 1, 5) for j in range(n)]
+    hits = [(idx, sum(1 << j for j in range(n) if owners[j] == idx)) for idx in sorted(set(owners))]
+    assert list(hj._witness_indices(hits, n)) == owners
+
+
+@pytest.mark.parametrize("b", [0, -1])
+def test_fewer_than_one_color_is_refused(b):
+    with pytest.raises(ValueError, match="b >= 1"):
+        hj.hj_product_check([2], [2], b, 1)
+    with pytest.raises(ValueError, match="b >= 1"):
+        hj.hj_product_check([1], [0], b, 1)
+    with pytest.raises(ValueError, match="b >= 1"):
+        _swept([1], [1], b, 1, list(hj._candidate_tuples([1], [1], 1, "direct")), False)
 
 
 def test_word_composition_matches_tree_map_composition():

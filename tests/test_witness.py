@@ -173,6 +173,26 @@ def test_search_not_found():
         wit.search_witness(2, C2, C3, mode="chain", max_vertices=4)
 
 
+@pytest.mark.parametrize(
+    "mode, s, t, max_vertices, holding_prefixes",
+    [
+        # sealed: U's hypergraph extends its prefix's (the same vertices
+        # first, the prefix's edges among them); no prefix holds below 9
+        ("sealed", (None, 0), (None, 0, 1, 1), 9, 4),
+        # mn: "holds" transports from the prefix up through the collapse map
+        ("mn", (None, 0, 0), (None, 0, 0, 0), 8, 2),
+    ],
+)
+def test_a_holding_prefix_makes_the_tree_hold(mode, s, t, max_vertices, holding_prefixes):
+    # the prefix of U is U without its last vertex, the tree of one size less
+    decide = wit.check_witness_mn if mode == "mn" else wit.check_witness_sealed
+    s, t = trees.OrderedTree(s), trees.OrderedTree(t)
+    holds = {u.parent: decide(2, s, t, u).holds for u in trees_up_to(max_vertices)}
+    extended = [p for p in holds if len(p) > 1 and holds[p[:-1]]]
+    assert len(extended) == holding_prefixes
+    assert all(holds[p] for p in extended)
+
+
 # --- bridges ------------------------------------------------------------------
 
 
