@@ -12,7 +12,12 @@ It times these calls, best of --repeat runs each:
   lp_pipeline calls it (every colouring, the first item's colour free);
 - hj_search(2, 2, 2), the minimal-i search of the benchmark's words workload;
 - hj_product_check on A = (4, 2), L = (1, 1), b = 2, i = 2, the largest
-  non-trivial instance under DEFAULT_MAX_COLORINGS (2^19 pinned colourings).
+  non-trivial instance under DEFAULT_MAX_COLORINGS (2^19 pinned colourings);
+- three defeated instances, where a search stops at the first colouring
+  that defeats every candidate: (4, 3, 2) at i = 1 (2^20 pinned colourings,
+  colouring 1 defeats the one candidate), A = (1, 2), L = (2, 1), i = 2
+  (2^15, colouring 4,454 defeats all 45) and A = (1, 3), L = (1, 1), i = 2
+  (2^17, colouring 43,092 defeats all 21).
 
 It prints one JSON object with, per call, the best wall time, the witness
 count (null when defeated) and a digest of the witness list.  Two runs that
@@ -54,6 +59,9 @@ def main() -> None:
         "unpinned (2,2,2) i=2": lambda: unpinned([2], [2], 2, 2),
         "search (2,2,2)": lambda: hj.hj_search(2, 2, 2, 3),
         "check A=(4,2) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([4, 2], [1, 1], 2, 2),
+        "check (4,3,2) i=1": lambda: hj.hj_product_check([4], [3], 2, 1),
+        "check A=(1,2) L=(2,1) b=2 i=2": lambda: hj.hj_product_check([1, 2], [2, 1], 2, 2),
+        "check A=(1,3) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([1, 3], [1, 1], 2, 2),
     }
     results = {}
     for name, call in calls.items():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
+import struct
 from dataclasses import dataclass, field
 from operator import and_, or_
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -288,18 +288,20 @@ def _conclusion_classes(
 _BIT_TABLES = tuple((bytes(1 << r) + b"\1" * (1 << r)) * (128 >> r) for r in range(8))
 
 
-def _color_masks(t: int, k: int, b: int, pin_first: bool, n: int) -> list[int]:
+def _color_masks(t: int, k: int, b: int, n: int) -> list[int]:
     """One n-bit set per color c: bit j is set iff coloring j of
-    enum_colorings(k, b, pin_first) gives item t color c.
+    enum_colorings(k, b, pin_first) gives item t color c, for the first n
+    colorings (either pinning).
 
     Item t's color is digit k-1-t of j in base b (pinned: j lists the items
-    after the first, and item 0 is always color 0), so each set repeats one
-    period of b*s bits, s = b^(k-1-t), doubled by shifts.
+    after the first, so item 0, like any item whose digit stays 0 below n, is
+    always color 0), so each set repeats one period of b*s bits,
+    s = b^(k-1-t), doubled by shifts.
     """
     full = (1 << n) - 1
-    if pin_first and t == 0:
-        return [full] + [0] * (b - 1)
     s = b ** (k - 1 - t)
+    if s >= n:
+        return [full] + [0] * (b - 1)
     masks = []
     for c in range(b):
         mask, width = ((1 << s) - 1) << (c * s), b * s
@@ -316,12 +318,12 @@ def _witness_indices(hits: Sequence[tuple[int, int]], n: int) -> Sequence[int]:
 
     The indices are bit-sliced: slice q is the union of the sets whose idx has
     bit q.  Each slice is spread to one lane of w bytes per coloring (w = 1
-    for indices below 256, then 2, then 4), bit r of each of its bytes
-    translated into the lanes r, r + 8, ..., and shifted to bit q of its
-    lane, so the union of the slices holds each coloring's index in its lane.
+    for indices below 256, else 4), bit r of each of its bytes translated
+    into the lanes r, r + 8, ..., and shifted to bit q of its lane, so the
+    union of the slices holds each coloring's index in its lane.
     """
     bits = max(idx for idx, _ in hits).bit_length()
-    width = 1 if bits <= 8 else 2 if bits <= 16 else 4
+    width = 1 if bits <= 8 else 4
     nbytes = (n + 7) // 8
     total = 0
     for q in range(bits):
@@ -336,12 +338,47 @@ def _witness_indices(hits: Sequence[tuple[int, int]], n: int) -> Sequence[int]:
     lanes = total.to_bytes(nbytes * 8 * width, "little")
     if width == 1:
         return lanes[:n]
-    from array import array  # only for indices past 255
+    return struct.unpack_from(f"<{n}I", lanes)
 
-    values = array("H" if width == 2 else "I", lanes)
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values[:n]
+
+def _sweep(compiled: Sequence[Sequence[tuple[int, int]]], k: int, b: int, n: int) -> Optional[list]:
+    """For the first n b-colorings of k items in enum_colorings order (either
+    pinning), the pairs (idx, set) where set, as bits of one integer, holds
+    the colorings whose first holding candidate is compiled[idx]; None if
+    one of them defeats every candidate.
+
+    A pair's "same color" set is the union over colors c of the intersection
+    of both items' color-c _color_masks, a candidate's satisfying set is the
+    intersection over its (anchor, member) pairs, and the candidates in order
+    take the colorings still unassigned.
+    """
+    masks: dict[int, list[int]] = {}
+    same: dict[tuple[int, int], int] = {}
+
+    def color_masks(t: int) -> list[int]:
+        if t not in masks:
+            masks[t] = _color_masks(t, k, b, n)
+        return masks[t]
+
+    def same_color(pair: tuple[int, int]) -> int:
+        if pair not in same:
+            mf, mg = map(color_masks, pair)
+            same[pair] = functools.reduce(or_, map(and_, mf, mg))
+        return same[pair]
+
+    remaining, hits = (1 << n) - 1, []
+    for idx, pairs in enumerate(compiled):
+        hit = remaining
+        for pair in pairs:
+            hit &= same_color(pair)
+            if not hit:
+                break
+        if hit:
+            hits.append((idx, hit))
+            remaining ^= hit
+            if not remaining:
+                return hits
+    return None
 
 
 def _first_witnesses(
@@ -359,12 +396,9 @@ def _first_witnesses(
 
     Every candidate is compiled first: its classes are monochromatic iff every
     object of a class has the color of the class's smallest index, a set of
-    (anchor, member) pairs.  The colorings are then decided all at once, as
-    bits of one integer: a pair's "same color" set comes from the items'
-    _color_masks (with b = 2 it is the complement of their color-1 masks'
-    xor), a candidate's satisfying set is the intersection over its pairs,
-    and the candidates in order take the colorings still unassigned.  Any
-    coloring left over defeats every candidate.
+    (anchor, member) pairs.  The colorings are then decided all at once by
+    _sweep, first on a prefix of them and then on all, and the per-coloring
+    witnesses are read off the candidates' sets of colorings.
     """
     index = {obj: k for k, obj in enumerate(objects)}
     tuples, compiled = [], []
@@ -376,34 +410,15 @@ def _first_witnesses(
     if b < 1:
         raise ValueError("need k >= 0 and b >= 1")
     n = b ** (k - 1 if pin_first and k else k)
-    full = (1 << n) - 1
-    masks: dict[int, list[int]] = {}
-    same: dict[tuple[int, int], int] = {}
-
-    def color_masks(t: int) -> list[int]:
-        if t not in masks:
-            masks[t] = _color_masks(t, k, b, pin_first, n)
-        return masks[t]
-
-    def same_color(pair: tuple[int, int]) -> int:
-        if pair not in same:
-            mf, mg = map(color_masks, pair)
-            same[pair] = full ^ mf[1] ^ mg[1] if b == 2 else functools.reduce(or_, map(and_, mf, mg))
-        return same[pair]
-
-    remaining, hits = full, []
-    for idx, pairs in enumerate(compiled):
-        hit = remaining
-        for pair in pairs:
-            hit &= same_color(pair)
-            if not hit:
-                break
-        if hit:
-            hits.append((idx, hit))
-            remaining ^= hit
-            if not remaining:
-                break
-    if remaining:
+    # the first 2^10, 2^14, ... colorings are swept before all n, so a defeat
+    # among the early colorings costs about as much as those colorings
+    width = 1 << 10
+    while width < n:
+        if _sweep(compiled, k, b, width) is None:
+            return None
+        width <<= 4
+    hits = _sweep(compiled, k, b, n)
+    if hits is None:
         return None
     return list(map(tuples.__getitem__, _witness_indices(hits, n)))
 

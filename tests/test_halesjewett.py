@@ -295,14 +295,15 @@ def _expected(a_sizes, l_sizes, b, i, candidates, pin_first):
 @pytest.mark.parametrize("b", [1, 2, 3])
 @pytest.mark.parametrize("pin_first", [True, False])
 def test_color_masks_follow_enum_colorings(k, b, pin_first):
-    # bit j of item t's color-c mask is set iff coloring j gives t color c
+    # bit j of item t's color-c mask is set iff coloring j gives t color c,
+    # over all colorings and over the prefixes the sweep tries first
     colorings = list(enum_colorings(k, b, pin_first=pin_first))
-    n = len(colorings)
-    for t in range(k):
-        masks = hj._color_masks(t, k, b, pin_first, n)
-        assert len(masks) == b
-        for c, mask in enumerate(masks):
-            assert mask == sum(1 << j for j, coloring in enumerate(colorings) if coloring[t] == c)
+    for n in sorted({1, 5, 64, len(colorings)} & set(range(1, len(colorings) + 1))):
+        for t in range(k):
+            masks = hj._color_masks(t, k, b, n)
+            assert len(masks) == b
+            for c, mask in enumerate(masks):
+                assert mask == sum(1 << j for j, coloring in enumerate(colorings[:n]) if coloring[t] == c)
 
 
 @pytest.mark.parametrize(
@@ -345,6 +346,24 @@ def test_defeated_instance_returns_none():
     assert _swept([2], [2], 2, 1, list(hj._candidate_tuples([2], [2], 1, "direct")), False) is None
 
 
+@pytest.mark.parametrize(
+    "a_sizes, l_sizes, i, first_defeat",
+    [([4], [3], 1, 1), ([1, 2], [2, 1], 2, 4454), ([1, 3], [1, 1], 2, 43092)],
+)
+def test_defeat_in_or_past_the_swept_prefixes(a_sizes, l_sizes, i, first_defeat):
+    # the first pinned coloring that defeats every candidate lies in the first
+    # swept prefix (2^10 colorings), in the second (2^14) and past both
+    objects = hj._tuple_objects(a_sizes, l_sizes, i)
+    candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, "direct"))
+    colorings = enum_colorings(len(objects), 2, pin_first=True)
+    defeat = dict(zip(objects, next(itertools.islice(colorings, first_defeat, None))))
+    assert not any(_conclusion_holds(p, a_sizes, l_sizes, i, defeat) for p in candidates)
+    assert hj.hj_product_check(a_sizes, l_sizes, 2, i) is None
+    assert _swept(a_sizes, l_sizes, 2, i, candidates, False) is None
+    if first_defeat < 5000:
+        assert _oracle_witnesses(a_sizes, l_sizes, 2, i) is None
+
+
 @pytest.mark.parametrize("lead", [0, 1, 2, 4])
 def test_candidate_indices_past_eight_bits(lead):
     # 300 copies of a candidate some coloring defeats, ahead of the full list:
@@ -359,8 +378,8 @@ def test_candidate_indices_past_eight_bits(lead):
 
 @pytest.mark.parametrize("top", [0, 1, 255, 256, (1 << 16) - 1, 1 << 16, 70_000])
 def test_witness_indices_read_every_lane_width(top):
-    # the colorings j < 37 go to candidates top, top-1, ... in turn: one, two
-    # and four bytes a lane
+    # the colorings j < 37 go to candidates top, top-1, ... in turn: one byte
+    # a lane below index 256, four bytes from there
     n = 37
     owners = [top - j % min(top + 1, 5) for j in range(n)]
     hits = [(idx, sum(1 << j for j in range(n) if owners[j] == idx)) for idx in sorted(set(owners))]
