@@ -8,7 +8,7 @@ It times these calls, best of --repeat runs each:
 
 - hj_product_check on (a, l, b) = (2, 2, 2) at i = 1 (defeated) and i = 2
   (16,384 pinned colourings);
-- the shared first-witness function on the same two instances unpinned, as
+- the shared word-lemma function on the same two instances unpinned, as
   lp_pipeline calls it (every colouring, the first item's colour free);
 - hj_search(2, 2, 2), the minimal-i search of the benchmark's words workload;
 - hj_product_check on A = (4, 2), L = (1, 1), b = 2, i = 2, the largest
@@ -17,13 +17,17 @@ It times these calls, best of --repeat runs each:
   that defeats every candidate: (4, 3, 2) at i = 1 (2^20 pinned colourings,
   colouring 1 defeats the one candidate), A = (1, 2), L = (2, 1), i = 2
   (2^15, colouring 4,454 defeats all 45) and A = (1, 3), L = (1, 1), i = 2
-  (2^17, colouring 43,092 defeats all 21).
+  (2^17, colouring 43,092 defeats all 21);
+- hj_product_check on A = (4, 1, 1), L = (1, 2, 3), b = 2, i = 3 (2^20
+  pinned colourings, 1,025,227 candidates), where candidate 0 takes every
+  colouring, so only candidate 0 needs compiling.
 
 It prints one JSON object with, per call, the best wall time, the witness
 count (null when defeated) and a digest of the witness list.  Two runs that
 find the same witnesses print the same digests.  --src imports the library
 from another source directory (default: src/ of the working directory), so
-a checkout of another commit is measured by the same script.
+a checkout of another commit with the same private helpers is measured by the
+same script.
 """
 
 from __future__ import annotations
@@ -45,9 +49,8 @@ def main() -> None:
     from treeramsey import halesjewett as hj
 
     def unpinned(a_sizes, l_sizes, b, i):
-        objects = hj._tuple_objects(a_sizes, l_sizes, i)
-        candidates = hj._candidate_tuples(a_sizes, l_sizes, i, "direct")
-        return hj._first_witnesses(objects, candidates, a_sizes, l_sizes, i, b, pin_first=False)
+        found = hj._word_lemma_witnesses(a_sizes, l_sizes, i, b, hj.DEFAULT_MAX_COLORINGS, pin_first=False)
+        return None if found is None else found[1]
 
     def witnesses(found):
         return found.witnesses if isinstance(found, hj.HJCertificate) else found
@@ -62,6 +65,7 @@ def main() -> None:
         "check (4,3,2) i=1": lambda: hj.hj_product_check([4], [3], 2, 1),
         "check A=(1,2) L=(2,1) b=2 i=2": lambda: hj.hj_product_check([1, 2], [2, 1], 2, 2),
         "check A=(1,3) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([1, 3], [1, 1], 2, 2),
+        "check A=(4,1,1) L=(1,2,3) b=2 i=3": lambda: hj.hj_product_check([4, 1, 1], [1, 2, 3], 2, 3),
     }
     results = {}
     for name, call in calls.items():

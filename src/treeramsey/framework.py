@@ -415,20 +415,19 @@ def check_domain_axioms(bound: int, truncation: Truncation = truncate) -> AxiomR
                 if family_mul(fg, p).elements != family_mul(f, gp).elements:
                     report.record("(A) product sets disagree")
 
-    # (B) dP is a P-family
+    # (B) dP is a P-family; (C) checks the P whose dP is one
+    dps = []
     for p in ps:
         report.checked += 1
-        dp = frozenset(truncation(x) for x in p.elements)
         try:
-            FamilySet(dp, "P")
+            dps.append((p, FamilySet(frozenset(truncation(x) for x in p.elements), "P")))
         except ValueError as exc:
             report.record(f"(B) fails for P onto {p.r_ambient.tag}^{p.r_cut}: {exc}")
 
     # (C) F * dP defined => F * P defined and G = F extends itself pointwise
     for f in fs:
-        for p in ps:
+        for p, dp in dps:
             report.checked += 1
-            dp = FamilySet(frozenset(truncation(x) for x in p.elements), "P")
             if not defined_fp(f, dp):
                 continue
             if not defined_fp(f, p):

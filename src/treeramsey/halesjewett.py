@@ -51,8 +51,8 @@ from .trees import (
     TensorIndex,
     TensorPoint,
     all_forests,
-    all_trees,
     chain,
+    drop_root,
     one_plus,
     oplus,
     q_set,
@@ -101,22 +101,18 @@ def monochromatic_host_search(
 
     Candidates are scanned by vertex count and then enumeration order, each
     decided by the coloring solver with the embedding images as edges; a
-    candidate past the solver's node cap raises ResourceCapExceeded.
+    candidate past the solver's node cap raises ResourceCapExceeded.  A tree
+    is decided as its forest without the root, which is on no edge.
     """
     if b < 1:
         raise ValueError("need b >= 1")
     tree_mode = isinstance(s, OrderedTree)
-    for n in range(s.n, max_size + 1):
-        candidates: Sequence = all_trees(n) if tree_mode else all_forests(n)
-        for cand in candidates:
+    f = drop_root(s) if tree_mode else s
+    for n in range(f.n, max_size - tree_mode + 1):
+        for cand in all_forests(n):
             # an embedding is strictly increasing, so its images are increasing tuples
-            if tree_mode:
-                # the root's color never matters
-                mono_sets = [e.values[1:] for e in all_embeddings(s, cand)]
-            else:
-                mono_sets = _forest_embeddings(s, cand)
-            if find_proper_coloring(cand.n, mono_sets, b).holds:
-                return cand
+            if find_proper_coloring(cand.n, _forest_embeddings(f, cand), b).holds:
+                return one_plus(cand) if tree_mode else cand
     raise NotFoundWithinBound(f"no monochromatic-guarantee host within {max_size} vertices")
 
 
@@ -313,7 +309,7 @@ def _color_masks(t: int, k: int, b: int, n: int) -> list[int]:
 
 
 def _witness_indices(hits: Sequence[tuple[int, int]], n: int) -> Sequence[int]:
-    """Per coloring j < n, the candidate index idx of the hit (idx, set) whose
+    """Per coloring j < n, the index idx of the hit (idx, set) whose
     set holds bit j (the sets partition the n colorings).
 
     The indices are bit-sliced: slice q is the union of the sets whose idx has
@@ -341,16 +337,17 @@ def _witness_indices(hits: Sequence[tuple[int, int]], n: int) -> Sequence[int]:
     return struct.unpack_from(f"<{n}I", lanes)
 
 
-def _sweep(compiled: Sequence[Sequence[tuple[int, int]]], k: int, b: int, n: int) -> Optional[list]:
+def _sweep(compiled: Iterable[tuple], k: int, b: int, n: int) -> Optional[list]:
     """For the first n b-colorings of k items in enum_colorings order (either
-    pinning), the pairs (idx, set) where set, as bits of one integer, holds
-    the colorings whose first holding candidate is compiled[idx]; None if
-    one of them defeats every candidate.
+    pinning), the pairs (candidate, set) where set, as bits of one integer,
+    holds the colorings whose first holding candidate it is; None if one of
+    them defeats every candidate.
 
-    A pair's "same color" set is the union over colors c of the intersection
-    of both items' color-c _color_masks, a candidate's satisfying set is the
-    intersection over its (anchor, member) pairs, and the candidates in order
-    take the colorings still unassigned.
+    compiled yields each candidate with its (anchor, member) pairs.  A pair's
+    "same color" set is the union over colors c of the intersection of both
+    items' color-c _color_masks, a candidate's satisfying set is the
+    intersection over its pairs, and the candidates in order take the
+    colorings still unassigned; none is pulled once all are taken.
     """
     masks: dict[int, list[int]] = {}
     same: dict[tuple[int, int], int] = {}
@@ -367,60 +364,64 @@ def _sweep(compiled: Sequence[Sequence[tuple[int, int]]], k: int, b: int, n: int
         return same[pair]
 
     remaining, hits = (1 << n) - 1, []
-    for idx, pairs in enumerate(compiled):
+    for p_tuple, pairs in compiled:
         hit = remaining
         for pair in pairs:
             hit &= same_color(pair)
             if not hit:
                 break
         if hit:
-            hits.append((idx, hit))
+            hits.append((p_tuple, hit))
             remaining ^= hit
             if not remaining:
                 return hits
     return None
 
 
-def _first_witnesses(
-    objects: list,
-    candidates: Iterable[tuple[tuple[int, ...], ...]],
+def _word_lemma_witnesses(
     a_sizes: Sequence[int],
     l_sizes: Sequence[int],
     i: int,
     b: int,
+    max_colorings: int,
+    *,
     pin_first: bool,
-) -> Optional[list[tuple[tuple[int, ...], ...]]]:
-    """The first candidate whose conclusion holds, for every b-coloring of the
-    objects in enum_colorings order, or None once a coloring defeats every
-    candidate.
+    mode: str = "direct",
+) -> Optional[tuple[list, list[tuple[tuple[int, ...], ...]]]]:
+    """The colored objects and, for every b-coloring of them in enum_colorings
+    order, the first candidate of the mode whose conclusion holds; None once
+    a coloring defeats every candidate.
 
-    Every candidate is compiled first: its classes are monochromatic iff every
-    object of a class has the color of the class's smallest index, a set of
-    (anchor, member) pairs.  The colorings are then decided all at once by
-    _sweep, first on a prefix of them and then on all, and the per-coloring
-    witnesses are read off the candidates' sets of colorings.
+    A candidate is compiled when a sweep first reaches it: its classes are
+    monochromatic iff every object of a class has the color of the class's
+    smallest index, a set of (anchor, member) pairs.  _sweep decides the
+    colorings all at once, first on prefixes of them and then on all; each
+    sweep reaches at least as far as the one before, so tee hands it the
+    candidates already compiled.  The witnesses are read off the winners'
+    sets of colorings.
     """
-    index = {obj: k for k, obj in enumerate(objects)}
-    tuples, compiled = [], []
-    for p_tuple in candidates:
-        classes = _conclusion_classes(p_tuple, a_sizes, l_sizes, i, index)
-        tuples.append(p_tuple)
-        compiled.append(sorted({(min(c), k) for c in classes for k in c if k != min(c)}))
-    k = len(objects)
+    _check_coloring_cap(a_sizes, l_sizes, i, b, max_colorings, pin_first)
     if b < 1:
         raise ValueError("need k >= 0 and b >= 1")
+    objects = _tuple_objects(a_sizes, l_sizes, i)
+    index = {obj: k for k, obj in enumerate(objects)}
+
+    def compile_all() -> Iterator[tuple[tuple, list[tuple[int, int]]]]:
+        for p_tuple in _candidate_tuples(a_sizes, l_sizes, i, mode):
+            classes = _conclusion_classes(p_tuple, a_sizes, l_sizes, i, index)
+            yield p_tuple, sorted({(min(c), k) for c in classes for k in c if k != min(c)})
+
+    k = len(objects)
     n = b ** (k - 1 if pin_first and k else k)
     # the first 2^10, 2^14, ... colorings are swept before all n, so a defeat
     # among the early colorings costs about as much as those colorings
-    width = 1 << 10
-    while width < n:
-        if _sweep(compiled, k, b, width) is None:
+    widths = [1 << q for q in range(10, n.bit_length(), 4) if 1 << q < n] + [n]
+    for width, compiled in zip(widths, itertools.tee(compile_all(), len(widths))):
+        hits = _sweep(compiled, k, b, width)
+        if hits is None:
             return None
-        width <<= 4
-    hits = _sweep(compiled, k, b, n)
-    if hits is None:
-        return None
-    return list(map(tuples.__getitem__, _witness_indices(hits, n)))
+    winners, sets = zip(*hits)
+    return objects, list(map(winners.__getitem__, _witness_indices(list(enumerate(sets)), n)))
 
 
 def hj_product_check(
@@ -444,13 +445,8 @@ def hj_product_check(
     if mode not in ("direct", "reduction"):
         raise ValueError("mode must be 'direct' or 'reduction'")
     _check_sizes(a_sizes, l_sizes)
-    _check_coloring_cap(a_sizes, l_sizes, i, b, max_colorings, pin_first=True)
-    objects = _tuple_objects(a_sizes, l_sizes, i)
-    candidates = _candidate_tuples(a_sizes, l_sizes, i, mode)
-    found = _first_witnesses(objects, candidates, a_sizes, l_sizes, i, b, pin_first=True)
-    if found is None:
-        return None
-    return HJCertificate(i, found)
+    found = _word_lemma_witnesses(a_sizes, l_sizes, i, b, max_colorings, pin_first=True, mode=mode)
+    return None if found is None else HJCertificate(i, found[1])
 
 
 def _candidate_tuples(
@@ -866,12 +862,10 @@ def lp_pipeline(
     for i_size in range(1, max_i + 1):
         qs = [q_set(f, i_size) for f in bases]
         l_sizes = [len(q.points) for q in qs]
-        _check_coloring_cap(a_sizes, l_sizes, i_size, b, max_colorings, pin_first=False)
-        objects = _tuple_objects(a_sizes, l_sizes, i_size)
-        candidates = _candidate_tuples(a_sizes, l_sizes, i_size, "direct")
-        witnesses = _first_witnesses(objects, candidates, a_sizes, l_sizes, i_size, b, pin_first=False)
-        if witnesses is None:
+        found = _word_lemma_witnesses(a_sizes, l_sizes, i_size, b, max_colorings, pin_first=False)
+        if found is None:
             continue
+        objects, witnesses = found
         tensors = [tensor(f, i_size) for f in bases]
         certificates = [
             _assemble_certificate(a_sizes, forests, bases, i_size, objects, coloring, p_tuple)

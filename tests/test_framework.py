@@ -222,6 +222,18 @@ def test_domain_axiom_checker_catches_corruption():
     assert not report.ok  # vanishing fails when truncation never shrinks
 
 
+def test_domain_axiom_checker_reports_a_truncation_that_breaks_b():
+    # each odd-cut element goes to the one-vertex map of its codomain ambient,
+    # so some dP mixes domain ambients: a reported (B) violation, not a crash
+    # when (C) multiplies by that dP
+    def odd_to_point(e):
+        return fw.DomainElement(e.amb_cod, 0, e.amb_cod, 0, (0,)) if e.cut_dom % 2 else fw.truncate(e)
+
+    report = fw.check_domain_axioms(3, truncation=odd_to_point)
+    assert any(v.startswith("(B) fails") for v in report.violations)
+    assert report.checked < fw.check_domain_axioms(3).checked  # (C) skips those P
+
+
 def test_check_r_singleton_trivial(ambients):
     amb_t, amb_s, amb_v = ambients["C3"], ambients["C2"], ambients["C4"]
     p = fw.FamilySet(

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -282,8 +283,12 @@ def test_full_certificate_matches_oracle_loop():
 
 
 def _swept(a_sizes, l_sizes, b, i, candidates, pin_first):
-    objects = hj._tuple_objects(a_sizes, l_sizes, i)
-    return hj._first_witnesses(objects, candidates, a_sizes, l_sizes, i, b, pin_first)
+    """The shared word-lemma witnesses with the given candidates as the stream,
+    under a cap that every instance here passes (unpinned (4, 3, 2) at i = 1
+    has 2^21 colorings)."""
+    with mock.patch.object(hj, "_candidate_tuples", lambda *args: iter(candidates)):
+        found = hj._word_lemma_witnesses(a_sizes, l_sizes, i, b, 1 << 21, pin_first=pin_first)
+    return None if found is None else found[1]
 
 
 def _expected(a_sizes, l_sizes, b, i, candidates, pin_first):
@@ -334,8 +339,8 @@ def test_three_colors_past_eight_bits_match_oracle_loop(a_sizes, l_sizes, i, mod
 def test_zero_objects_have_one_empty_coloring(pin_first):
     # k = 0: one coloring (), which the first candidate takes; no candidate defeats it
     first = ((0,),)
-    assert hj._first_witnesses([], [first, ((1,),)], [1], [0], 1, 2, pin_first) == [first]
-    assert hj._first_witnesses([], [], [1], [0], 1, 2, pin_first) is None
+    assert _swept([1], [0], 2, 1, [first, ((1,),)], pin_first) == [first]
+    assert _swept([1], [0], 2, 1, [], pin_first) is None
     assert hj.hj_product_check([1], [0], 2, 1).witnesses == [first]
 
 
@@ -362,6 +367,33 @@ def test_defeat_in_or_past_the_swept_prefixes(a_sizes, l_sizes, i, first_defeat)
     assert _swept(a_sizes, l_sizes, 2, i, candidates, False) is None
     if first_defeat < 5000:
         assert _oracle_witnesses(a_sizes, l_sizes, 2, i) is None
+
+
+def test_candidates_are_compiled_only_when_a_sweep_reaches_them(monkeypatch):
+    # A = (4, 1, 1), L = (1, 2, 3), i = 3 has 1,025,227 candidates, and
+    # candidate 0 takes all 2^20 pinned colorings: no sweep pulls or compiles
+    # a later one
+    a_sizes, l_sizes, i = [4, 1, 1], [1, 2, 3], 3
+    first = next(hj._candidate_tuples(a_sizes, l_sizes, i, "direct"))
+    expected = hj.hj_product_check(a_sizes, l_sizes, 2, i).witnesses
+
+    def stream(*args):
+        yield first
+        raise AssertionError("candidate stream pulled past the winning candidate")
+
+    compiled = []
+    conclusion_classes = hj._conclusion_classes
+
+    def counting(p_tuple, *args):
+        compiled.append(p_tuple)
+        return conclusion_classes(p_tuple, *args)
+
+    monkeypatch.setattr(hj, "_candidate_tuples", stream)
+    monkeypatch.setattr(hj, "_conclusion_classes", counting)
+    objects, witnesses = hj._word_lemma_witnesses(a_sizes, l_sizes, i, 2, hj.DEFAULT_MAX_COLORINGS, pin_first=True)
+    assert len(objects) == 21 and len(witnesses) == 1 << 20
+    assert witnesses.count(first) == len(witnesses) and witnesses == expected
+    assert compiled == [first]
 
 
 @pytest.mark.parametrize("lead", [0, 1, 2, 4])
