@@ -20,7 +20,13 @@ It times these calls, best of --repeat runs each:
   (2^17, colouring 43,092 defeats all 21);
 - hj_product_check on A = (4, 1, 1), L = (1, 2, 3), b = 2, i = 3 (2^20
   pinned colourings, 1,025,227 candidates), where candidate 0 takes every
-  colouring, so only candidate 0 needs compiling.
+  colouring, so only candidate 0 needs compiling;
+- hj_product_check on A = (1, 1), L = (1, 7), b = 2, i = 3 (4 pinned
+  colourings, 823,543 candidates, candidate 0 takes all four), which costs
+  as little only if no slot's whole family is listed before candidate 0;
+- hj_product_check in reduction mode on A = (2, 2) and A = (4, 2), with
+  L = (1, 1), b = 2, i = 2 (2^11 and 2^19 pinned colourings), whose
+  candidates are the projections of one map over A_2 x A_1 and L_2 + L_1.
 
 It prints one JSON object with, per call, the best wall time, the witness
 count (null when defeated) and a digest of the witness list.  Two runs that
@@ -66,6 +72,9 @@ def main() -> None:
         "check A=(1,2) L=(2,1) b=2 i=2": lambda: hj.hj_product_check([1, 2], [2, 1], 2, 2),
         "check A=(1,3) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([1, 3], [1, 1], 2, 2),
         "check A=(4,1,1) L=(1,2,3) b=2 i=3": lambda: hj.hj_product_check([4, 1, 1], [1, 2, 3], 2, 3),
+        "check A=(1,1) L=(1,7) b=2 i=3": lambda: hj.hj_product_check([1, 1], [1, 7], 2, 3),
+        "reduction A=(2,2) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([2, 2], [1, 1], 2, 2, mode="reduction"),
+        "reduction A=(4,2) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([4, 2], [1, 1], 2, 2, mode="reduction"),
     }
     results = {}
     for name, call in calls.items():

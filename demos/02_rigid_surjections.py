@@ -12,6 +12,7 @@ from treeramsey import trees
 from treeramsey.enumeration import (
     all_embeddings,
     all_rigid_surjections,
+    rigid_surjection_values,
     rigid_surjections_with_injection,
 )
 from treeramsey.maps import (
@@ -72,5 +73,5 @@ print("\n== census on small trees ==")
 for s in trees.all_trees(2):
     for t in trees.all_trees(4):
         n = len(all_rigid_surjections(t, s))
-        ns = len(all_rigid_surjections(t, s, sealed=True))
+        ns = len(rigid_surjection_values(t, s, True))
         print(f"  {list(t.parent)} -> {list(s.parent)}: {n} rigid, {ns} sealed")

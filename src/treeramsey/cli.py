@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import __version__, framework, halesjewett, serialize, witness
 
-from .enumeration import all_embeddings, all_rigid_surjections
+from .enumeration import all_embeddings, rigid_surjection_values
 from .errors import (
     NotFoundWithinBound,
     ResourceCapExceeded,
@@ -190,16 +190,14 @@ def cmd_enum(args) -> int:
         dom = _load_tree(args.dom, args.normalize)
         cod = _load_tree(args.cod, args.normalize)
         if args.kind == "embedding":
-            ms = all_embeddings(dom, cod)
-        elif args.kind == "rigid":
-            ms = all_rigid_surjections(dom, cod)
+            rows = [m.values for m in all_embeddings(dom, cod)]
         else:
-            ms = all_rigid_surjections(dom, cod, True)
+            rows = rigid_surjection_values(dom, cod, args.kind == "sealed")
         if args.count_only:
-            _emit(args, {"count": len(ms)}, str(len(ms)))
+            _emit(args, {"count": len(rows)}, str(len(rows)))
         else:
-            payload = {"count": len(ms), "maps": [list(m.values) for m in ms]}
-            _emit(args, payload, "\n".join(str(list(m.values)) for m in ms))
+            payload = {"count": len(rows), "maps": [list(v) for v in rows]}
+            _emit(args, payload, "\n".join(str(list(v)) for v in rows))
         return 0
     raise SchemaError(f"unknown enum subcommand {args.enum_cmd!r}")
 
@@ -261,9 +259,10 @@ def cmd_framework(args) -> int:
 
 
 def cmd_hj(args) -> int:
+    cap = halesjewett.DEFAULT_MAX_COLORINGS if args.max_colorings is None else args.max_colorings
     if args.hj_cmd == "search":
         cert = halesjewett.hj_product_search(
-            _int_list(args.a), _int_list(args.l), args.b, args.max_i, mode=args.mode
+            _int_list(args.a), _int_list(args.l), args.b, args.max_i, mode=args.mode, max_colorings=cap
         )
         payload = {
             "i": cert.i_size,
@@ -276,7 +275,7 @@ def cmd_hj(args) -> int:
         a_sizes = _int_list(args.a)
         forests = [_load_forest(p) for p in args.forests.split(",")]
         result = halesjewett.lp_pipeline(
-            a_sizes, forests, args.b, max_host_size=args.max_host, max_i=args.max_i
+            a_sizes, forests, args.b, max_host_size=args.max_host, max_i=args.max_i, max_colorings=cap
         )
         payload = {
             "i": result.i_size,
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, help="worker count (output is identical for any value)")
     parser.add_argument("--config", help="key=value file with flag defaults")
     parser.add_argument("--max-nodes", type=int, default=None, help="cap on color assignments, branched or forced, per decision (default RAMSEY_MAX_NODES)")
-    parser.add_argument("--max-colorings", type=int, default=None, help="cap on complete colorings examined per decision")
+    parser.add_argument("--max-colorings", type=int, default=None, help="cap on colorings a decision examines or hj enumerates")
     parser.add_argument("--normalize", action="store_true", help="canonicalize non-canonical tree inputs on load")
     sub = parser.add_subparsers(dest="command")
 

@@ -23,9 +23,8 @@ rigid_surjection_values(dom, cod, sealed, /), which range-checks every tuple
 once when it fills; its arguments are positional and required, so each
 table has exactly one cache key.  The witness builders and the composition
 space read it directly.  all_rigid_surjections is the cached TreeMap view
-over that table, for callers that want maps, made without checking the
-tuples again; embeddings are TreeMaps from the start, and all_embeddings
-caches them.
+of the unsealed table, made without checking the tuples again;
+embeddings are TreeMaps from the start, and all_embeddings caches them.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ def _fresh_extensions(
 
 
 @lru_cache(maxsize=None)
-def _prefix_table(dom: tuple, cod: tuple) -> tuple[tuple[int, ...], ...]:
+def _prefix_table(dom: tuple, cod: tuple, /) -> tuple[tuple[int, ...], ...]:
     """RS(dom, cod) by value tuple, extended from the tables of dom's prefix.
 
     dom and cod are parent arrays.  Two cases are closed: onto a codomain at
@@ -140,7 +139,7 @@ def _fill_from_below(dom: tuple, cod: tuple) -> None:
 
 
 @lru_cache(maxsize=None)
-def all_embeddings(dom: OrderedTree, cod: OrderedTree) -> tuple[TreeMap, ...]:
+def all_embeddings(dom: OrderedTree, cod: OrderedTree, /) -> tuple[TreeMap, ...]:
     """The embeddings dom -> cod in lexicographic order by value tuple.
 
     Embeddings are strictly increasing in the canonical numbering (monotone +
@@ -196,12 +195,9 @@ def rigid_surjection_values(
 
 
 @lru_cache(maxsize=None)
-def all_rigid_surjections(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool = False
-) -> tuple[TreeMap, ...]:
-    """The TreeMap view of rigid_surjection_values, whose tuples are range-checked already."""
-    table = rigid_surjection_values(dom, cod, sealed)
-    return tuple(_trusted_map(dom, cod, values) for values in table)
+def all_rigid_surjections(dom: OrderedTree, cod: OrderedTree, /) -> tuple[TreeMap, ...]:
+    """The TreeMap view of the unsealed table, whose tuples are range-checked already."""
+    return tuple(_trusted_map(dom, cod, values) for values in rigid_surjection_values(dom, cod, False))
 
 
 def rigid_surjections_with_injection(e: TreeMap) -> tuple[TreeMap, ...]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 from operator import and_, or_
@@ -143,19 +144,13 @@ def sealed_words(a: int, length: int) -> list[SealedWord]:
 
 def block_condition_maps(a: int, l: int, i: int) -> Iterator[tuple[int, ...]]:
     """All maps A + (L x I) -> A + L with the block condition, as full value tuples."""
-    choices = list(range(a))
-    block_options: list[list[tuple[int, ...]]] = []
-    for x in range(l):
-        target = a + x
-        opts = [
-            blk
-            for blk in itertools.product(choices + [target], repeat=i)
-            if target in blk
-        ]
-        block_options.append(opts)
-    prefix = tuple(range(a))
-    for combo in itertools.product(*block_options):
-        yield prefix + tuple(v for blk in combo for v in blk)
+    return (p for (p,) in _candidate_tuples([a], [l], i, "direct"))
+
+
+def _block_choices(a: int, x: int, i: int) -> list[tuple[int, ...]]:
+    """Block x of a block-condition map: the i-tuples over A + {a + x} that hit a + x."""
+    target = a + x
+    return [blk for blk in itertools.product([*range(a), target], repeat=i) if target in blk]
 
 
 def count_block_maps(a: int, l: int, i: int) -> int:
@@ -452,38 +447,31 @@ def hj_product_check(
 def _candidate_tuples(
     a_sizes: Sequence[int], l_sizes: Sequence[int], i: int, mode: str
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    n = len(a_sizes)
+    """The mode's candidates, one block-condition map per slot, split from one
+    lazy product over the blocks of all slots (each a _block_choices choice):
+    direct takes them in slot order; reduction takes the blocks of one map
+    over A_n x ... x A_1 (slot 0's digit varying fastest) and L_n + ... + L_1
+    and projects each choice to its slot once."""
     if mode == "direct":
-        families = [list(block_condition_maps(a_sizes[k], l_sizes[k], i)) for k in range(n)]
-        yield from itertools.product(*families)
-        return
-    # reduction: a single map over (A_n x ... x A_1, L_n + ... + L_1) projected apart
-    a_prod = 1
-    for a in a_sizes:
-        a_prod *= a
-    l_total = sum(l_sizes)
-    # digit extraction for the lexicographic product A_n x ... x A_1 (slot 0 varies fastest)
-    def coord(value: int, k: int) -> int:
-        for kk in range(k):
-            value //= a_sizes[kk]
-        return value % a_sizes[k]
-
-    # block k of L' = L_n + ... + L_1 occupies l_offset[k] .. l_offset[k] + l_k - 1
-    l_offset = [sum(l_sizes[kk] for kk in range(k + 1, n)) for k in range(n)]
-    # block_condition_maps puts only A_prod and the block's own target in each
-    # block, so every value at or past a_prod is that target
-    for p in block_condition_maps(a_prod, l_total, i):
-        parts: list[tuple[int, ...]] = []
-        for k in range(n):
-            vals = list(range(a_sizes[k]))
-            for x_local in range(l_sizes[k]):
-                start = a_prod + (l_offset[k] + x_local) * i
-                block = p[start : start + i]
-                vals += [coord(v, k) if v < a_prod else a_sizes[k] + x_local for v in block]
-            if not check_block_condition(vals, a_sizes[k], l_sizes[k], i):
-                raise VerificationFailed(f"projection {k} of {p} fails the block condition")
-            parts.append(tuple(vals))
-        yield tuple(parts)
+        blocks = [_block_choices(a, x, i) for a, l in zip(a_sizes, l_sizes) for x in range(l)]
+        start = list(itertools.accumulate(l_sizes, initial=0))
+    else:
+        a_prod, blocks, start = math.prod(a_sizes), [], [0] * len(a_sizes)
+        for k in reversed(range(len(a_sizes))):
+            a, stride, start[k] = a_sizes[k], math.prod(a_sizes[:k]), len(blocks)
+            for x in range(l_sizes[k]):
+                blocks.append([
+                    tuple(v // stride % a if v < a_prod else a + x for v in blk)
+                    for blk in _block_choices(a_prod, len(blocks), i)  # block len(blocks) of L'
+                ])
+    slots = [(tuple(range(a)), s, s + l) for a, l, s in zip(a_sizes, l_sizes, start)]
+    for combo in itertools.product(*blocks):
+        parts = tuple([sum(combo[s:e], prefix) for prefix, s, e in slots])  # sum concatenates the tuples
+        if mode == "reduction":
+            for k, (part, a, l) in enumerate(zip(parts, a_sizes, l_sizes)):
+                if not check_block_condition(part, a, l, i):
+                    raise VerificationFailed(f"projection {k}, {part}, fails the block condition")
+        yield parts
 
 
 def hj_search(

@@ -171,7 +171,7 @@ INJECTION_TABLE_SIZE = 4096  # distinct (T, S, values); a cold calculus pass has
 
 @lru_cache(maxsize=INJECTION_TABLE_SIZE)
 def _cached_injection_values(
-    dom_anc: tuple[int, ...], cod_parent: tuple[Optional[int], ...], values: tuple[int, ...]
+    dom_anc: tuple[int, ...], cod_parent: tuple[Optional[int], ...], values: tuple[int, ...], /
 ) -> Optional[tuple[int, ...]]:
     """_injection_values, run once per distinct input while it is in the table.
 

@@ -105,7 +105,7 @@ TREE_TABLE_SIZE = 1024  # distinct parent arrays; a cold calculus pass has 65
 
 
 @lru_cache(maxsize=TREE_TABLE_SIZE)
-def _tree_masks(parent: tuple[Optional[int], ...]) -> tuple[int, ...]:
+def _tree_masks(parent: tuple[Optional[int], ...], /) -> tuple[int, ...]:
     """The ancestor masks of a canonical parent array; NotCanonical (or NotATree) if
     it is not one.  Run once per distinct parent array while it is in the table.
 
@@ -415,7 +415,7 @@ class TensorIndex:
 
 
 @lru_cache(maxsize=None)
-def tensor(s: OrderedForest, i: int) -> TensorIndex:
+def tensor(s: OrderedForest, i: int, /) -> TensorIndex:
     """Fan out the forest S along the alphabet I.
 
     Vertices are pairs (s, t) with ht(s) = |t|; (s1,t1) lies below (s2,t2) when
@@ -467,7 +467,7 @@ class QIndex:
 
 
 @lru_cache(maxsize=None)
-def q_set(s: OrderedForest, i: int) -> QIndex:
+def q_set(s: OrderedForest, i: int, /) -> QIndex:
     """Q(S, I) = pairs (s, u) with ht(s) = |u| + 1, ordered by block position in S x I:
     the cut of each block's letter-0 point."""
     pts = [QPoint(p.s, p.t[:-1]) for p in tensor(s, i).points if p.t[-1] == 0]
@@ -475,7 +475,7 @@ def q_set(s: OrderedForest, i: int) -> QIndex:
 
 
 @lru_cache(maxsize=None)
-def all_trees(n: int) -> tuple[OrderedTree, ...]:
+def all_trees(n: int, /) -> tuple[OrderedTree, ...]:
     """All canonical ordered trees with exactly n vertices, in lexicographic order.
 
     Each is a tree of all_trees(n - 1) with a last vertex attached to its

@@ -148,7 +148,7 @@ _SealedFamilies = tuple[tuple[int, OrderedTree, list[bytes]], ...]
 
 
 @lru_cache(maxsize=None)
-def _sealed_families(s: OrderedTree, t: OrderedTree) -> _SealedFamilies:
+def _sealed_families(s: OrderedTree, t: OrderedTree, /) -> _SealedFamilies:
     """(t, T^t, the sealed maps T^t -> S as translate tables) for every vertex t of T
     that has such maps; S or T with more than 256 vertices raises ResourceCapExceeded."""
     _check_byte_width(s, t)
@@ -213,7 +213,7 @@ class _SealedLayer(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree) -> _SealedLayer:
+def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree, /) -> _SealedLayer:
     """The layer of U's top cut, on top of the layer of its prefix U^{n-2}.
 
     The vertices of the cuts below c are those of U^{c-1}'s hypergraph, since
@@ -615,13 +615,14 @@ def derivation_intermediates(
     }
     old_top_t = t_plus.n - 2
     families = _sealed_families(s_plus, t_plus)
-    for g_plus in all_rigid_surjections(u, t_plus, True):
+    for values in rigid_surjection_values(u, t_plus, True):
         colors = {
             sealed_color(len(composite) - 1, tuple(composite))
-            for family in _sealed_columns(u, t_plus, [g_plus.values], families)
+            for family in _sealed_columns(u, t_plus, [values], families)
             for [composite] in family
         }
         if len(colors) <= 1:
+            g_plus = TreeMap(u, t_plus, values)
             g = restrict_conjugate(g_plus, old_top_t)
             y0 = g.dom.n - 1
             if y0 in assembly.projections:

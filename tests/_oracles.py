@@ -149,6 +149,59 @@ def _conclusion_holds(p_tuple, a_sizes, l_sizes, i, color_of) -> bool:
     return True
 
 
+def block_condition_maps_by_blocks(a, l, i):
+    """Every block-condition map A + (L x I) -> A + L: the product of each
+    block's list of i-tuples over A + {a + x} that hit a + x."""
+    block_options = []
+    for x in range(l):
+        target = a + x
+        block_options.append(
+            [blk for blk in itertools.product(list(range(a)) + [target], repeat=i) if target in blk]
+        )
+    prefix = tuple(range(a))
+    for combo in itertools.product(*block_options):
+        yield prefix + tuple(v for blk in combo for v in blk)
+
+
+def candidate_tuples_by_families(a_sizes, l_sizes, i, mode):
+    """The word lemma's candidate tuples, family by family.
+
+    direct: the product of every slot's whole block-condition family, listed
+    first.
+    reduction: every block-condition map over A_n x ... x A_1 (slot 0's
+    coordinate varying fastest) and L_n + ... + L_1, each value decoded digit
+    by digit into every slot; None stands for a part that fails the block
+    condition.
+    """
+    from treeramsey.maps import check_block_condition
+
+    n = len(a_sizes)
+    if mode == "direct":
+        families = [list(block_condition_maps_by_blocks(a_sizes[k], l_sizes[k], i)) for k in range(n)]
+        yield from itertools.product(*families)
+        return
+    a_prod = 1
+    for a in a_sizes:
+        a_prod *= a
+
+    def coord(value, k):
+        for kk in range(k):
+            value //= a_sizes[kk]
+        return value % a_sizes[k]
+
+    # block k of L' = L_n + ... + L_1 occupies l_offset[k] .. l_offset[k] + l_k - 1
+    l_offset = [sum(l_sizes[kk] for kk in range(k + 1, n)) for k in range(n)]
+    for p in block_condition_maps_by_blocks(a_prod, sum(l_sizes), i):
+        parts = []
+        for k in range(n):
+            vals = list(range(a_sizes[k]))
+            for x_local in range(l_sizes[k]):
+                start = a_prod + (l_offset[k] + x_local) * i
+                vals += [coord(v, k) if v < a_prod else a_sizes[k] + x_local for v in p[start : start + i]]
+            parts.append(tuple(vals) if check_block_condition(vals, a_sizes[k], l_sizes[k], i) else None)
+        yield tuple(parts)
+
+
 def find_proper_coloring_enumerate(n_vertices, edges, b):
     """The first coloring in counting order that leaves no edge monochromatic,
     found by literal enumeration of all b^n colorings; only for small n."""
@@ -213,22 +266,23 @@ def sealed_hypergraph_by_compose(s, t, u):
     vertices (cut, values) of the sealed maps U^cut -> S, one edge per cut v0
     and sealed g: U^v0 -> T collecting f o g^t over t in T and sealed
     f: T^t -> S."""
-    from treeramsey.enumeration import all_rigid_surjections
-    from treeramsey.maps import compose, restrict_initial
+    from treeramsey.enumeration import rigid_surjection_values
+    from treeramsey.maps import TreeMap, compose, restrict_initial
     from treeramsey.trees import initial_subtree
+
+    def sealed_maps(dom, cod):
+        return [TreeMap(dom, cod, values) for values in rigid_surjection_values(dom, cod, True)]
 
     vertices = []
     pos = {}
     for v in range(u.n):
-        for m in all_rigid_surjections(initial_subtree(u, v), s, sealed=True):
+        for m in sealed_maps(initial_subtree(u, v), s):
             pos[(v, m.values)] = len(vertices)
             vertices.append((v, m.values))
-    sealed_fs = {
-        tv: all_rigid_surjections(initial_subtree(t, tv), s, sealed=True) for tv in range(t.n)
-    }
+    sealed_fs = {tv: sealed_maps(initial_subtree(t, tv), s) for tv in range(t.n)}
     edges = []
     for v0 in range(u.n):
-        for g in all_rigid_surjections(initial_subtree(u, v0), t, sealed=True):
+        for g in sealed_maps(initial_subtree(u, v0), t):
             edge = set()
             for tv in range(t.n):
                 if not sealed_fs[tv]:

@@ -404,9 +404,9 @@ def test_enum_maps_lists_the_tables(capsys, tmp_path):
         paths[t] = str(tmp_path / f"t{i}.json")
         serialize.save_json(paths[t], serialize.tree_to_json(t))
     tables = {
-        "embedding": all_embeddings,
-        "rigid": all_rigid_surjections,
-        "sealed": lambda dom, cod: all_rigid_surjections(dom, cod, True),
+        "embedding": lambda dom, cod: [m.values for m in all_embeddings(dom, cod)],
+        "rigid": lambda dom, cod: [m.values for m in all_rigid_surjections(dom, cod)],
+        "sealed": lambda dom, cod: rigid_surjection_values(dom, cod, True),
     }
     for kind, table in tables.items():
         for dom in small:
@@ -415,7 +415,7 @@ def test_enum_maps_lists_the_tables(capsys, tmp_path):
                     capsys, "--json", "enum", "maps", "--kind", kind,
                     "--dom", paths[dom], "--cod", paths[cod],
                 )
-                maps = [list(m.values) for m in table(dom, cod)]
+                maps = [list(values) for values in table(dom, cod)]
                 assert code == 0 and json.loads(out) == {"count": len(maps), "maps": maps}
 
 
@@ -564,6 +564,32 @@ def test_hj_search_coloring_cap_exit_3(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("resource cap: ")
+
+
+def test_max_colorings_reaches_hj_search(capsys):
+    # (2, 2, 2) is decided at i = 2 on 2^14 pinned colorings, past a cap of 100
+    code = main(["--max-colorings", "100", "hj", "search", "--a", "2", "--l", "2", "--b", "2", "--max-i", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ")
+    code = main(["--max-colorings", "-5", "hj", "search", "--a", "2", "--l", "2", "--b", "2", "--max-i", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_max_colorings_reaches_hj_pipeline(capsys, tmp_path):
+    # the one-point forest has 2 colourings at i = 1, past a cap of 1
+    forest = tmp_path / "pt.json"
+    serialize.save_json(str(forest), serialize.tree_to_json(trees.point_forest(1)))
+    args = ["hj", "pipeline", "--a", "1", "--b", "2", "--forests", str(forest)]
+    assert main(args) == 0
+    capsys.readouterr()
+    for cap, exit_code, prefix in (("1", 3, "resource cap: "), ("-5", 2, "error: ")):
+        code = main(["--max-colorings", cap, *args])
+        captured = capsys.readouterr()
+        assert code == exit_code and captured.out == ""
+        assert captured.err.startswith(prefix)
 
 
 def test_hj_search_coloring_cap_past_decimal_limit_exit_3(capsys):

@@ -36,7 +36,7 @@ def test_rigid_surjection_examples():
         (0, 1, 1),
     ]
     assert [m.values for m in all_rigid_surjections(Y, C2)] == [(0, 0, 1), (0, 1, 0)]
-    assert [m.values for m in all_rigid_surjections(C3, C2, sealed=True)] == [(0, 0, 1)]
+    assert rigid_surjection_values(C3, C2, True) == ((0, 0, 1),)
 
 
 def test_embedding_examples():
@@ -59,9 +59,7 @@ def test_streams_complete_against_classifier():
                 if fl.embedding:
                     brute_emb.add(vals)
             assert {m.values for m in all_rigid_surjections(dom, cod)} == brute_rigid
-            assert {
-                m.values for m in all_rigid_surjections(dom, cod, sealed=True)
-            } == brute_sealed
+            assert set(rigid_surjection_values(dom, cod, True)) == brute_sealed
             assert {m.values for m in all_embeddings(dom, cod)} == brute_emb
 
 
@@ -89,7 +87,7 @@ def test_chain_counts_are_stirling_numbers():
         for k in range(1, n + 1):
             rs = all_rigid_surjections(trees.chain(n), trees.chain(k))
             assert len(rs) == stirling2(n, k)
-            sealed = all_rigid_surjections(trees.chain(n), trees.chain(k), sealed=True)
+            sealed = rigid_surjection_values(trees.chain(n), trees.chain(k), True)
             assert len(sealed) == stirling2(n - 1, k - 1)
 
 
@@ -176,9 +174,7 @@ def test_streams_complete_against_classifier_full_bound():
                     if e.values[-1] == dom.n - 1:
                         brute_sealed.add(vals)
             assert {m.values for m in all_rigid_surjections(dom, cod)} == brute_rigid
-            assert {
-                m.values for m in all_rigid_surjections(dom, cod, sealed=True)
-            } == brute_sealed
+            assert set(rigid_surjection_values(dom, cod, True)) == brute_sealed
             brute_emb = {
                 vals
                 for vals in it.product(range(dom.n), repeat=cod.n)
@@ -188,30 +184,35 @@ def test_streams_complete_against_classifier_full_bound():
 
 
 def test_rigid_kernel_matches_meet_loop_oracle():
-    # the constant-time fresh-value test against the full meet loop, both flags
+    # the constant-time fresh-value test against the full meet loop, both
+    # flags, and the TreeMap view of the unsealed table
     cases = 0
     for dom in trees_up_to(7):
         for cod in trees_up_to(4):
             for sealed in (False, True):
                 expected = rigid_surjections_by_meet_loop(dom, cod, sealed)
-                got = [m.values for m in all_rigid_surjections(dom, cod, sealed=sealed)]
-                assert got == expected, (dom, cod, sealed)
                 assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
+                if not sealed:
+                    assert [m.values for m in all_rigid_surjections(dom, cod)] == expected, (dom, cod)
                 cases += 1
     assert cases == 3_546
 
 
 def test_one_value_table_per_argument_triple():
-    # the call forms of the TreeMap view and a witness build that reads the
-    # same RS(t, s) all share one table
+    # the TreeMap view, the value table and a witness build that reads the
+    # same RS(t, s) all share one table, and the view has one key per pair
     from treeramsey import witness
 
     s, t, u = C2, trees.chain(4), trees.tree([None, 0, 1, 1, 0])
     all_rigid_surjections.cache_clear()
     rigid_surjection_values.cache_clear()
     try:
-        all_rigid_surjections(t, s)
-        all_rigid_surjections(t, s, sealed=False)
+        view = all_rigid_surjections(t, s)
+        assert all_rigid_surjections(t, s) is view
+        with pytest.raises(TypeError):
+            all_rigid_surjections(t, s, False)
+        assert rigid_surjection_values(t, s, False) == tuple(m.values for m in view)
+        assert all_rigid_surjections.cache_info().currsize == 1
         assert rigid_surjection_values.cache_info().currsize == 1
         witness._mn_hypergraph(s, t, u)  # reads RS(u, s), RS(t, s) and RS(u, t)
         assert rigid_surjection_values.cache_info().currsize == 3

@@ -4,7 +4,7 @@ import pytest
 
 from treeramsey import framework as fw
 from treeramsey import trees
-from treeramsey.enumeration import all_rigid_surjections
+from treeramsey.enumeration import rigid_surjection_values
 from treeramsey.errors import DomainMismatch, NotComposable, NotSealed, VertexOutOfRange
 from treeramsey.maps import TreeMap, injection_of, is_sealed
 
@@ -160,8 +160,8 @@ def test_fiber_and_extenders(ambients):
     amb_t, amb_s = ambients["C3"], ambients["C2"]
     elements = set()
     for cut in range(3):
-        for m in all_rigid_surjections(trees.initial_subtree(C3, cut), C2, sealed=True):
-            elements.add(make_element(amb_t, cut, amb_s, 1, m.values))
+        for values in rigid_surjection_values(trees.initial_subtree(C3, cut), C2, True):
+            elements.add(make_element(amb_t, cut, amb_s, 1, values))
     p = fw.FamilySet(frozenset(elements), "P")
     ys = {fw.truncate(x) for x in p.elements}
     for y in ys:
@@ -174,8 +174,8 @@ def test_fiber_and_extenders(ambients):
     f_elements = set()
     amb_v = ambients["C4"]
     for cut in range(4):
-        for m in all_rigid_surjections(trees.initial_subtree(C4, cut), C3, sealed=True):
-            f_elements.add(make_element(amb_v, cut, amb_t, 2, m.values))
+        for values in rigid_surjection_values(trees.initial_subtree(C4, cut), C3, True):
+            f_elements.add(make_element(amb_v, cut, amb_t, 2, values))
     fam = fw.FamilySet(frozenset(f_elements), "F")
     root_map = make_element(amb_v, 0, amb_t, 0, (0,))
     assert fw.extenders(fam, root_map).elements == fam.elements
@@ -240,9 +240,9 @@ def test_check_r_singleton_trivial(ambients):
         frozenset({make_element(amb_t, 2, amb_s, 1, (0, 0, 1))}), "P"
     )
     f_elements = {
-        make_element(amb_v, cut, amb_t, 2, m.values)
+        make_element(amb_v, cut, amb_t, 2, values)
         for cut in range(4)
-        for m in all_rigid_surjections(trees.initial_subtree(C4, cut), C3, sealed=True)
+        for values in rigid_surjection_values(trees.initial_subtree(C4, cut), C3, True)
     }
     fam = fw.FamilySet(frozenset(f_elements), "F")
     rep = fw.check_R(fam, p, 3)
@@ -252,9 +252,9 @@ def test_check_r_singleton_trivial(ambients):
 def test_check_r_failure_with_coloring(ambients):
     amb_t, amb_s = ambients["C3"], ambients["C2"]
     p_elements = {
-        make_element(amb_t, cut, amb_s, 1, m.values)
+        make_element(amb_t, cut, amb_s, 1, values)
         for cut in range(3)
-        for m in all_rigid_surjections(trees.initial_subtree(C3, cut), C2, sealed=True)
+        for values in rigid_surjection_values(trees.initial_subtree(C3, cut), C2, True)
     }
     p = fw.FamilySet(frozenset(p_elements), "P")
     amb_t2 = fw.Ambient("T2", C3)
@@ -272,17 +272,15 @@ def test_check_lp_singleton_fiber(ambients):
     amb_t, amb_s = ambients["C4"], ambients["C3"]
     amb_v = fw.Ambient("C5", trees.chain(5))
     p_elements = {
-        make_element(amb_t, cut, amb_s, 2, m.values)
+        make_element(amb_t, cut, amb_s, 2, values)
         for cut in range(4)
-        for m in all_rigid_surjections(trees.initial_subtree(C4, cut), C3, sealed=True)
+        for values in rigid_surjection_values(trees.initial_subtree(C4, cut), C3, True)
     }
     p = fw.FamilySet(frozenset(p_elements), "P")
     f_elements = {
-        make_element(amb_v, cut, amb_t, 3, m.values)
+        make_element(amb_v, cut, amb_t, 3, values)
         for cut in range(5)
-        for m in all_rigid_surjections(
-            trees.initial_subtree(trees.chain(5), cut), C4, sealed=True
-        )
+        for values in rigid_surjection_values(trees.initial_subtree(trees.chain(5), cut), C4, True)
     }
     fam = fw.FamilySet(frozenset(f_elements), "F")
     ys = sorted({fw.truncate(x) for x in p.elements}, key=lambda e: (e.cut_dom, e.values))
@@ -317,9 +315,9 @@ def test_maximal_elements_are_every_sealed_map_onto_the_cut(ambients):
         for cut_cod in range(cod.tree.n):
             onto = trees.initial_subtree(cod.tree, cut_cod)
             literal = {
-                make_element(dom, cut, cod, cut_cod, m.values)
+                make_element(dom, cut, cod, cut_cod, values)
                 for cut in range(dom.tree.n)
-                for m in all_rigid_surjections(trees.initial_subtree(dom.tree, cut), onto, sealed=True)
+                for values in rigid_surjection_values(trees.initial_subtree(dom.tree, cut), onto, True)
             }
             assert fw.maximal_elements(dom, cod, cut_cod) == sorted(literal, key=_by_cut)
 

@@ -22,6 +22,8 @@ from treeramsey.errors import (
 from _fixtures import assert_fixture
 from _oracles import (
     _conclusion_holds,
+    block_condition_maps_by_blocks,
+    candidate_tuples_by_families,
     definitional_point_flags,
     is_a_rigid,
     monochromatic_host_by_enumeration,
@@ -235,10 +237,10 @@ CLASS_CASES = [
 def _oracle_witnesses(a_sizes, l_sizes, b, i, mode="direct", pin_first=True, candidates=None):
     """The search loop with the definitional conclusion: (coloring, first holding
     candidate) for every coloring, or None once one defeats every candidate.
-    The candidates default to the mode's tuples."""
+    The candidates default to the mode's tuples, listed family by family."""
     objects = hj._tuple_objects(a_sizes, l_sizes, i)
     if candidates is None:
-        candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, mode))
+        candidates = list(candidate_tuples_by_families(a_sizes, l_sizes, i, mode))
     out = []
     for coloring in enum_colorings(len(objects), b, pin_first=pin_first):
         color_of = dict(zip(objects, coloring))
@@ -394,6 +396,41 @@ def test_candidates_are_compiled_only_when_a_sweep_reaches_them(monkeypatch):
     assert len(objects) == 21 and len(witnesses) == 1 << 20
     assert witnesses.count(first) == len(witnesses) and witnesses == expected
     assert compiled == [first]
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_candidate_streams_match_the_family_lists(slots):
+    # both modes against the candidates listed family by family (reduction:
+    # one map decoded value by value), the first 100 of every size list with
+    # A <= 3, L <= 2 and i <= 2
+    for a_sizes in itertools.product(range(4), repeat=slots):
+        for l_sizes in itertools.product(range(3), repeat=slots):
+            for i in range(3):
+                for mode in ("direct", "reduction"):
+                    got = itertools.islice(hj._candidate_tuples(a_sizes, l_sizes, i, mode), 100)
+                    expected = itertools.islice(candidate_tuples_by_families(a_sizes, l_sizes, i, mode), 100)
+                    assert list(got) == list(expected), (a_sizes, l_sizes, i, mode)
+
+
+def test_block_condition_maps_match_the_block_product():
+    for a, l, i in itertools.product(range(4), repeat=3):
+        assert list(hj.block_condition_maps(a, l, i)) == list(block_condition_maps_by_blocks(a, l, i))
+
+
+@pytest.mark.parametrize("mode", ["direct", "reduction"])
+def test_first_candidate_lists_no_family(mode):
+    # slot 1 of A = (1, 1), L = (1, 7), i = 3 has 7^7 = 823,543 block-condition
+    # maps; listing them takes about 100 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        first = next(hj._candidate_tuples([1, 1], [1, 7], 3, mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ((0, 0, 0, 1), (0, *(v for x in range(1, 8) for v in (0, 0, x))))
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("lead", [0, 1, 2, 4])

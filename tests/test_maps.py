@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from treeramsey import maps, trees
-from treeramsey.enumeration import all_embeddings, all_rigid_surjections
+from treeramsey.enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
 from treeramsey.errors import (
     DomainMismatch,
     NotLeaf,
@@ -372,7 +372,8 @@ def test_restrict_initial_examples():
     assert r.dom == C2 and r.values == (0, 1)
     for s in trees_up_to(4):
         for t in trees_up_to(4):
-            for f in all_rigid_surjections(t, s, sealed=True):
+            for values in rigid_surjection_values(t, s, True):
+                f = TreeMap(t, s, values)
                 assert restrict_initial(f, s.n - 1) == f
 
 

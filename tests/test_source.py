@@ -101,17 +101,26 @@ def test_no_new_unbounded_cache():
 
 def test_value_table_arguments_are_positional_and_required():
     # an lru_cache keys a call by its form: a keyword argument or an omitted
-    # default would store the same table under a second key
+    # default would store the same table under a second key, so every cached
+    # function takes positional-only parameters with no default
     import inspect
 
     from treeramsey.enumeration import rigid_surjection_values
 
-    params = inspect.signature(rigid_surjection_values).parameters.values()
-    assert [p.name for p in params] == ["dom", "cod", "sealed"]
-    assert all(
-        p.kind is inspect.Parameter.POSITIONAL_ONLY and p.default is inspect.Parameter.empty
-        for p in params
-    )
+    assert list(inspect.signature(rigid_surjection_values).parameters) == ["dom", "cod", "sealed"]
+    cached, _ = _cached_functions()
+    assert ("enumeration", "all_rigid_surjections") in cached
+    loose = {}
+    for stem, name in cached:
+        params = inspect.signature(getattr(importlib.import_module(f"treeramsey.{stem}"), name)).parameters
+        bad = [
+            p.name
+            for p in params.values()
+            if p.kind is not inspect.Parameter.POSITIONAL_ONLY or p.default is not inspect.Parameter.empty
+        ]
+        if bad:
+            loose[f"{stem}.{name}"] = bad
+    assert loose == {}
 
 
 def _self_calling_nested_functions(paths):

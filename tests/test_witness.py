@@ -303,10 +303,8 @@ def test_transport_constant_coloring_stays_constant():
     s_plus, _ = wit.assemble_plus(C2)
     sealed_color = wit.transport_through_conjugates(u, s_plus, leafwise)
     for cut in range(u.n):
-        for m in all_rigid_surjections(
-            trees.initial_subtree(u, cut), s_plus, sealed=True
-        ):
-            assert sealed_color(cut, m.values) == 1
+        for values in rigid_surjection_values(trees.initial_subtree(u, cut), s_plus, True):
+            assert sealed_color(cut, values) == 1
 
 
 def test_projection_transport_identity_pointwise():
@@ -372,14 +370,12 @@ def test_sealed_edges_match_composition_space_products():
                 idx = 0
                 for v0 in range(u.n):
                     u_cut = trees.initial_subtree(u, v0)
-                    for g in all_rigid_surjections(u_cut, t, sealed=True):
-                        g_el = fw.DomainElement(amb["V"], v0, amb["T"], t.n - 1, g.values)
+                    for g in rigid_surjection_values(u_cut, t, True):
+                        g_el = fw.DomainElement(amb["V"], v0, amb["T"], t.n - 1, g)
                         expected = set()
                         for tv in range(t.n):
-                            for f in all_rigid_surjections(
-                                trees.initial_subtree(t, tv), s, sealed=True
-                            ):
-                                f_el = fw.DomainElement(amb["T"], tv, amb["S"], s.n - 1, f.values)
+                            for f in rigid_surjection_values(trees.initial_subtree(t, tv), s, True):
+                                f_el = fw.DomainElement(amb["T"], tv, amb["S"], s.n - 1, f)
                                 prod = fw.space_mul(g_el, f_el)
                                 expected.add((prod.cut_dom, prod.values))
                         got = {vertex_list[i] for i in edges[idx]}
@@ -428,15 +424,17 @@ def cold_caches():
 
 
 def test_derivation_reads_the_sealed_view_under_its_one_call_form(cold_caches):
-    # the library passes sealed positionally, so the derivation's table is the
-    # one that the call form all_rigid_surjections(u, t_plus, True) finds
+    # the derivation reads the sealed table, which has one key per pair, so
+    # the call rigid_surjection_values(u, t_plus, True) finds it; the search
+    # reads that table too, so it is cleared before the derivation
     u, _ = wit.search_witness(2, Y, Y, mode="sealed", max_vertices=5)
     rs = all_rigid_surjections(wit.assemble_V(u).tree, C2)
+    rigid_surjection_values.cache_clear()
     wit.derivation_intermediates(2, C2, C2, u, {m.values: 0 for m in rs})
     t_plus, _ = wit.assemble_plus(C2)
-    before = all_rigid_surjections.cache_info()
-    all_rigid_surjections(u, t_plus, True)
-    after = all_rigid_surjections.cache_info()
+    before = rigid_surjection_values.cache_info()
+    rigid_surjection_values(u, t_plus, True)
+    after = rigid_surjection_values.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
@@ -496,9 +494,9 @@ def test_sealed_build_computes_each_injection_once(monkeypatch, cold_caches):
     monkeypatch.undo()
     assert made[0] == 0
     gs = [
-        (trees.initial_subtree(u, v0).anc_mask, g.values)
+        (trees.initial_subtree(u, v0).anc_mask, g)
         for v0 in range(u.n)
-        for g in all_rigid_surjections(trees.initial_subtree(u, v0), t, sealed=True)
+        for g in rigid_surjection_values(trees.initial_subtree(u, v0), t, True)
     ]
     assert len(gs) == 65
     assert sorted(injected) == sorted(gs)
