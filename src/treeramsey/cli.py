@@ -259,10 +259,9 @@ def cmd_framework(args) -> int:
 
 
 def cmd_hj(args) -> int:
-    cap = halesjewett.DEFAULT_MAX_COLORINGS if args.max_colorings is None else args.max_colorings
     if args.hj_cmd == "search":
         cert = halesjewett.hj_product_search(
-            _int_list(args.a), _int_list(args.l), args.b, args.max_i, mode=args.mode, max_colorings=cap
+            _int_list(args.a), _int_list(args.l), args.b, args.max_i, mode=args.mode
         )
         payload = {
             "i": cert.i_size,
@@ -275,7 +274,7 @@ def cmd_hj(args) -> int:
         a_sizes = _int_list(args.a)
         forests = [_load_forest(p) for p in args.forests.split(",")]
         result = halesjewett.lp_pipeline(
-            a_sizes, forests, args.b, max_host_size=args.max_host, max_i=args.max_i, max_colorings=cap
+            a_sizes, forests, args.b, max_host_size=args.max_host, max_i=args.max_i
         )
         payload = {
             "i": result.i_size,
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, help="worker count (output is identical for any value)")
     parser.add_argument("--config", help="key=value file with flag defaults")
     parser.add_argument("--max-nodes", type=int, default=None, help="cap on color assignments, branched or forced, per decision (default RAMSEY_MAX_NODES)")
-    parser.add_argument("--max-colorings", type=int, default=None, help="cap on colorings a decision examines or hj enumerates")
+    parser.add_argument("--max-colorings", type=int, default=None, help="cap on complete colorings examined per witness decision (hj refuses it)")
     parser.add_argument("--normalize", action="store_true", help="canonicalize non-canonical tree inputs on load")
     sub = parser.add_subparsers(dest="command")
 
@@ -573,6 +572,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "hj" and args.max_colorings is not None:  # a --config value is left unused
+        sys.stderr.write("error: --max-colorings is a witness flag, which hj does not take\n")
+        return 2
     if args.config is not None:
         try:
             _apply_config(parser, args)

@@ -447,31 +447,42 @@ def hj_product_check(
 def _candidate_tuples(
     a_sizes: Sequence[int], l_sizes: Sequence[int], i: int, mode: str
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The mode's candidates, one block-condition map per slot, split from one
-    lazy product over the blocks of all slots (each a _block_choices choice):
-    direct takes them in slot order; reduction takes the blocks of one map
-    over A_n x ... x A_1 (slot 0's digit varying fastest) and L_n + ... + L_1
-    and projects each choice to its slot once."""
+    """The mode's candidates, one block-condition map per slot, in the order of
+    one product over the blocks of all slots: direct takes the blocks in slot
+    order; reduction those of one map over A_n x ... x A_1 (slot 0's digit
+    fastest) and L_n + ... + L_1, each block choice projected to its slot."""
     if mode == "direct":
-        blocks = [_block_choices(a, x, i) for a, l in zip(a_sizes, l_sizes) for x in range(l)]
-        start = list(itertools.accumulate(l_sizes, initial=0))
+        slot_blocks = [[_block_choices(a, x, i) for x in range(l)] for a, l in zip(a_sizes, l_sizes)]
     else:
-        a_prod, blocks, start = math.prod(a_sizes), [], [0] * len(a_sizes)
-        for k in reversed(range(len(a_sizes))):
-            a, stride, start[k] = a_sizes[k], math.prod(a_sizes[:k]), len(blocks)
-            for x in range(l_sizes[k]):
-                blocks.append([
-                    tuple(v // stride % a if v < a_prod else a + x for v in blk)
-                    for blk in _block_choices(a_prod, len(blocks), i)  # block len(blocks) of L'
-                ])
-    slots = [(tuple(range(a)), s, s + l) for a, l, s in zip(a_sizes, l_sizes, start)]
-    for combo in itertools.product(*blocks):
-        parts = tuple([sum(combo[s:e], prefix) for prefix, s, e in slots])  # sum concatenates the tuples
-        if mode == "reduction":
-            for k, (part, a, l) in enumerate(zip(parts, a_sizes, l_sizes)):
-                if not check_block_condition(part, a, l, i):
-                    raise VerificationFailed(f"projection {k}, {part}, fails the block condition")
-        yield parts
+        a_prod = math.prod(a_sizes)
+        slot_blocks = [  # block x of slot k is block L_n + ... + L_{k+2} + x of L'
+            [[tuple(v // math.prod(a_sizes[:k]) % a if v < a_prod else a + x for v in blk)
+              for blk in _block_choices(a_prod, sum(l_sizes[k + 1 :]) + x, i)] for x in range(l)]
+            for k, (a, l) in enumerate(zip(a_sizes, l_sizes))
+        ]
+
+    def parts(k: int) -> Iterator[tuple[int, ...]]:  # slot k's maps, each built once
+        for combo in itertools.product(*slot_blocks[k]):
+            part = tuple(itertools.chain(range(a_sizes[k]), *combo))
+            if mode == "reduction" and not check_block_condition(part, a_sizes[k], l_sizes[k], i):
+                raise VerificationFailed(f"projection {k}, {part}, fails the block condition")
+            yield part
+
+    order = range(len(a_sizes)) if mode == "direct" else reversed(range(len(a_sizes)))
+    return _lazy_product([itertools.tee(parts(k), 1)[0] for k in order], mode == "reduction")
+
+
+def _lazy_product(pools: list, reverse: bool) -> Iterator[tuple]:
+    """itertools.product(*pools) over tee iterators, which it copies for each
+    pass, so a pool is pulled no further than the product reaches and each of
+    its items is built once; reverse yields every tuple back to front."""
+    *outer, last = pools
+
+    def rows(heads: tuple) -> Iterator[tuple]:
+        columns = [*map(itertools.repeat, heads), last.__copy__()]
+        return zip(*(columns[::-1] if reverse else columns))
+
+    return itertools.chain.from_iterable(map(rows, _lazy_product(outer, False) if outer else [()]))
 
 
 def hj_search(

@@ -566,30 +566,23 @@ def test_hj_search_coloring_cap_exit_3(capsys):
     assert captured.err.startswith("resource cap: ")
 
 
-def test_max_colorings_reaches_hj_search(capsys):
-    # (2, 2, 2) is decided at i = 2 on 2^14 pinned colorings, past a cap of 100
-    code = main(["--max-colorings", "100", "hj", "search", "--a", "2", "--l", "2", "--b", "2", "--max-i", "3"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("resource cap: ")
-    code = main(["--max-colorings", "-5", "hj", "search", "--a", "2", "--l", "2", "--b", "2", "--max-i", "3"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ")
-
-
-def test_max_colorings_reaches_hj_pipeline(capsys, tmp_path):
-    # the one-point forest has 2 colourings at i = 1, past a cap of 1
+def test_hj_refuses_max_colorings(capsys, tmp_path):
+    # --max-colorings caps the witness decisions; hj keeps DEFAULT_MAX_COLORINGS,
+    # refuses the flag, and leaves a --config value unused
     forest = tmp_path / "pt.json"
     serialize.save_json(str(forest), serialize.tree_to_json(trees.point_forest(1)))
-    args = ["hj", "pipeline", "--a", "1", "--b", "2", "--forests", str(forest)]
-    assert main(args) == 0
-    capsys.readouterr()
-    for cap, exit_code, prefix in (("1", 3, "resource cap: "), ("-5", 2, "error: ")):
-        code = main(["--max-colorings", cap, *args])
-        captured = capsys.readouterr()
-        assert code == exit_code and captured.out == ""
-        assert captured.err.startswith(prefix)
+    search = ["hj", "search", "--a", "2", "--l", "2", "--b", "2", "--max-i", "3"]
+    pipeline = ["hj", "pipeline", "--a", "1", "--b", "2", "--forests", str(forest)]
+    for argv in (search, pipeline):
+        for cap in ("100", "-5"):
+            code = main(["--max-colorings", cap, *argv])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: --max-colorings")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max-colorings=100\n")
+    code, out = run(capsys, *search)
+    assert code == 0 and run(capsys, "--config", str(cfg), *search) == (0, out)
 
 
 def test_hj_search_coloring_cap_past_decimal_limit_exit_3(capsys):
