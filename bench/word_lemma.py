@@ -27,6 +27,9 @@ It times these calls, best of --repeat runs each:
 - hj_product_check in reduction mode on A = (2, 2) and A = (4, 2), with
   L = (1, 1), b = 2, i = 2 (2^11 and 2^19 pinned colourings), whose
   candidates are the projections of one map over A_2 x A_1 and L_2 + L_1.
+- hj_product_check on (a, l, b) = (3, 4, 1) at i = 3: one colouring of
+  265,720 objects, which the colouring cap cannot bound at b = 1, so it
+  costs as little only if no object is listed.
 
 It prints one JSON object with, per call, the best wall time, the witness
 count (null when defeated) and a digest of the witness list.  Two runs that
@@ -55,6 +58,7 @@ def main() -> None:
     from treeramsey import halesjewett as hj
 
     def unpinned(a_sizes, l_sizes, b, i):
+        # found is (object count, witnesses); earlier commits put the object list first
         found = hj._word_lemma_witnesses(a_sizes, l_sizes, i, b, hj.DEFAULT_MAX_COLORINGS, pin_first=False)
         return None if found is None else found[1]
 
@@ -75,6 +79,7 @@ def main() -> None:
         "check A=(1,1) L=(1,7) b=2 i=3": lambda: hj.hj_product_check([1, 1], [1, 7], 2, 3),
         "reduction A=(2,2) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([2, 2], [1, 1], 2, 2, mode="reduction"),
         "reduction A=(4,2) L=(1,1) b=2 i=2": lambda: hj.hj_product_check([4, 2], [1, 1], 2, 2, mode="reduction"),
+        "check (3,4,1) i=3": lambda: hj.hj_product_check([3], [4], 1, 3),
     }
     results = {}
     for name, call in calls.items():

@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, help="worker count (output is identical for any value)")
     parser.add_argument("--config", help="key=value file with flag defaults")
     parser.add_argument("--max-nodes", type=int, default=None, help="cap on color assignments, branched or forced, per decision (default RAMSEY_MAX_NODES)")
-    parser.add_argument("--max-colorings", type=int, default=None, help="cap on complete colorings examined per witness decision (hj refuses it)")
+    parser.add_argument("--max-colorings", type=int, default=None, help="cap on complete colorings examined per decision of witness check and witness search, which alone take it")
     parser.add_argument("--normalize", action="store_true", help="canonicalize non-canonical tree inputs on load")
     sub = parser.add_subparsers(dest="command")
 
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--u", required=True)
     q.add_argument("--mode", choices=["mn", "sealed"], default="mn")
     q.add_argument("--out", help="write the report JSON here")
-    q.set_defaults(func=cmd_witness)
+    q.set_defaults(func=cmd_witness, reads_max_colorings=True)
     q = sw.add_parser("search")
     q.add_argument("--b", type=int, required=True)
     q.add_argument("--mode", choices=["mn", "sealed", "chain"], default="mn")
@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-vertices", type=int, default=8)
     q.add_argument("--fixtures", help="append-only fixtures file to record the result")
     q.add_argument("--out")
-    q.set_defaults(func=cmd_witness)
+    q.set_defaults(func=cmd_witness, reads_max_colorings=True)
     q = sw.add_parser("replay")
     q.add_argument("--report", required=True)
     q.set_defaults(func=cmd_witness)
@@ -572,8 +572,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "hj" and args.max_colorings is not None:  # a --config value is left unused
-        sys.stderr.write("error: --max-colorings is a witness flag, which hj does not take\n")
+    if args.max_colorings is not None and not getattr(args, "reads_max_colorings", False):
+        # checked before --config is read, so a --config value is left unused
+        sys.stderr.write("error: --max-colorings is a flag of witness check and witness search only\n")
         return 2
     if args.config is not None:
         try:

@@ -10,9 +10,9 @@ very good points, together with the companion maps r with
 
 Chains are handled positionally: A + (L x I) is the chain of size
 a + l*i with the block {x} x I at positions a + x*i .. a + (x+1)*i - 1.
-A sealed map onto A + 1 from an initial segment cut at y is coded as
-(y_local, vals): y_local the cut position inside the block part, vals the
-free values (in A) strictly between A and the cut.
+A sealed map onto A + 1 from an initial segment is coded as its word: the
+free values (in A) strictly between A and the cut, whose length is the cut
+position inside the block part.
 """
 
 from __future__ import annotations
@@ -62,11 +62,7 @@ from .trees import (
 
 __all__ = [
     "monochromatic_host_search",
-    "SealedWord",
-    "sealed_words",
     "block_condition_maps",
-    "compose_sealed_word",
-    "compose_plain_word",
     "hj_search",
     "hj_product_check",
     "hj_product_search",
@@ -121,27 +117,6 @@ def monochromatic_host_search(
 # word machinery on chains
 
 
-@dataclass(frozen=True)
-class SealedWord:
-    """A sealed identity-on-A map from an initial segment of A + (L x I) onto A + 1.
-
-    cut is the position inside the block part (0-based), vals the images in A
-    of the positions strictly below the cut; the cut itself goes to the top.
-    """
-
-    cut: int
-    vals: tuple[int, ...]
-
-
-def sealed_words(a: int, length: int) -> list[SealedWord]:
-    """All sealed words over a block part of the given length, in counting order."""
-    out = []
-    for cut in range(length):
-        for vals in itertools.product(range(a), repeat=cut):
-            out.append(SealedWord(cut, vals))
-    return out
-
-
 def block_condition_maps(a: int, l: int, i: int) -> Iterator[tuple[int, ...]]:
     """All maps A + (L x I) -> A + L with the block condition, as full value tuples."""
     return (p for (p,) in _candidate_tuples([a], [l], i, "direct"))
@@ -166,28 +141,6 @@ def _first_hit(p: Sequence[int], a: int, i: int, x: int) -> int:
     raise BlockConditionViolated(f"block {x} never hits its target")
 
 
-def compose_sealed_word(
-    p: Sequence[int], a: int, i: int, r: SealedWord
-) -> SealedWord:
-    """r o p^x for a sealed word r over A + L cut at x: a sealed word over A + (L x I)."""
-    x = r.cut
-    e = _first_hit(p, a, i, x)
-    vals = []
-    for j in range(e):
-        v = p[a + j]
-        vals.append(v if v < a else r.vals[v - a])
-    return SealedWord(e, tuple(vals))
-
-
-def compose_plain_word(p: Sequence[int], a: int, l: int, i: int, r_vals: Sequence[int]) -> tuple[int, ...]:
-    """r o p for an identity-on-A map r: A + L -> A with free values r_vals on L."""
-    out = []
-    for j in range(l * i):
-        v = p[a + j]
-        out.append(v if v < a else r_vals[v - a])
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the left-variable word lemma, single and product form
 
@@ -201,16 +154,47 @@ class HJCertificate:
     witnesses: list[tuple[tuple[int, ...], ...]] = field(default_factory=list)
 
 
-def _tuple_objects(
-    a_sizes: Sequence[int], l_sizes: Sequence[int], i: int
-) -> list[tuple]:
-    """The colored tuples: a sealed word in slot 0, full plain maps in later slots."""
-    slot0 = sealed_words(a_sizes[0], l_sizes[0] * i)
-    later = [
-        list(itertools.product(range(a_sizes[k]), repeat=l_sizes[k] * i))
-        for k in range(1, len(a_sizes))
-    ]
-    return [tuple([s0, *rest]) for s0 in slot0 for rest in itertools.product(*later)]
+def _sealed_count(a: int, n: int) -> int:
+    """The sealed words over A cut below n: the sum of a^c over c < n."""
+    return (a**n - 1) // (a - 1) if a > 1 else (n if a == 1 else min(n, 1))
+
+
+def _object_count(a_sizes: Sequence[int], l_sizes: Sequence[int], i: int) -> int:
+    """The colored objects: a sealed word cut below l_0*i in slot 0, and a
+    full word of length l_k*i over A_k in each later slot k."""
+    count = _sealed_count(a_sizes[0], l_sizes[0] * i)
+    for a, l in zip(a_sizes[1:], l_sizes[1:]):
+        count *= a ** (l * i)
+    return count
+
+
+def _object_index(words: Sequence[Sequence[int]], a_sizes: Sequence[int]) -> int:
+    """The position of the object (w_0, w_1, ..., w_{n-1}) among the colored
+    objects, which index the colorings: slot 0's sealed words by cut len(w_0),
+    then w_0 read in base a_0; each later slot appends its letters as
+    mixed-radix digits, the last slot's last letter fastest."""
+    a0, w0 = a_sizes[0], words[0]
+    pos = _sealed_count(a0, len(w0)) + sum(d * a0**e for e, d in enumerate(reversed(w0)))
+    for a, w in zip(a_sizes[1:], words[1:]):
+        for d in w:
+            pos = pos * a + d
+    return pos
+
+
+def _renamed_values(word: Sequence[int], a: int, l: int) -> list[int]:
+    """word read in base a with each letter a + y renamed r[y], for every r in
+    itertools.product(range(a), repeat=l), in that order: the letters in A
+    give a constant, and each letter a + y adds r[y] times its place."""
+    const, weights = 0, [0] * l
+    for e, v in enumerate(reversed(word)):
+        if v < a:
+            const += v * a**e
+        else:
+            weights[v - a] += a**e
+    values = [const]
+    for w in weights:
+        values = [v + d * w for v in values for d in range(a)]
+    return values
 
 
 def _refuse_negative_cap(cap: int) -> None:
@@ -221,16 +205,12 @@ def _refuse_negative_cap(cap: int) -> None:
 def _check_coloring_cap(
     a_sizes: Sequence[int], l_sizes: Sequence[int], i: int, b: int, cap: int, pin_first: bool
 ) -> None:
-    """Raise ResourceCapExceeded when the b-colorings of _tuple_objects (first
-    color pinned or not) exceed cap, from the closed-form object count
-    (sum of a0^c over c < l0*i) * prod of a_k^(l_k*i) over k >= 1.  b^count
-    is never built: past cap's bit length, b >= 2 colors exceed cap.  A
-    negative cap raises ValueError."""
+    """Raise ResourceCapExceeded when the b-colorings of the _object_count
+    objects (first color pinned or not) exceed cap.  b^count is never built:
+    past cap's bit length, b >= 2 colors exceed cap.  A negative cap raises
+    ValueError."""
     _refuse_negative_cap(cap)
-    a0, n0 = a_sizes[0], l_sizes[0] * i
-    count = (a0**n0 - 1) // (a0 - 1) if a0 > 1 else (n0 if a0 == 1 else min(n0, 1))
-    for a, l in zip(a_sizes[1:], l_sizes[1:]):
-        count *= a ** (l * i)
+    count = _object_count(a_sizes, l_sizes, i)
     n = max(0, count - 1) if pin_first else count
     if b ** min(n, cap.bit_length() + 1) > cap:
         shown = f"= {n}" if n.bit_length() <= 64 else f"> 2^{n.bit_length() - 1}"
@@ -250,29 +230,29 @@ def _conclusion_classes(
     a_sizes: Sequence[int],
     l_sizes: Sequence[int],
     i: int,
-    index: dict,
 ) -> tuple[tuple[int, ...], ...]:
-    """One class per cut x of slot 0: the indices of the objects
-    (r1 o p1^x, r2 o p2, ..., rn o pn) over every choice of the r's.
+    """One class per cut x of slot 0: the positions (see _object_index) of
+    the objects (r1 o p1^x, r2 o p2, ..., rn o pn) over every choice of the r's.
 
-    p_tuple satisfies the lemma's conclusion for a coloring iff every class
-    is monochromatic (an empty class trivially is).
+    rk o pk is pk's block part with each letter a_k + y renamed rk[y], and
+    r1 o p1^x the same for p1's block part cut at the first hit of block x,
+    so each slot gives a digit list by _renamed_values and no composite is
+    built.  p_tuple satisfies the lemma's conclusion for a coloring iff
+    every class is monochromatic (an empty class trivially is).
     """
-    later_composites = [
-        [
-            compose_plain_word(p_tuple[k], a_sizes[k], l_sizes[k], i, rv)
-            for rv in itertools.product(range(a_sizes[k]), repeat=l_sizes[k])
-        ]
-        for k in range(1, len(a_sizes))
-    ]
-    return tuple(
-        tuple(
-            index[(compose_sealed_word(p_tuple[0], a_sizes[0], i, SealedWord(x, r_vals)), *rest)]
-            for r_vals in itertools.product(range(a_sizes[0]), repeat=x)
-            for rest in itertools.product(*later_composites)
+    rest, scale = [0], 1  # the later slots' digits, in product order
+    for p, a, l in zip(p_tuple[1:], a_sizes[1:], l_sizes[1:]):
+        values, span = _renamed_values(p[a:], a, l), a ** (l * i)
+        rest, scale = [r * span + v for r in rest for v in values], scale * span
+    a0, p0 = a_sizes[0], p_tuple[0]
+    classes = []
+    for x in range(l_sizes[0]):
+        cut = _first_hit(p0, a0, i, x)
+        first = _sealed_count(a0, cut)
+        classes.append(
+            tuple((first + v) * scale + r for v in _renamed_values(p0[a0 : a0 + cut], a0, x) for r in rest)
         )
-        for x in range(l_sizes[0])
-    )
+    return tuple(classes)
 
 
 # bit r of each byte value, as a bytes.translate table per r: 2^r zeros, 2^r ones, repeated
@@ -382,14 +362,14 @@ def _word_lemma_witnesses(
     *,
     pin_first: bool,
     mode: str = "direct",
-) -> Optional[tuple[list, list[tuple[tuple[int, ...], ...]]]]:
-    """The colored objects and, for every b-coloring of them in enum_colorings
-    order, the first candidate of the mode whose conclusion holds; None once
-    a coloring defeats every candidate.
+) -> Optional[tuple[int, list[tuple[tuple[int, ...], ...]]]]:
+    """The colored objects' count (_object_count) and, for every b-coloring
+    of them in enum_colorings order, the first candidate of the mode whose
+    conclusion holds; None once a coloring defeats every candidate.
 
     A candidate is compiled when a sweep first reaches it: its classes are
     monochromatic iff every object of a class has the color of the class's
-    smallest index, a set of (anchor, member) pairs.  _sweep decides the
+    smallest position, a set of (anchor, member) pairs.  _sweep decides the
     colorings all at once, first on prefixes of them and then on all; each
     sweep reaches at least as far as the one before, so tee hands it the
     candidates already compiled.  The witnesses are read off the winners'
@@ -398,15 +378,13 @@ def _word_lemma_witnesses(
     _check_coloring_cap(a_sizes, l_sizes, i, b, max_colorings, pin_first)
     if b < 1:
         raise ValueError("need k >= 0 and b >= 1")
-    objects = _tuple_objects(a_sizes, l_sizes, i)
-    index = {obj: k for k, obj in enumerate(objects)}
 
     def compile_all() -> Iterator[tuple[tuple, list[tuple[int, int]]]]:
         for p_tuple in _candidate_tuples(a_sizes, l_sizes, i, mode):
-            classes = _conclusion_classes(p_tuple, a_sizes, l_sizes, i, index)
-            yield p_tuple, sorted({(min(c), k) for c in classes for k in c if k != min(c)})
+            anchored = ((min(c), c) for c in _conclusion_classes(p_tuple, a_sizes, l_sizes, i) if c)
+            yield p_tuple, sorted({(m, k) for m, c in anchored for k in c if k != m})
 
-    k = len(objects)
+    k = _object_count(a_sizes, l_sizes, i)
     n = b ** (k - 1 if pin_first and k else k)
     # the first 2^10, 2^14, ... colorings are swept before all n, so a defeat
     # among the early colorings costs about as much as those colorings
@@ -416,7 +394,7 @@ def _word_lemma_witnesses(
         if hits is None:
             return None
     winners, sets = zip(*hits)
-    return objects, list(map(winners.__getitem__, _witness_indices(list(enumerate(sets)), n)))
+    return k, list(map(winners.__getitem__, _witness_indices(list(enumerate(sets)), n)))
 
 
 def hj_product_check(
@@ -819,13 +797,13 @@ class PipelineResult:
     certificates: list[PipelineCertificate]
 
 
-def _sealed_word_of_map(u: TreeMap, a: int) -> SealedWord:
-    """Read a sealed identity-on-A map onto A + 1 back into word form."""
-    cut = u.dom.n - 1 - a
-    vals = u.values[a : a + cut]
+def _sealed_word_of_map(u: TreeMap, a: int) -> tuple[int, ...]:
+    """Read a sealed identity-on-A map onto A + 1 back into its word, the
+    values strictly between A and the cut."""
+    vals = u.values[a : u.dom.n - 1]
     if u.values[u.dom.n - 1] != a or any(v >= a for v in vals):
         raise VerificationFailed(f"{u.values} is not a sealed identity-on-A map onto A + 1")
-    return SealedWord(cut, tuple(vals))
+    return tuple(vals)
 
 
 def _sealed_tree_map(a: int, forest_prefix: OrderedForest, vals: Sequence[int]) -> TreeMap:
@@ -864,26 +842,27 @@ def lp_pipeline(
         found = _word_lemma_witnesses(a_sizes, l_sizes, i_size, b, max_colorings, pin_first=False)
         if found is None:
             continue
-        objects, witnesses = found
+        count, witnesses = found
         tensors = [tensor(f, i_size) for f in bases]
         certificates = [
-            _assemble_certificate(a_sizes, forests, bases, i_size, objects, coloring, p_tuple)
-            for coloring, p_tuple in zip(enum_colorings(len(objects), b), witnesses)
+            _assemble_certificate(a_sizes, forests, bases, i_size, coloring, p_tuple)
+            for coloring, p_tuple in zip(enum_colorings(count, b), witnesses)
         ]
         return PipelineResult(i_size, host, tensors, certificates)
     raise NotFoundWithinBound(f"no alphabet size up to {max_i} completes the pipeline")
 
 
 def _cut_colors(
-    a1: int,
+    a_sizes: Sequence[int],
     first_forest: OrderedForest,
     t: TreeMap,
     v: int,
     later: Sequence[list[tuple[int, ...]]],
-    color_of: dict,
+    coloring: Sequence[int],
 ) -> set[int]:
     """The colors of every admissible tuple whose first slot is cut at v: a sealed
     map A1 + F^v -> A1 + 1 composed through t, then any choice of later slots."""
+    a1 = a_sizes[0]
     colors = set()
     pre = _forest_prefix(first_forest, v)
     t_v = restrict_initial(t, a1 + v)
@@ -891,7 +870,7 @@ def _cut_colors(
         s1 = _sealed_tree_map(a1, pre, s1_vals)
         first = _sealed_word_of_map(compose(s1, t_v), a1)
         for rest in itertools.product(*later):
-            colors.add(color_of[(first, *rest)])
+            colors.add(coloring[_object_index((first, *rest), a_sizes)])
     return colors
 
 
@@ -900,14 +879,12 @@ def _assemble_certificate(
     forests: Sequence[OrderedForest],
     bases: Sequence[OrderedForest],
     i_size: int,
-    objects: list,
     coloring: tuple[int, ...],
     p_tuple: Sequence[tuple[int, ...]],
 ) -> PipelineCertificate:
     n = len(a_sizes)
     a1 = a_sizes[0]
     host = bases[0]
-    color_of = dict(zip(objects, coloring))
     pis = [build_pi(bases[k], i_size, a_sizes[k], p_tuple[k])[0] for k in range(n)]
 
     # the later slots keep their forests and transfer maps, so their composites
@@ -927,7 +904,7 @@ def _assemble_certificate(
     # composing any admissible tuple through the transfer maps colors host vertices
     host_color = {}
     for v in range(host.n):
-        colors = _cut_colors(a1, host, pis[0], v, later, color_of)
+        colors = _cut_colors(a_sizes, host, pis[0], v, later, coloring)
         if len(colors) != 1:
             raise VerificationFailed("transfer failed to make the color depend on the vertex only")
         host_color[v] = colors.pop()
@@ -946,7 +923,7 @@ def _assemble_certificate(
 
     # final verification: one color across every admissible composite tuple
     final_colors = set().union(
-        *(_cut_colors(a1, forests[0], t1, w, later, color_of) for w in range(forests[0].n))
+        *(_cut_colors(a_sizes, forests[0], t1, w, later, coloring) for w in range(forests[0].n))
     )
     if len(final_colors) != 1:
         raise VerificationFailed("pipeline output is not monochromatic")

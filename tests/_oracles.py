@@ -115,16 +115,28 @@ def definitional_point_flags(parent, a, p, q_pos, t_pos, s_vertex, word):
     return own, hits(s_vertex, word) and prefixes, own and prefixes
 
 
+def tuple_objects(a_sizes, l_sizes, i):
+    """The colored objects listed in the order the colorings index them: in
+    slot 0 a sealed word, its values below the cut, by cut and then in counting
+    order; in each later slot k every word of length l_k*i over A_k."""
+    a0, n0 = a_sizes[0], l_sizes[0] * i
+    slot0 = [w for cut in range(n0) for w in itertools.product(range(a0), repeat=cut)]
+    later = [
+        list(itertools.product(range(a_sizes[k]), repeat=l_sizes[k] * i))
+        for k in range(1, len(a_sizes))
+    ]
+    return [(w0, *rest) for w0 in slot0 for rest in itertools.product(*later)]
+
+
 def _conclusion_holds(p_tuple, a_sizes, l_sizes, i, color_of) -> bool:
-    """The word lemma's conclusion, read off its definition: under color_of the
-    colors of (r1 o p1^x, r2 o p2, ..., rn o pn) depend only on the cut x.
+    """The word lemma's conclusion, read off its definition: under color_of,
+    keyed by the objects of tuple_objects, the colors of
+    (r1 o p1^x, r2 o p2, ..., rn o pn) depend only on the cut x.
 
     r1 is a sealed word cut at x, so r1 o p1^x is p1 cut at the first hit of
     block x with every letter below renamed by r1; the later r's rename every
-    letter of their p.  The objects are built here, not by the library's
-    composition helpers.
+    letter of their p.  The objects are built here, not by the library.
     """
-    from treeramsey.halesjewett import SealedWord
 
     def renamed(word, a, r_vals):
         return tuple(v if v < a else r_vals[v - a] for v in word)
@@ -140,7 +152,7 @@ def _conclusion_holds(p_tuple, a_sizes, l_sizes, i, color_of) -> bool:
     for x in range(l_sizes[0]):
         cut = next(j for j in range(x * i, (x + 1) * i) if p0[a0 + j] == a0 + x)
         colors = {
-            color_of[(SealedWord(cut, renamed(p0[a0 : a0 + cut], a0, r_vals)), *rest)]
+            color_of[(renamed(p0[a0 : a0 + cut], a0, r_vals), *rest)]
             for r_vals in itertools.product(range(a0), repeat=x)
             for rest in itertools.product(*later)
         }

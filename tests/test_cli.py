@@ -585,6 +585,34 @@ def test_hj_refuses_max_colorings(capsys, tmp_path):
     assert code == 0 and run(capsys, "--config", str(cfg), *search) == (0, out)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "trees", "--n", "3", "--count-only"],
+        ["trees", "meet", "--in", "c3", "--v", "1", "--w", "2"],
+        ["rs", "injection", "--map", "f001"],
+        ["framework", "check-axioms", "--bound", "1"],
+        ["bridge", "gr", "--u", "y", "--l", "2"],
+        ["witness", "replay", "--report", "report"],
+    ],
+)
+def test_commands_that_do_not_read_max_colorings_refuse_it(files, capsys, tmp_path, argv):
+    # only witness check and witness search read --max-colorings; every other
+    # command refuses it on the command line and leaves a --config value unused
+    report = str(tmp_path / "rep.json")
+    run(capsys, "witness", "check", "--b", "2", "--s", files["c2"], "--t", files["c2"], "--u", files["c2"], "--out", report)
+    argv = [{**files, "report": report}.get(arg, arg) for arg in argv]
+    for cap in ("0", "100", "-5"):
+        code = main(["--max-colorings", cap, *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --max-colorings")
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max-colorings=0\n")
+    code, out = run(capsys, *argv)
+    assert code in (0, 1) and run(capsys, "--config", str(cfg), *argv) == (code, out)
+
+
 def test_hj_search_coloring_cap_past_decimal_limit_exit_3(capsys):
     # 2^65534 pinned colorings at i = 1: too many digits for str() of the count
     code = main(["hj", "search", "--a", "2", "--l", "16", "--b", "2", "--max-i", "1"])

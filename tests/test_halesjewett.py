@@ -27,6 +27,7 @@ from _oracles import (
     is_a_rigid,
     monochromatic_host_by_enumeration,
     transfer_witness_by_loops,
+    tuple_objects,
 )
 
 PT = trees.point_forest(1)
@@ -154,9 +155,9 @@ def test_hj_product_coloring_cap():
 
 def test_coloring_cap_decided_before_building_objects(monkeypatch):
     def refuse(*args):
-        raise AssertionError("objects built for an over-cap call")
+        raise AssertionError("conclusion classes built for an over-cap call")
 
-    monkeypatch.setattr(hj, "_tuple_objects", refuse)
+    monkeypatch.setattr(hj, "_conclusion_classes", refuse)
     with pytest.raises(ResourceCapExceeded):
         hj.hj_product_check([2], [16], 2, 1)
     with pytest.raises(ResourceCapExceeded):
@@ -200,12 +201,40 @@ def test_coloring_cap_counts_the_tuple_objects(a_sizes, l_sizes):
     # the closed-form count meets the listed objects: a cap of exactly
     # b^count passes and one less does not, pinned and unpinned
     for i in (1, 2):
-        n = len(hj._tuple_objects(a_sizes, l_sizes, i))
+        n = len(tuple_objects(a_sizes, l_sizes, i))
         for pin_first, exponent in ((True, max(0, n - 1)), (False, n)):
             for b in (1, 2, 3):
                 hj._check_coloring_cap(a_sizes, l_sizes, i, b, b**exponent, pin_first)
                 with pytest.raises(ResourceCapExceeded):
                     hj._check_coloring_cap(a_sizes, l_sizes, i, b, b**exponent - 1, pin_first)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_object_positions_match_the_listed_objects(slots):
+    # _object_index gives each listed object its position and _object_count
+    # their number, on every size list with A <= 3, L <= 2 and i <= 2
+    for a_sizes in itertools.product(range(4), repeat=slots):
+        for l_sizes in itertools.product(range(3), repeat=slots):
+            for i in range(3):
+                objects = tuple_objects(a_sizes, l_sizes, i)
+                assert hj._object_count(a_sizes, l_sizes, i) == len(objects), (a_sizes, l_sizes, i)
+                assert [hj._object_index(obj, a_sizes) for obj in objects] == list(range(len(objects)))
+
+
+def test_one_color_lists_no_objects():
+    # b = 1 passes any cap >= 1, so the cap cannot bound the 265,720 objects
+    # of (3, 4) at i = 3; listing them took about 100 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        cert = hj.hj_product_check([3], [4], 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hj._object_count([3], [4], 3) == 265_720
+    assert cert.witnesses == [next(hj._candidate_tuples([3], [4], 3, "direct"))]
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize(
@@ -237,7 +266,7 @@ def _oracle_witnesses(a_sizes, l_sizes, b, i, mode="direct", pin_first=True, can
     """The search loop with the definitional conclusion: (coloring, first holding
     candidate) for every coloring, or None once one defeats every candidate.
     The candidates default to the mode's tuples, listed family by family."""
-    objects = hj._tuple_objects(a_sizes, l_sizes, i)
+    objects = tuple_objects(a_sizes, l_sizes, i)
     if candidates is None:
         candidates = list(candidate_tuples_by_families(a_sizes, l_sizes, i, mode))
     out = []
@@ -254,10 +283,9 @@ def _oracle_witnesses(a_sizes, l_sizes, b, i, mode="direct", pin_first=True, can
 
 @pytest.mark.parametrize("a_sizes, l_sizes, b, i, mode", CLASS_CASES)
 def test_conclusion_classes_match_oracle(a_sizes, l_sizes, b, i, mode):
-    objects = hj._tuple_objects(a_sizes, l_sizes, i)
-    index = {obj: k for k, obj in enumerate(objects)}
+    objects = tuple_objects(a_sizes, l_sizes, i)
     for p_tuple in hj._candidate_tuples(a_sizes, l_sizes, i, mode):
-        classes = hj._conclusion_classes(p_tuple, a_sizes, l_sizes, i, index)
+        classes = hj._conclusion_classes(p_tuple, a_sizes, l_sizes, i)
         assert len(classes) == l_sizes[0]  # one class per cut of slot 0
         for coloring in enum_colorings(len(objects), b, pin_first=True):
             mono = all(len({coloring[k] for k in c}) <= 1 for c in classes)
@@ -328,7 +356,7 @@ def test_unpinned_sweep_matches_oracle_loop(a_sizes, l_sizes, b, i):
 @pytest.mark.parametrize("a_sizes, l_sizes, i", [([1, 2], [1, 1], 2), ([2, 1], [1, 1], 3)])
 def test_three_colors_past_eight_bits_match_oracle_loop(a_sizes, l_sizes, i, mode):
     # 3^7 and 3^6 pinned colorings: the first instance is defeated, the second decided
-    assert 3 ** (len(hj._tuple_objects(a_sizes, l_sizes, i)) - 1) >= 1 << 8
+    assert 3 ** (hj._object_count(a_sizes, l_sizes, i) - 1) >= 1 << 8
     cert = hj.hj_product_check(a_sizes, l_sizes, 3, i, mode=mode)
     expected = _oracle_witnesses(a_sizes, l_sizes, 3, i, mode)
     assert (cert is None) == (expected is None) == (a_sizes == [1, 2])
@@ -359,7 +387,7 @@ def test_defeated_instance_returns_none():
 def test_defeat_in_or_past_the_swept_prefixes(a_sizes, l_sizes, i, first_defeat):
     # the first pinned coloring that defeats every candidate lies in the first
     # swept prefix (2^10 colorings), in the second (2^14) and past both
-    objects = hj._tuple_objects(a_sizes, l_sizes, i)
+    objects = tuple_objects(a_sizes, l_sizes, i)
     candidates = list(hj._candidate_tuples(a_sizes, l_sizes, i, "direct"))
     colorings = enum_colorings(len(objects), 2, pin_first=True)
     defeat = dict(zip(objects, next(itertools.islice(colorings, first_defeat, None))))
@@ -391,8 +419,8 @@ def test_candidates_are_compiled_only_when_a_sweep_reaches_them(monkeypatch):
 
     monkeypatch.setattr(hj, "_candidate_tuples", stream)
     monkeypatch.setattr(hj, "_conclusion_classes", counting)
-    objects, witnesses = hj._word_lemma_witnesses(a_sizes, l_sizes, i, 2, hj.DEFAULT_MAX_COLORINGS, pin_first=True)
-    assert len(objects) == 21 and len(witnesses) == 1 << 20
+    count, witnesses = hj._word_lemma_witnesses(a_sizes, l_sizes, i, 2, hj.DEFAULT_MAX_COLORINGS, pin_first=True)
+    assert count == 21 and len(witnesses) == 1 << 20
     assert witnesses.count(first) == len(witnesses) and witnesses == expected
     assert compiled == [first]
 
@@ -464,27 +492,32 @@ def test_fewer_than_one_color_is_refused(b):
 
 
 def test_word_composition_matches_tree_map_composition():
-    # the positional word composites agree with honest TreeMap composition
+    # every class member is the position, in the listed objects, of the
+    # honest TreeMap composites (r1 o p1^x, r2 o p2)
     from treeramsey.trees import chain
 
-    a, l, i = 2, 2, 2
-    dom = chain(a + l * i)
-    cod = chain(a + l)
-    for p in hj.block_condition_maps(a, l, i):
-        p_map = maps.TreeMap(dom, cod, p)
-        for x in range(l):
-            for r_vals in itertools.product(range(a), repeat=x):
-                word = hj.compose_sealed_word(p, a, i, hj.SealedWord(x, r_vals))
-                r_map = maps.TreeMap(
-                    chain(a + x + 1), chain(a + 1), tuple(range(a)) + r_vals + (a,)
-                )
-                composite = maps.compose(r_map, maps.restrict_initial(p_map, a + x))
-                assert composite.values == tuple(range(a)) + word.vals + (a,)
-                assert composite.dom.n == a + word.cut + 1
-        for r_vals in itertools.product(range(a), repeat=l):
-            flat = hj.compose_plain_word(p, a, l, i, r_vals)
-            r_map = maps.TreeMap(cod, chain(a), tuple(range(a)) + r_vals)
-            assert maps.compose(r_map, p_map).values == tuple(range(a)) + flat
+    a_sizes, l_sizes, i = [2, 2], [2, 1], 2
+    position = {obj: k for k, obj in enumerate(tuple_objects(a_sizes, l_sizes, i))}
+    p_maps = [
+        [maps.TreeMap(chain(a + l * i), chain(a + l), p) for p in hj.block_condition_maps(a, l, i)]
+        for a, l in zip(a_sizes, l_sizes)
+    ]
+    (a1, a2), (l1, l2) = a_sizes, l_sizes
+    for p1, p2 in itertools.product(*p_maps):
+        seconds = [
+            maps.compose(maps.TreeMap(chain(a2 + l2), chain(a2), tuple(range(a2)) + r2), p2).values[a2:]
+            for r2 in itertools.product(range(a2), repeat=l2)
+        ]
+        expected = []
+        for x in range(l1):
+            members = []
+            for r1 in itertools.product(range(a1), repeat=x):
+                r_map = maps.TreeMap(chain(a1 + x + 1), chain(a1 + 1), tuple(range(a1)) + r1 + (a1,))
+                first = maps.compose(r_map, maps.restrict_initial(p1, a1 + x)).values
+                assert first[:a1] == tuple(range(a1)) and first[-1] == a1
+                members += [position[(first[a1:-1], second)] for second in seconds]
+            expected.append(tuple(members))
+        assert hj._conclusion_classes((p1.values, p2.values), a_sizes, l_sizes, i) == tuple(expected)
 
 
 # --- point classification and the transfer maps ---------------------------------
@@ -830,7 +863,7 @@ def test_pipeline_single_point_two_colors():
     result = hj.lp_pipeline([1], [PT], 2)
     assert result.host == PT
     assert len(result.certificates) == 2 ** len(
-        hj._tuple_objects([1], [len(trees.q_set(PT, result.i_size).points)], result.i_size)
+        tuple_objects([1], [len(trees.q_set(PT, result.i_size).points)], result.i_size)
     )
     for cert in result.certificates:
         assert cert.color in (0, 1)
