@@ -274,7 +274,12 @@ def cmd_hj(args) -> int:
         a_sizes = _int_list(args.a)
         forests = [_load_forest(p) for p in args.forests.split(",")]
         result = halesjewett.lp_pipeline(
-            a_sizes, forests, args.b, max_host_size=args.max_host, max_i=args.max_i
+            a_sizes,
+            forests,
+            args.b,
+            max_host_size=args.max_host,
+            max_i=args.max_i,
+            max_nodes=args.max_nodes,
         )
         payload = {
             "i": result.i_size,

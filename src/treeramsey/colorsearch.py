@@ -55,9 +55,9 @@ against, with the literal enumerator kept among the tests' oracles.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import ResourceCapExceeded
 
 DEFAULT_MAX_NODES = 50_000_000
@@ -76,20 +76,26 @@ def _node_cap(max_nodes: Optional[int]) -> int:
     return cap
 
 
-@dataclass
-class SearchStats:
-    vertices: int = 0
-    edges: int = 0  # distinct edges
-    nodes: int = 0  # color assignments, branched or forced
-    colorings_examined: int = 0  # complete assignments
+class SearchStats(Record):
+    _fields = ("vertices", "edges", "nodes", "colorings_examined")
+
+    def __init__(
+        self, vertices: int = 0, edges: int = 0, nodes: int = 0, colorings_examined: int = 0
+    ):
+        self.vertices = vertices
+        self.edges = edges  # distinct edges
+        self.nodes = nodes  # color assignments, branched or forced
+        self.colorings_examined = colorings_examined  # complete assignments
 
 
-@dataclass
-class SearchResult:
+class SearchResult(Record):
     """proper is a coloring with no monochromatic edge, or None if none exists."""
 
-    proper: Optional[tuple[int, ...]]
-    stats: SearchStats = field(default_factory=SearchStats)
+    _fields = ("proper", "stats")
+
+    def __init__(self, proper: Optional[tuple[int, ...]], stats: Optional[SearchStats] = None):
+        self.proper = proper
+        self.stats = SearchStats() if stats is None else stats
 
     @property
     def holds(self) -> bool:

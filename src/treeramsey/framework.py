@@ -17,11 +17,11 @@ to a size bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import colorsearch
+from ._record import Frozen, Record
 from .enumeration import rigid_surjection_values
 from .errors import NotComposable, NotSealed, VertexOutOfRange
 from .maps import _cached_injection_values, _check_values
@@ -48,42 +48,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ambient:
+class Ambient(Frozen):
     """A tagged host tree; distinct tags emulate pairwise disjoint copies."""
 
-    tag: str
-    tree: OrderedTree
+    _fields = ("tag", "tree")
+
+    def __init__(self, tag: str, tree: OrderedTree):
+        self._set(tag=tag, tree=tree)
 
     def __repr__(self) -> str:
         return f"Ambient({self.tag}, n={self.tree.n})"
 
 
-@dataclass(frozen=True)
-class DomainElement:
-    """A sealed rigid surjection between initial subtrees of ambient trees."""
+class DomainElement(Frozen):
+    """A sealed rigid surjection between initial subtrees of ambient trees.
 
-    amb_dom: Ambient
-    cut_dom: int
-    amb_cod: Ambient
-    cut_cod: int
-    values: tuple[int, ...]
-    injection: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    Equality and hashing use the five constructor fields; ``injection`` is
+    derived from them."""
 
-    def __post_init__(self):
-        dom, cod = self.amb_dom.tree, self.amb_cod.tree
-        if not (0 <= self.cut_dom < dom.n):
-            raise VertexOutOfRange(f"cut_dom {self.cut_dom} outside ambient domain tree")
-        if not (0 <= self.cut_cod < cod.n):
-            raise VertexOutOfRange(f"cut_cod {self.cut_cod} outside ambient codomain tree")
-        if type(self.values) is not tuple:  # the injection table's key needs a tuple
-            object.__setattr__(self, "values", tuple(self.values))
+    _fields = ("amb_dom", "cut_dom", "amb_cod", "cut_cod", "values")
+
+    def __init__(
+        self,
+        amb_dom: Ambient,
+        cut_dom: int,
+        amb_cod: Ambient,
+        cut_cod: int,
+        values: tuple[int, ...],
+    ):
+        dom, cod = amb_dom.tree, amb_cod.tree
+        if not (0 <= cut_dom < dom.n):
+            raise VertexOutOfRange(f"cut_dom {cut_dom} outside ambient domain tree")
+        if not (0 <= cut_cod < cod.n):
+            raise VertexOutOfRange(f"cut_cod {cut_cod} outside ambient codomain tree")
+        if type(values) is not tuple:  # the injection table's key needs a tuple
+            values = tuple(values)
         # The initial subtrees are prefixes, so the ambient masks and parents decide rigidity.
-        _check_values(self.values, self.cut_dom + 1, self.cut_cod + 1)
-        e = _cached_injection_values(dom.anc_mask, cod.parent[: self.cut_cod + 1], self.values)
-        if e is None or e[-1] != self.cut_dom:
-            raise NotSealed(f"element values {self.values} are not a sealed rigid surjection")
-        object.__setattr__(self, "injection", e)
+        _check_values(values, cut_dom + 1, cut_cod + 1)
+        e = _cached_injection_values(dom.anc_mask, cod.parent[: cut_cod + 1], values)
+        if e is None or e[-1] != cut_dom:
+            raise NotSealed(f"element values {values} are not a sealed rigid surjection")
+        self._set(
+            amb_dom=amb_dom,
+            cut_dom=cut_dom,
+            amb_cod=amb_cod,
+            cut_cod=cut_cod,
+            values=values,
+            injection=e,
+        )
 
     @property
     def norm(self) -> tuple[str, int]:
@@ -135,25 +147,24 @@ def extends(b: DomainElement, a: DomainElement) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FamilySet:
+class FamilySet(Frozen):
     """A family of elements: kind 'F' needs a full shared codomain, kind 'P' is finite
     with a shared (possibly cut) codomain; all domains live in one ambient tree."""
 
-    elements: frozenset[DomainElement]
-    kind: str  # 'F' or 'P'
+    _fields = ("elements", "kind")
 
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, elements: frozenset[DomainElement], kind: str):
+        self._set(elements=elements, kind=kind)  # kind: 'F' or 'P'
+        if not elements:
             raise ValueError("families are non-empty")
-        if self.kind not in ("F", "P"):
+        if kind not in ("F", "P"):
             raise ValueError("kind must be 'F' or 'P'")
-        els = list(self.elements)
+        els = list(elements)
         d_tags = {e.amb_dom.tag for e in els}
         cods = {(e.amb_cod.tag, e.cut_cod) for e in els}
         if len(d_tags) != 1 or len(cods) != 1:
             raise ValueError("family members must share the domain ambient and the codomain")
-        if self.kind == "F":
+        if kind == "F":
             e = els[0]
             if e.cut_cod != e.amb_cod.tree.n - 1:
                 raise ValueError("an F-family's common codomain must be a full ambient tree")
@@ -230,8 +241,7 @@ def extenders(f: FamilySet, a: DomainElement) -> Optional[FamilySet]:
     return FamilySet(sub, f.kind) if sub else None
 
 
-@dataclass
-class Universe:
+class Universe(Record):
     """All composition-space elements between initial subtrees of all trees <= bound.
 
     One tagged ambient per canonical tree; elements are every sealed rigid
@@ -239,14 +249,18 @@ class Universe:
     included), listed maximal family by maximal family.
     """
 
-    bound: int
-    ambients: list[Ambient] = field(default_factory=list)
-    elements: list[DomainElement] = field(default_factory=list)
-    _p_families: list[FamilySet] = field(default_factory=list, init=False, repr=False)
+    _fields = ("bound", "ambients", "elements")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        bound: int,
+        ambients: Optional[list[Ambient]] = None,
+        elements: Optional[list[DomainElement]] = None,
+    ):
+        self.bound = bound
+        self.elements = [] if elements is None else elements  # the members are appended
         trees = [t for n in range(1, self.bound + 1) for t in all_trees(n)]
-        self.ambients = [Ambient(f"T{i}", t) for i, t in enumerate(trees)]
+        self.ambients = [Ambient(f"T{i}", t) for i, t in enumerate(trees)]  # rebuilt from bound
         groups = {}
         for amb_dom in self.ambients:
             for amb_cod in self.ambients:
@@ -274,10 +288,12 @@ class Universe:
         ]
 
 
-@dataclass
-class AxiomReport:
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
+class AxiomReport(Record):
+    _fields = ("checked", "violations")
+
+    def __init__(self, checked: int = 0, violations: Optional[list[str]] = None):
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -457,15 +473,24 @@ def check_domain_axioms(bound: int, truncation: Truncation = truncate) -> AxiomR
     return report
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(Record):
     """Outcome of an (R)- or (LP)-style decision."""
 
-    holds: bool
-    counterexample: Optional[tuple[int, ...]]  # coloring of the listed product items
-    items: list[DomainElement]
-    edges: list[tuple[int, ...]]
-    stats: colorsearch.SearchStats
+    _fields = ("holds", "counterexample", "items", "edges", "stats")
+
+    def __init__(
+        self,
+        holds: bool,
+        counterexample: Optional[tuple[int, ...]],  # coloring of the listed product items
+        items: list[DomainElement],
+        edges: list[tuple[int, ...]],
+        stats: colorsearch.SearchStats,
+    ):
+        self.holds = holds
+        self.counterexample = counterexample
+        self.items = items
+        self.edges = edges
+        self.stats = stats
 
     @property
     def verdict(self) -> str:

@@ -21,10 +21,10 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
 from operator import and_, or_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+from ._record import Frozen, Record
 from .colorsearch import find_proper_coloring
 from .errors import (
     BlockConditionViolated,
@@ -91,15 +91,16 @@ def _forest_embeddings(s: OrderedForest, t: OrderedForest) -> list[tuple[int, ..
 
 
 def monochromatic_host_search(
-    s: Union[OrderedTree, OrderedForest], b: int, max_size: int
+    s: Union[OrderedTree, OrderedForest], b: int, max_size: int, max_nodes: Optional[int] = None
 ) -> Union[OrderedTree, OrderedForest]:
     """Smallest forest/tree S' such that every b-coloring of its vertices admits an
     embedded copy of S that is monochromatic (off the root, in the tree case).
 
     Candidates are scanned by vertex count and then enumeration order, each
     decided by the coloring solver with the embedding images as edges; a
-    candidate past the solver's node cap raises ResourceCapExceeded.  A tree
-    is decided as its forest without the root, which is on no edge.
+    candidate past the solver's node cap (max_nodes, or the RAMSEY_MAX_NODES
+    default) raises ResourceCapExceeded.  A tree is decided as its forest
+    without the root, which is on no edge.
     """
     if b < 1:
         raise ValueError("need b >= 1")
@@ -108,7 +109,7 @@ def monochromatic_host_search(
     for n in range(f.n, max_size - tree_mode + 1):
         for cand in all_forests(n):
             # an embedding is strictly increasing, so its images are increasing tuples
-            if find_proper_coloring(cand.n, _forest_embeddings(f, cand), b).holds:
+            if find_proper_coloring(cand.n, _forest_embeddings(f, cand), b, max_nodes).holds:
                 return one_plus(cand) if tree_mode else cand
     raise NotFoundWithinBound(f"no monochromatic-guarantee host within {max_size} vertices")
 
@@ -145,13 +146,15 @@ def _first_hit(p: Sequence[int], a: int, i: int, x: int) -> int:
 # the left-variable word lemma, single and product form
 
 
-@dataclass
-class HJCertificate:
+class HJCertificate(Record):
     """Per-coloring witnesses: coloring index -> the word maps making colors depend
     only on the cut block."""
 
-    i_size: int
-    witnesses: list[tuple[tuple[int, ...], ...]] = field(default_factory=list)
+    _fields = ("i_size", "witnesses")
+
+    def __init__(self, i_size: int, witnesses: Optional[list[tuple[tuple[int, ...], ...]]] = None):
+        self.i_size = i_size
+        self.witnesses = [] if witnesses is None else witnesses
 
 
 def _sealed_count(a: int, n: int) -> int:
@@ -491,11 +494,11 @@ def hj_product_search(
 # leading / good / very good points and the transfer maps
 
 
-@dataclass(frozen=True)
-class PointFlags:
-    leading: bool
-    good: bool
-    very_good: bool
+class PointFlags(Frozen):
+    _fields = ("leading", "good", "very_good")
+
+    def __init__(self, leading: bool, good: bool, very_good: bool):
+        self._set(leading=leading, good=good, very_good=very_good)
 
 
 TOP = object()  # the value of a symbolic sealed rho at its cut
@@ -778,23 +781,39 @@ def _forest_prefix(s: OrderedForest, v: int) -> OrderedForest:
 # end-to-end pigeonhole pipeline
 
 
-@dataclass
-class PipelineCertificate:
+class PipelineCertificate(Record):
     """One coloring's witness bundle: the word maps, the transfer maps t_i (value
     tuples over A_i + V_i), and the single color every admissible tuple gets."""
 
-    coloring: tuple[int, ...]
-    word_maps: tuple[tuple[int, ...], ...]
-    t_maps: tuple[tuple[int, ...], ...]
-    color: int
+    _fields = ("coloring", "word_maps", "t_maps", "color")
+
+    def __init__(
+        self,
+        coloring: tuple[int, ...],
+        word_maps: tuple[tuple[int, ...], ...],
+        t_maps: tuple[tuple[int, ...], ...],
+        color: int,
+    ):
+        self.coloring = coloring
+        self.word_maps = word_maps
+        self.t_maps = t_maps
+        self.color = color
 
 
-@dataclass
-class PipelineResult:
-    i_size: int
-    host: OrderedForest  # the monochromatic-guarantee replacement of the first forest
-    tensors: list[TensorIndex]  # V_1 = host x I, V_k = T_k x I
-    certificates: list[PipelineCertificate]
+class PipelineResult(Record):
+    _fields = ("i_size", "host", "tensors", "certificates")
+
+    def __init__(
+        self,
+        i_size: int,
+        host: OrderedForest,
+        tensors: list[TensorIndex],
+        certificates: list[PipelineCertificate],
+    ):
+        self.i_size = i_size
+        self.host = host  # the monochromatic-guarantee replacement of the first forest
+        self.tensors = tensors  # V_1 = host x I, V_k = T_k x I
+        self.certificates = certificates
 
 
 def _sealed_word_of_map(u: TreeMap, a: int) -> tuple[int, ...]:
@@ -818,6 +837,7 @@ def lp_pipeline(
     max_host_size: int = 8,
     max_i: int = 3,
     max_colorings: int = DEFAULT_MAX_COLORINGS,
+    max_nodes: Optional[int] = None,
 ) -> PipelineResult:
     """Produce forests V_i and, per coloring, maps t_i realizing the pigeonhole claim.
 
@@ -826,7 +846,8 @@ def lp_pipeline(
     the level cuts of the fanned-out forests as the letter blocks), transfer
     the word witnesses to tree maps, and compose the first with a map built
     from a monochromatic embedding.  Every certificate is verified by
-    exhausting the admissible tuples.
+    exhausting the admissible tuples.  max_nodes caps each host candidate's
+    solver search (see monochromatic_host_search).
     """
     n = len(a_sizes)
     if n != len(forests) or n == 0:
@@ -834,7 +855,7 @@ def lp_pipeline(
     if forests[0].n == 0:
         raise ValueError("the first forest must be non-empty")
     _refuse_negative_cap(max_colorings)  # before the host search runs
-    host = monochromatic_host_search(forests[0], b, max_host_size)
+    host = monochromatic_host_search(forests[0], b, max_host_size, max_nodes)
     bases = [host] + list(forests[1:])
     for i_size in range(1, max_i + 1):
         qs = [q_set(f, i_size) for f in bases]

@@ -29,10 +29,10 @@ their inputs do not repeat.  Map values must be ints, not bools or floats:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
+from ._record import Frozen
 from .errors import (
     DomainMismatch,
     NotEmbedding,
@@ -63,18 +63,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TreeMap:
-    """A total function between canonical ordered trees, stored as a value tuple."""
+class TreeMap(Frozen):
+    """A total function between canonical ordered trees, stored as a value tuple.
 
-    dom: OrderedTree
-    cod: OrderedTree
-    values: tuple[int, ...]
+    The fields are slots; equality and hashing use dom, cod and values.
+    ``injection`` fills a slot of its own on first read.
+    """
+
+    __slots__ = ("dom", "cod", "values", "_injection")
+
+    def __init__(self, dom: OrderedTree, cod: OrderedTree, values: tuple[int, ...]):
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_values(self, values)
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.values) is not tuple:  # the injection table's key needs a tuple
-            object.__setattr__(self, "values", tuple(self.values))
+            _set_values(self, tuple(self.values))
         _check_values(self.values, self.dom.n, self.cod.n)
+
+    def __eq__(self, other: object):  # written out: maps are compared in hot loops
+        if other.__class__ is self.__class__:
+            return (self.dom, self.cod, self.values) == (other.dom, other.cod, other.values)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.values))
+
+    def __reduce__(self):
+        return TreeMap, (self.dom, self.cod, self.values)
 
     def __call__(self, v: int) -> int:
         return self.values[v]
@@ -82,10 +100,22 @@ class TreeMap:
     def __repr__(self) -> str:
         return f"TreeMap({list(self.values)}: {self.dom.n}->{self.cod.n})"
 
-    @cached_property
+    @property
     def injection(self) -> Optional[TreeMap]:
         """try_injection(self): the verified injection, read once per map (the map is frozen)."""
-        return try_injection(self)
+        try:
+            return self._injection
+        except AttributeError:
+            e = try_injection(self)
+            _set_injection(self, e)
+            return e
+
+
+# the slots' own setters: TreeMap refuses attribute assignment
+_set_dom = TreeMap.dom.__set__
+_set_cod = TreeMap.cod.__set__
+_set_values = TreeMap.values.__set__
+_set_injection = TreeMap._injection.__set__
 
 
 def _check_values(values: Sequence[int], dom_n: int, cod_n: int) -> None:
@@ -105,9 +135,9 @@ def _trusted_map(dom: OrderedTree, cod: OrderedTree, values: tuple[int, ...]) ->
     """A TreeMap of values already range-checked against dom and cod, as a value
     table's are, built without running _check_values a second time."""
     m = object.__new__(TreeMap)
-    object.__setattr__(m, "dom", dom)
-    object.__setattr__(m, "cod", cod)
-    object.__setattr__(m, "values", values)
+    _set_dom(m, dom)
+    _set_cod(m, cod)
+    _set_values(m, values)
     return m
 
 
@@ -209,13 +239,24 @@ def is_sealed(f: TreeMap) -> bool:
     return e is not None and e.values[-1] == f.dom.n - 1
 
 
-@dataclass(frozen=True)
-class KindFlags:
-    morphism: bool
-    embedding: bool
-    rigid_surjection: bool
-    sealed: bool
-    injection: Optional[TreeMap] = None
+class KindFlags(Frozen):
+    _fields = ("morphism", "embedding", "rigid_surjection", "sealed", "injection")
+
+    def __init__(
+        self,
+        morphism: bool,
+        embedding: bool,
+        rigid_surjection: bool,
+        sealed: bool,
+        injection: Optional[TreeMap] = None,
+    ):
+        self._set(
+            morphism=morphism,
+            embedding=embedding,
+            rigid_surjection=rigid_surjection,
+            sealed=sealed,
+            injection=injection,
+        )
 
 
 def classify(m: TreeMap) -> KindFlags:

@@ -19,10 +19,10 @@ while it is in the bounded table _tree_masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ._record import Frozen
 from .errors import (
     DuplicateAttachPoint,
     EmptyAlphabet,
@@ -132,30 +132,44 @@ def _tree_masks(parent: tuple[Optional[int], ...], /) -> tuple[int, ...]:
     return tuple(anc)
 
 
-@dataclass(frozen=True)
-class OrderedTree:
+class OrderedTree(Frozen):
     """Canonical ordered tree: parent array in preorder, ``parent[i] < i``.
 
     ``n`` and ``anc_mask`` (bit v of anc_mask[w] = v below w, including w
     itself) are set once by the constructor, which reads the masks from the
     bounded validation table _tree_masks; equality and hashing use ``parent``
-    only.  Parents are None or ints, never bools or floats.
+    only.  Parents are None or ints, never bools or floats.  The fields are
+    slots, with no per-tree dict; ``height`` and ``leaves`` fill a slot of
+    their own on first read.
     """
 
-    parent: tuple[Optional[int], ...]
-    n: int = field(init=False, compare=False, repr=False)
-    anc_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("parent", "n", "anc_mask", "_height", "_leaves")
+
+    def __init__(self, parent: tuple[Optional[int], ...]):
+        _set_parent(self, parent)
+        self.__post_init__()
 
     def __post_init__(self):
         parent = self.parent
         if type(parent) is not tuple:  # the table's key, and the hash, need a tuple
             parent = tuple(parent)
-            object.__setattr__(self, "parent", parent)
+            _set_parent(self, parent)
         if not _PARENT_TYPES.issuperset(map(type, parent)):
             _tree_masks.__wrapped__(parent)  # uncached, raises NotCanonical at the first fault
         masks = _tree_masks(parent)
-        object.__setattr__(self, "n", len(masks))
-        object.__setattr__(self, "anc_mask", masks)
+        _set_n(self, len(masks))
+        _set_anc_mask(self, masks)
+
+    def __eq__(self, other: object):  # written out: trees are compared in hot loops
+        if other.__class__ is self.__class__:
+            return self.parent == other.parent
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parent)
+
+    def __reduce__(self):
+        return OrderedTree, (self.parent,)
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -163,17 +177,27 @@ class OrderedTree:
     def __repr__(self) -> str:
         return f"OrderedTree({list(self.parent)})"
 
-    @cached_property
+    @property
     def height(self) -> tuple[int, ...]:
         """1-based height: ht(v) = number of predecessors including v."""
-        return tuple(m.bit_count() for m in self.anc_mask)
+        try:
+            return self._height
+        except AttributeError:
+            height = tuple(m.bit_count() for m in self.anc_mask)
+            _set_height(self, height)
+            return height
 
-    @cached_property
+    @property
     def leaves(self) -> tuple[int, ...]:
-        has_child = [False] * self.n
-        for p in self.parent[1:]:
-            has_child[p] = True
-        return tuple(v for v in range(self.n) if not has_child[v])
+        try:
+            return self._leaves
+        except AttributeError:
+            has_child = [False] * self.n
+            for p in self.parent[1:]:
+                has_child[p] = True
+            leaves = tuple(v for v in range(self.n) if not has_child[v])
+            _set_leaves(self, leaves)
+            return leaves
 
     def below(self, v: int, w: int) -> bool:
         """Tree order: v a predecessor of w (reflexive)."""
@@ -205,6 +229,14 @@ class OrderedTree:
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise VertexOutOfRange(f"vertex {v} not in tree of size {self.n}")
+
+
+# the slots' own setters: OrderedTree refuses attribute assignment
+_set_parent = OrderedTree.parent.__set__
+_set_n = OrderedTree.n.__set__
+_set_anc_mask = OrderedTree.anc_mask.__set__
+_set_height = OrderedTree._height.__set__
+_set_leaves = OrderedTree._leaves.__set__
 
 
 def tree(parent: Iterable[Optional[int]]) -> OrderedTree:
@@ -263,14 +295,13 @@ def _trusted_tree(parent: tuple[Optional[int], ...], anc_mask: tuple[int, ...]) 
     """The tree of a parent array that is canonical by construction, with its
     ancestor masks, made without validating it again."""
     t = object.__new__(OrderedTree)
-    object.__setattr__(t, "parent", parent)
-    object.__setattr__(t, "n", len(parent))
-    object.__setattr__(t, "anc_mask", anc_mask)
+    _set_parent(t, parent)
+    _set_n(t, len(parent))
+    _set_anc_mask(t, anc_mask)
     return t
 
 
-@dataclass(frozen=True)
-class OrderedForest:
+class OrderedForest(Frozen):
     """Ordered forest: a canonical tree with the root removed (may be empty).
 
     ``parent[i] is None`` marks component minima; adding a fresh root below
@@ -278,10 +309,11 @@ class OrderedForest:
     intervals and index order is the forest's lexicographic order.
     """
 
-    parent: tuple[Optional[int], ...]
+    _fields = ("parent",)
 
-    def __post_init__(self):
-        for i, p in enumerate(self.parent):
+    def __init__(self, parent: tuple[Optional[int], ...]):
+        self._set(parent=parent)
+        for i, p in enumerate(parent):
             if p is not None and (type(p) is not int or not (0 <= p < i)):
                 raise NotCanonical(f"forest parent[{i}] = {p!r} must be None or an int < {i}")
         one_plus(self)  # raises NotCanonical if the rooted version is not canonical
@@ -402,12 +434,13 @@ class QPoint(NamedTuple):
     u: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TensorIndex:
+class TensorIndex(Frozen):
     """S x I as a canonical ordered forest plus the bidirectional vertex index."""
 
-    forest: OrderedForest
-    points: tuple[TensorPoint, ...]  # vertex id -> point
+    _fields = ("forest", "points")
+
+    def __init__(self, forest: OrderedForest, points: tuple[TensorPoint, ...]):
+        self._set(forest=forest, points=points)  # points: vertex id -> point
 
     @cached_property
     def vertex_of(self) -> dict[TensorPoint, int]:
@@ -452,14 +485,16 @@ def tensor(s: OrderedForest, i: int, /) -> TensorIndex:
     return TensorIndex(out, tuple(pts))
 
 
-@dataclass(frozen=True)
-class QIndex:
+class QIndex(Frozen):
     """The level-cut index Q(S, I): its points in linear order and their positions.
 
     Block qq of S x I is the interval from qq*i of tensor(S, I), so the cut
     qq with letter k is the point at position qq*i + k there."""
 
-    points: tuple[QPoint, ...]  # position in the linear order -> point
+    _fields = ("points",)
+
+    def __init__(self, points: tuple[QPoint, ...]):
+        self._set(points=points)  # position in the linear order -> point
 
     @cached_property
     def position_of(self) -> dict[QPoint, int]:

@@ -25,11 +25,11 @@ the cuts below (see _sealed_layer).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import colorsearch
+from ._record import Record
 from .colorsearch import SearchStats
 from .enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
 from .errors import (
@@ -69,8 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(Record):
     """Outcome of one witness decision.
 
     mode is "mn" or "sealed"; vertices/edges describe the hypergraph actually
@@ -78,14 +77,27 @@ class WitnessReport:
     stated order.
     """
 
-    verdict: str  # holds | fails | cap_exceeded
-    b: int
-    mode: str
-    s: tuple
-    t: tuple
-    u: tuple
-    counterexample: Optional[tuple[int, ...]]
-    stats: SearchStats = field(default_factory=SearchStats)
+    _fields = ("verdict", "b", "mode", "s", "t", "u", "counterexample", "stats")
+
+    def __init__(
+        self,
+        verdict: str,
+        b: int,
+        mode: str,
+        s: tuple,
+        t: tuple,
+        u: tuple,
+        counterexample: Optional[tuple[int, ...]],
+        stats: Optional[SearchStats] = None,
+    ):
+        self.verdict = verdict  # holds | fails | cap_exceeded
+        self.b = b
+        self.mode = mode
+        self.s = s
+        self.t = t
+        self.u = u
+        self.counterexample = counterexample
+        self.stats = SearchStats() if stats is None else stats
 
     @property
     def holds(self) -> bool:
@@ -493,15 +505,23 @@ def lift_sealed(f: TreeMap) -> TreeMap:
     return lifted
 
 
-@dataclass
-class Assembly:
+class Assembly(Record):
     """V = 1 + (disjoint union of the rootless initial subtrees at each leaf),
     with the collapse maps onto each U^y."""
 
-    tree: OrderedTree
-    leaves: tuple[int, ...]  # leaves of U, in order
-    projections: dict[int, TreeMap]  # y -> pi_y : V -> U^y
-    inclusions: dict[int, TreeMap]  # y -> U^y -> V
+    _fields = ("tree", "leaves", "projections", "inclusions")
+
+    def __init__(
+        self,
+        tree: OrderedTree,
+        leaves: tuple[int, ...],
+        projections: dict[int, TreeMap],
+        inclusions: dict[int, TreeMap],
+    ):
+        self.tree = tree
+        self.leaves = leaves  # leaves of U, in order
+        self.projections = projections  # y -> pi_y : V -> U^y
+        self.inclusions = inclusions  # y -> U^y -> V
 
 
 def assemble_V(u: OrderedTree) -> Assembly:

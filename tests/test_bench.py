@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_ARGS = {
     "calculus_counts": ["--seed", "1"],
     "chain_decision": ["--b", "2", "--k", "2", "--l", "3", "--m", "5"],
+    # compares this checkout with itself; --out keeps BENCH_startup.json as committed
+    "startup": ["--repeat", "1", "--importtime-repeat", "1", "--out", os.devnull],
     "transfer_cells": ["--max-vertices", "2"],
     "tree_sweep": ["--mode", "sealed", "--s", "[null,0]", "--t", "[null,0,1,1]", "--max-vertices", "5"],
     "word_lemma": ["--repeat", "1"],

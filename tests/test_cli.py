@@ -566,6 +566,23 @@ def test_hj_search_coloring_cap_exit_3(capsys):
     assert captured.err.startswith("resource cap: ")
 
 
+def test_hj_pipeline_obeys_max_nodes(capsys, tmp_path):
+    # two points need a solver node to find their host, so a cap of 0 is hit
+    # (exit 3); one point needs none and completes under the same cap
+    two, one = tmp_path / "pt2.json", tmp_path / "pt.json"
+    serialize.save_json(str(two), serialize.tree_to_json(trees.point_forest(2)))
+    serialize.save_json(str(one), serialize.tree_to_json(trees.point_forest(1)))
+    pipeline = ["hj", "pipeline", "--a", "1", "--b", "2", "--forests"]
+    code = main(["--max-nodes", "0", *pipeline, str(two)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ")
+    assert run(capsys, *pipeline, str(two)) == (0, "i = 1, host [None, None, None], 8 colorings certified\n")
+    assert run(capsys, "--max-nodes", "0", *pipeline, str(one)) == run(capsys, *pipeline, str(one))
+    code, out = run(capsys, "--max-nodes", "-1", *pipeline, str(two))
+    assert code == 2 and out == ""
+
+
 def test_hj_refuses_max_colorings(capsys, tmp_path):
     # --max-colorings caps the witness decisions; hj keeps DEFAULT_MAX_COLORINGS,
     # refuses the flag, and leaves a --config value unused

@@ -95,6 +95,20 @@ def test_host_search_rejects_zero_colors():
         hj.monochromatic_host_search(TWO_PT, 0, 6)
 
 
+def test_host_search_and_pipeline_obey_the_node_cap():
+    # two points need a solver node on the first candidate; one point needs none
+    with pytest.raises(ResourceCapExceeded):
+        hj.monochromatic_host_search(TWO_PT, 2, 6, max_nodes=0)
+    with pytest.raises(ResourceCapExceeded):
+        hj.lp_pipeline([1], [TWO_PT], 2, max_nodes=0)
+    assert hj.monochromatic_host_search(PT, 2, 6, max_nodes=0) == PT
+    assert hj.lp_pipeline([1], [PT], 2, max_nodes=0).host == PT
+    # a cap the search stays within changes nothing
+    assert hj.lp_pipeline([1], [TWO_PT], 2, max_nodes=1000).host == trees.point_forest(3)
+    with pytest.raises(ValueError):
+        hj.lp_pipeline([1], [TWO_PT], 2, max_nodes=-1)
+
+
 # --- word lemma searches ------------------------------------------------------
 
 

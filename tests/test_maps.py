@@ -224,8 +224,9 @@ def test_map_values_in_a_list_are_stored_as_a_tuple():
 
 
 def _with_injection(f, e_values):
-    # plant an injection the way the cached property stores it
-    f.__dict__["injection"] = maps._trusted_map(f.cod, f.dom, e_values)
+    # plant an injection in the slot that TreeMap.injection fills on first read
+    maps._set_injection(f, maps._trusted_map(f.cod, f.dom, e_values))
+    assert f.injection.values == tuple(e_values)
     return f
 
 

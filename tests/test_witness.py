@@ -1,7 +1,6 @@
 import concurrent.futures
 import itertools
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -51,7 +50,12 @@ def test_spec_failure_instance():
 
 @pytest.mark.parametrize(
     "forge",
-    [lambda r: replace(r, b=1), lambda r: replace(r, counterexample=[c + 5 for c in r.counterexample])],
+    [
+        lambda r: wit.WitnessReport(r.verdict, 1, r.mode, r.s, r.t, r.u, r.counterexample, r.stats),
+        lambda r: wit.WitnessReport(
+            r.verdict, r.b, r.mode, r.s, r.t, r.u, [c + 5 for c in r.counterexample], r.stats
+        ),
+    ],
     ids=["b=1", "colors+5"],
 )
 def test_replay_refuses_colors_outside_b(forge):
@@ -191,6 +195,37 @@ def test_a_holding_prefix_makes_the_tree_hold(mode, s, t, max_vertices, holding_
     extended = [p for p in holds if len(p) > 1 and holds[p[:-1]]]
     assert len(extended) == holding_prefixes
     assert all(holds[p] for p in extended)
+
+
+@pytest.mark.parametrize(
+    "s, t, failing, prefix_edges_checked",
+    [((None, 0), (None, 0, 1, 2), 196, 1631), ((None, 0, 0), (None, 0, 0, 0), 195, 301)],
+)
+def test_a_failing_tree_transports_its_counterexample_to_its_prefix(
+    s, t, failing, prefix_edges_checked
+):
+    # the collapse map h: U ->> U' sends U's last vertex onto its parent and
+    # fixes the rest; a counterexample c on U gives c'(f) = c(f o h) on U'
+    s, t = trees.OrderedTree(s), trees.OrderedTree(t)
+    seen = edges_checked = 0
+    for u in trees_up_to(7):
+        if u.n < 2:
+            continue
+        prefix = trees.initial_subtree(u, u.n - 2)
+        h = TreeMap(u, prefix, tuple(range(u.n - 1)) + (u.parent[-1],))
+        assert classify(h).rigid_surjection
+        rep = wit.check_witness_mn(2, s, t, u)
+        if rep.verdict != "fails":
+            continue
+        seen += 1
+        vertices, _ = wit._mn_hypergraph(s, t, u)  # the order the counterexample colours
+        c = dict(zip(vertices, rep.counterexample))
+        prefix_vertices, prefix_edges = mn_hypergraph_by_compose(s, t, prefix)
+        transported = [c[tuple(f[x] for x in h.values)] for f in prefix_vertices]
+        assert set(transported) <= {0, 1}
+        assert not any(len({transported[v] for v in e}) == 1 for e in prefix_edges), u
+        edges_checked += len(prefix_edges)
+    assert (seen, edges_checked) == (failing, prefix_edges_checked)
 
 
 # --- bridges ------------------------------------------------------------------
