@@ -1,13 +1,12 @@
 """Deterministic tables of the maps between ordered trees, and colorings.
 
 Enumeration order is part of the contract: maps come lexicographically by
-value tuple, colorings in counting order.  Two runs produce identical
-sequences.
+their values, colorings in counting order.  Two runs produce identical sequences.
 
 Both kinds of map are extended from the prefix of their domain: in
 canonical form a tree without its last vertex is its initial subtree, and a
 rigid surjection or an embedding restricts to one on that prefix.  So each
-table of rigid value tuples is its prefix's table extended by one value per
+table of rigid value rows is its prefix's table extended by one value per
 map (_prefix_table, cached by parent arrays, the prefix being the tree a
 sweep over trees decides just before; in closed form onto one vertex or onto
 a codomain at least as large as the domain), and all_embeddings extends its
@@ -18,13 +17,17 @@ prefix tables stay cached beside the tables read from them: a sweep over
 all trees up to n vertices keeps every table of every smaller tree, which
 costs memory and saves rebuilding them.
 
-Rigid surjections are kept as plain value tuples in one cached table,
-rigid_surjection_values(dom, cod, sealed, /), which range-checks every tuple
-once when it fills; its arguments are positional and required, so each
-table has exactly one cache key.  The witness builders and the composition
-space read it directly.  all_rigid_surjections is the cached TreeMap view
-of the unsealed table, made without checking the tuples again;
-embeddings are TreeMaps from the start, and all_embeddings caches them.
+Rigid surjections are kept as value rows in one cached table,
+rigid_surjection_values(dom, cod, sealed, /): a row is a bytes object whose
+i-th byte is the value at vertex i, so a codomain may have at most 256
+vertices, and a larger one raises ResourceCapExceeded before anything is
+built; domains may have any size.  The table range-checks every row once
+when it fills; its arguments are positional and required, so each table has
+exactly one cache key.  The witness builders and the composition space read
+the rows directly.  all_rigid_surjections is the cached TreeMap view of the
+unsealed table, its value tuples made from the rows without checking them
+again; embeddings are TreeMaps from the start, and all_embeddings caches
+them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+from .errors import ResourceCapExceeded
 from .maps import TreeMap, _check_values, _trusted_map
 from .trees import OrderedTree
 
@@ -43,6 +47,9 @@ __all__ = [
     "rigid_surjection_values",
     "enum_colorings",
 ]
+
+
+_ROW = [bytes((v,)) for v in range(256)]  # the one-byte rows: p + _ROW[v] extends p by v
 
 
 def _strict_ancestors(dom: tuple) -> tuple[int, list[int]]:
@@ -57,9 +64,7 @@ def _strict_ancestors(dom: tuple) -> tuple[int, list[int]]:
     return mask, path
 
 
-def _fresh_extensions(
-    table: Sequence[tuple[int, ...]], cod: tuple, up: int
-) -> list[tuple[int, ...]]:
+def _fresh_extensions(table: Sequence[bytes], cod: tuple, up: int) -> list[bytes]:
     """The maps of table (onto cod minus its top j) extended by the fresh value j
     at a new last vertex w whose strict ancestors make the mask up.
 
@@ -68,7 +73,7 @@ def _fresh_extensions(
     with w is the largest ancestor of w not above a.
     """
     j = len(cod) - 1
-    top, below, parent = (j,), j - 1, cod[j]
+    top, below, parent = _ROW[j], j - 1, cod[j]
     return [
         p + top
         for p in table
@@ -77,8 +82,8 @@ def _fresh_extensions(
 
 
 @lru_cache(maxsize=None)
-def _prefix_table(dom: tuple, cod: tuple, /) -> tuple[tuple[int, ...], ...]:
-    """RS(dom, cod) by value tuple, extended from the tables of dom's prefix.
+def _prefix_table(dom: tuple, cod: tuple, /) -> tuple[bytes, ...]:
+    """RS(dom, cod) by value row, extended from the tables of dom's prefix.
 
     dom and cod are parent arrays.  Two cases are closed: onto a codomain at
     least as large as dom the only candidate is the identity, which is rigid
@@ -105,20 +110,20 @@ def _prefix_table(dom: tuple, cod: tuple, /) -> tuple[tuple[int, ...], ...]:
     """
     n, m = len(dom), len(cod)
     if m >= n:
-        return (tuple(range(n)),) if dom == cod else ()
+        return (bytes(range(n)),) if dom == cod else ()
     if m == 1:
-        return ((0,) * n,)
+        return (bytes(n),)
     prefix = dom[:-1]
     up, path = _strict_ancestors(dom)
     same = _prefix_table(prefix, cod)
     if len(path) == 1:  # w hangs from the root, whose value is 0
-        seen = [p + (0,) for p in same]
+        seen = [p + _ROW[0] for p in same]
     elif len(path) == len(prefix):  # every earlier vertex is above w: all m values are seen
-        tails = [(v,) for v in range(m)]
+        tails = _ROW[:m]
         seen = [p + v for p in same for v in tails]
     else:
         on_path = itemgetter(*path)
-        seen = [p + (v,) for p in same for v in sorted(set(on_path(p)))]
+        seen = [p + _ROW[v] for p in same for v in sorted(set(on_path(p)))]
     fresh = _fresh_extensions(_prefix_table(prefix, cod[:-1]), cod, up)
     return tuple(sorted(seen + fresh) if fresh else seen)
 
@@ -166,18 +171,22 @@ def all_embeddings(dom: OrderedTree, cod: OrderedTree, /) -> tuple[TreeMap, ...]
 
 
 @lru_cache(maxsize=None)
-def rigid_surjection_values(
-    dom: OrderedTree, cod: OrderedTree, sealed: bool, /
-) -> tuple[tuple[int, ...], ...]:
-    """The value tuples of the rigid surjections dom -> cod in lexicographic order,
+def rigid_surjection_values(dom: OrderedTree, cod: OrderedTree, sealed: bool, /) -> tuple[bytes, ...]:
+    """The value rows of the rigid surjections dom -> cod in lexicographic order,
     each range-checked once here.
 
+    A row is bytes, the value at vertex i its i-th byte, so a codomain of more
+    than 256 vertices raises ResourceCapExceeded before anything is built.
     With sealed, only the sealed ones.  A sealed map sends the top of dom, its
     last vertex, to the top of cod as a first occurrence, so with |cod| < |dom|
     the sealed maps are the fresh-top extensions of RS(dom', cod minus its
     top), and there are none onto one vertex; otherwise the only candidate, the
     identity, is sealed.
     """
+    if cod.n > len(_ROW):
+        raise ResourceCapExceeded(
+            f"value rows take codomains of at most {len(_ROW)} vertices, got {cod.n}"
+        )
     d, c = dom.parent, cod.parent
     top = sealed and len(c) < len(d)
     if top:
@@ -189,15 +198,18 @@ def rigid_surjection_values(
     table = _prefix_table(d, c)
     if top:
         table = tuple(_fresh_extensions(table, cod.parent, _strict_ancestors(dom.parent)[0]))
-    for values in table:
-        _check_values(values, dom.n, cod.n)
+    n, m = dom.n, cod.n
+    for row in table:
+        if type(row) is not bytes or len(row) != n or max(row) >= m:
+            _check_values(row, n, m)  # raises the exact error for a bad value or length
+            raise TypeError(f"value row {row!r} is not bytes")
     return table
 
 
 @lru_cache(maxsize=None)
 def all_rigid_surjections(dom: OrderedTree, cod: OrderedTree, /) -> tuple[TreeMap, ...]:
-    """The TreeMap view of the unsealed table, whose tuples are range-checked already."""
-    return tuple(_trusted_map(dom, cod, values) for values in rigid_surjection_values(dom, cod, False))
+    """The TreeMap view of the unsealed table, whose rows are range-checked already."""
+    return tuple(_trusted_map(dom, cod, tuple(row)) for row in rigid_surjection_values(dom, cod, False))
 
 
 def rigid_surjections_with_injection(e: TreeMap) -> tuple[TreeMap, ...]:

@@ -251,16 +251,11 @@ class Universe(Record):
 
     _fields = ("bound", "ambients", "elements")
 
-    def __init__(
-        self,
-        bound: int,
-        ambients: Optional[list[Ambient]] = None,
-        elements: Optional[list[DomainElement]] = None,
-    ):
+    def __init__(self, bound: int):
         self.bound = bound
-        self.elements = [] if elements is None else elements  # the members are appended
-        trees = [t for n in range(1, self.bound + 1) for t in all_trees(n)]
-        self.ambients = [Ambient(f"T{i}", t) for i, t in enumerate(trees)]  # rebuilt from bound
+        self.elements = []
+        trees = [t for n in range(1, bound + 1) for t in all_trees(n)]
+        self.ambients = [Ambient(f"T{i}", t) for i, t in enumerate(trees)]
         groups = {}
         for amb_dom in self.ambients:
             for amb_cod in self.ambients:

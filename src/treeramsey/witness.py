@@ -6,9 +6,10 @@ whether every coloring leaves some edge monochromatic.  Verdicts carry the
 counterexample coloring when they fail and are replayable without redoing the
 search.
 
-The builders hold value tuples as bytes and read each composite f o g off as
-bytes(g).translate(table_f), table_f being f's values padded to 256 bytes;
-so S and T may have at most 256 vertices, and larger ones raise
+The builders read the value rows of the enumeration tables, bytes whose i-th
+byte is the value at vertex i, as they are, and read each composite f o g
+off as g.translate(table_f), table_f being f's row padded to 256 bytes; so S
+and T may have at most 256 vertices, and larger ones raise
 ResourceCapExceeded before anything is enumerated.  Every edge comes out as a
 tuple of vertex positions in increasing order, the form colorsearch asks for:
 a rigid g has increasing first occurrences, so f -> f o g keeps the
@@ -110,7 +111,7 @@ _BYTE_VALUES = 256  # bytes.translate reads a composite through a 256-entry tabl
 def _check_byte_width(s: OrderedTree, t: OrderedTree) -> None:
     """Refuse S or T with more than 256 vertices, before anything is enumerated.
 
-    The builders hold every value tuple of a map into S or T as bytes, so each
+    The builders read every map into S or T as a value row of bytes, so each
     value must lie below 256.
     """
     if s.n > _BYTE_VALUES or t.n > _BYTE_VALUES:
@@ -120,19 +121,19 @@ def _check_byte_width(s: OrderedTree, t: OrderedTree) -> None:
         )
 
 
-def _tables(fs: Sequence[tuple[int, ...]]) -> list[bytes]:
-    """f's values padded to 256 bytes, for each f in fs: g.translate(table) is f o g.
+def _tables(fs: Sequence[bytes]) -> list[bytes]:
+    """f's row padded to 256 bytes, for each f in fs: g.translate(table) is f o g.
 
     The padding is never read: g's values are range-checked in its value table
     and cod(g) = dom(f) is checked once per family, so they index f's values.
     """
-    return [bytes(fv).ljust(_BYTE_VALUES, b"\0") for fv in fs]
+    return [fv.ljust(_BYTE_VALUES, b"\0") for fv in fs]
 
 
 def _mn_hypergraph(
     s: OrderedTree, t: OrderedTree, u: OrderedTree
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Vertices: maps in RS(U, S) by value tuple; one edge per g0 in RS(U, T).
+) -> tuple[list[bytes], list[tuple[int, ...]]]:
+    """Vertices: maps in RS(U, S) by value row; one edge per g0 in RS(U, T).
 
     Each edge lists the positions of f o g0 over f in RS(T, S), in the
     lexicographic order of f, built as one column per f over all g0.  That
@@ -144,14 +145,12 @@ def _mn_hypergraph(
     """
     _check_byte_width(s, t)
     vertices = list(rigid_surjection_values(u, s, False))
-    pos = {bytes(v): i for i, v in enumerate(vertices)}
+    pos = {v: i for i, v in enumerate(vertices)}
     gvs = rigid_surjection_values(u, t, False)
-    gs = list(map(bytes, gvs))
     columns = [
-        list(map(pos.__getitem__, [g.translate(table) for g in gs]))
+        list(map(pos.__getitem__, [g.translate(table) for g in gvs]))
         for table in _tables(rigid_surjection_values(t, s, False))
     ]
-    del gs  # freed before the edge tuples are made, which lowers the peak memory
     edges = list(zip(*columns)) if columns else [()] * len(gvs)
     return vertices, edges
 
@@ -176,13 +175,13 @@ def _sealed_families(s: OrderedTree, t: OrderedTree, /) -> _SealedFamilies:
 def _sealed_columns(
     g_dom: OrderedTree,
     g_cod: OrderedTree,
-    gvs: Sequence[tuple[int, ...]],
+    gvs: Sequence[bytes],
     families: _SealedFamilies,
 ) -> list[list[list[bytes]]]:
-    """The sealed edges of the maps g: g_dom -> g_cod with values in gvs, as
-    columns: for each family t and each f of the family, the values of
-    f o g^t for every g, as bytes.  A composite on the cut i(t) of g has
-    i(t) + 1 values, so its length tells its cut.
+    """The sealed edges of the maps g: g_dom -> g_cod with value rows gvs, as
+    columns: for each family t and each f of the family, the row of f o g^t
+    for every g.  A composite on the cut i(t) of g has i(t) + 1 values, so its
+    length tells its cut.
 
     g^t is g cut at its injection i: the restriction to U^{i(t)}, which must
     be onto 0..t (onto T^t); T^t is the prefix 0..t of cod(g), checked
@@ -201,10 +200,9 @@ def _sealed_columns(
     injections = [_injection_values(anc, cod, gv) for gv in gvs]
     if None in injections:
         raise NotRigid(f"{list(gvs[injections.index(None)])} is not a rigid surjection")
-    gs = list(map(bytes, gvs))
     columns = []
     for tv, _, tables in families:
-        prefixes = [g[: e[tv] + 1] for g, e in zip(gs, injections)]
+        prefixes = [g[: e[tv] + 1] for g, e in zip(gvs, injections)]
         for prefix, gv in zip(prefixes, gvs):
             if max(prefix) != tv:
                 raise VerificationFailed(
@@ -218,9 +216,9 @@ class _SealedLayer(NamedTuple):
     """The part of a sealed hypergraph that the top cut c of U adds: the sealed
     maps U^c -> S as vertices, and one edge per sealed g: U^c -> T."""
 
-    vertices: list[tuple[int, tuple[int, ...]]]
+    vertices: list[tuple[int, bytes]]
     edges: list[tuple[int, ...]]
-    positions: tuple[dict[bytes, int], ...]  # per cut 0..c: value bytes -> position
+    positions: tuple[dict[bytes, int], ...]  # per cut 0..c: value row -> position
     end: int  # the vertex count of the cuts 0..c
 
 
@@ -241,7 +239,7 @@ def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree, /) -> _SealedL
     else:
         offset, positions = 0, ()
     tops = rigid_surjection_values(u, s, True)
-    positions += ({bytes(values): offset + i for i, values in enumerate(tops)},)
+    positions += ({values: offset + i for i, values in enumerate(tops)},)
     gvs = rigid_surjection_values(u, t, True)
     columns = [
         [positions[len(x) - 1][x] for x in composites]
@@ -254,9 +252,9 @@ def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree, /) -> _SealedL
 
 def _sealed_hypergraph(
     s: OrderedTree, t: OrderedTree, u: OrderedTree
-) -> tuple[list[tuple[int, tuple[int, ...]]], list[tuple[int, ...]]]:
+) -> tuple[list[tuple[int, bytes]], list[tuple[int, ...]]]:
     """Vertices: sealed maps from every initial subtree of U onto S, keyed by
-    (cut, values) and listed cut by cut; one edge per cut v0 and sealed
+    (cut, value row) and listed cut by cut; one edge per cut v0 and sealed
     g: U^{v0} -> T, collecting f o g^t over t in T and sealed f: T^t -> S.
 
     The hypergraph is the concatenation of one cached layer per cut (see

@@ -455,6 +455,17 @@ def test_witness_check_over_256_vertices_exits_3(files, capsys, tmp_path):
     assert captured.err.startswith("resource cap: ")
 
 
+def test_enum_maps_onto_more_than_256_vertices_exits_3(capsys, tmp_path):
+    # a value row holds values below 256; the 257-chain onto itself once
+    # printed its identity row
+    big = tmp_path / "c257.json"
+    serialize.save_json(str(big), serialize.tree_to_json(trees.chain(257)))
+    code = main(["enum", "maps", "--kind", "rigid", "--dom", str(big), "--cod", str(big)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap: ")
+
+
 @pytest.mark.parametrize(
     "mode_args, missing",
     [(["--mode", "chain"], "--k and --l"), (["--mode", "mn"], "--s and --t")],

@@ -10,7 +10,7 @@ from treeramsey.enumeration import (
     enum_colorings,
     rigid_surjection_values,
 )
-from treeramsey.errors import VertexOutOfRange
+from treeramsey.errors import ResourceCapExceeded, VertexOutOfRange
 from treeramsey.maps import TreeMap, classify, is_embedding
 
 from _oracles import (
@@ -36,7 +36,7 @@ def test_rigid_surjection_examples():
         (0, 1, 1),
     ]
     assert [m.values for m in all_rigid_surjections(Y, C2)] == [(0, 0, 1), (0, 1, 0)]
-    assert rigid_surjection_values(C3, C2, True) == ((0, 0, 1),)
+    assert [tuple(row) for row in rigid_surjection_values(C3, C2, True)] == [(0, 0, 1)]
 
 
 def test_embedding_examples():
@@ -59,7 +59,7 @@ def test_streams_complete_against_classifier():
                 if fl.embedding:
                     brute_emb.add(vals)
             assert {m.values for m in all_rigid_surjections(dom, cod)} == brute_rigid
-            assert set(rigid_surjection_values(dom, cod, True)) == brute_sealed
+            assert set(map(tuple, rigid_surjection_values(dom, cod, True))) == brute_sealed
             assert {m.values for m in all_embeddings(dom, cod)} == brute_emb
 
 
@@ -136,6 +136,33 @@ def test_value_table_refuses_an_out_of_range_kernel_value(monkeypatch):
             rigid_surjection_values.cache_clear()
 
 
+def test_value_table_refuses_a_kernel_row_that_is_not_bytes(monkeypatch):
+    # (0, 1) is in range for a 2-vertex codomain, but a row must be bytes
+    monkeypatch.setattr(enumeration, "_prefix_table", lambda dom, cod: [(0, 1)])
+    rigid_surjection_values.cache_clear()
+    try:
+        with pytest.raises(TypeError):
+            rigid_surjection_values(C2, C2, False)
+    finally:
+        rigid_surjection_values.cache_clear()
+
+
+def test_value_tables_refuse_codomains_over_256_vertices_before_building(monkeypatch):
+    # a row's byte holds values below 256; domains of any length stay allowed
+    def refuse(*args):
+        raise AssertionError("built a table before the width check")
+
+    big = trees.chain(257)
+    assert rigid_surjection_values(trees.chain(300), trees.chain(1), False) == (bytes(300),)
+    assert rigid_surjection_values(trees.chain(256), trees.chain(256), True) == (bytes(range(256)),)
+    monkeypatch.setattr(enumeration, "_prefix_table", refuse)
+    for sealed in (False, True):
+        with pytest.raises(ResourceCapExceeded, match="at most 256 vertices"):
+            rigid_surjection_values(big, big, sealed)
+    with pytest.raises(ResourceCapExceeded, match="at most 256 vertices"):
+        all_rigid_surjections(big, big)
+
+
 def test_rigid_surjections_with_injection_partition_the_stream():
     from treeramsey.enumeration import rigid_surjections_with_injection
 
@@ -174,7 +201,7 @@ def test_streams_complete_against_classifier_full_bound():
                     if e.values[-1] == dom.n - 1:
                         brute_sealed.add(vals)
             assert {m.values for m in all_rigid_surjections(dom, cod)} == brute_rigid
-            assert set(rigid_surjection_values(dom, cod, True)) == brute_sealed
+            assert set(map(tuple, rigid_surjection_values(dom, cod, True))) == brute_sealed
             brute_emb = {
                 vals
                 for vals in it.product(range(dom.n), repeat=cod.n)
@@ -191,7 +218,8 @@ def test_rigid_kernel_matches_meet_loop_oracle():
         for cod in trees_up_to(4):
             for sealed in (False, True):
                 expected = rigid_surjections_by_meet_loop(dom, cod, sealed)
-                assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
+                got = [tuple(row) for row in rigid_surjection_values(dom, cod, sealed)]
+                assert got == expected, (dom, cod, sealed)
                 if not sealed:
                     assert [m.values for m in all_rigid_surjections(dom, cod)] == expected, (dom, cod)
                 cases += 1
@@ -211,7 +239,7 @@ def test_one_value_table_per_argument_triple():
         assert all_rigid_surjections(t, s) is view
         with pytest.raises(TypeError):
             all_rigid_surjections(t, s, False)
-        assert rigid_surjection_values(t, s, False) == tuple(m.values for m in view)
+        assert tuple(map(tuple, rigid_surjection_values(t, s, False))) == tuple(m.values for m in view)
         assert all_rigid_surjections.cache_info().currsize == 1
         assert rigid_surjection_values.cache_info().currsize == 1
         witness._mn_hypergraph(s, t, u)  # reads RS(u, s), RS(t, s) and RS(u, t)
@@ -262,7 +290,8 @@ def test_prefix_tables_match_meet_loop_oracle_from_cold_caches(meet_loop_tables,
     _clear_table_caches()
     try:
         for (dom, cod, sealed), expected in cases:
-            assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
+            got = [tuple(row) for row in rigid_surjection_values(dom, cod, sealed)]
+            assert got == expected, (dom, cod, sealed)
     finally:
         _clear_table_caches()
     assert len(cases) == 9 * 2 * sum(len(trees.all_trees(n)) for n in range(1, 9))
@@ -286,7 +315,8 @@ def test_deep_domains_fill_their_prefix_tables_in_steps(meet_loop_tables, monkey
     monkeypatch.setattr(enumeration, "_prefix_table", tracking)
     try:
         for (dom, cod, sealed), expected in reversed(meet_loop_tables.items()):
-            assert list(rigid_surjection_values(dom, cod, sealed)) == expected, (dom, cod, sealed)
+            got = [tuple(row) for row in rigid_surjection_values(dom, cod, sealed)]
+            assert got == expected, (dom, cod, sealed)
     finally:
         monkeypatch.undo()
         _clear_table_caches()
