@@ -29,15 +29,22 @@ solver searches by backtracking with unit propagation, on an explicit stack
 rather than by recursion:
 
 - every vertex keeps a domain, the bitmask of the colors it may still take;
-- every edge counts its unassigned vertices and, per color, its
-  vertices of that color;
+- one counter list per color holds, for every edge, how many of its
+  vertices besides one still lack that color, so an assignment of color c
+  reads the list of c once and then indexes it by edge; at 0 a scan of the
+  edge finds its one vertex without color c, and below 0 the edge is fully
+  colored with c;
 - when an edge has one unassigned vertex left and all its other vertices
   have color c, c leaves that vertex's domain; a one-color domain forces the
   vertex, and an empty domain (or a fully colored monochromatic edge) is a
   conflict;
 - the search branches on the first unassigned vertex in a static
   most-constrained-first order (vertices on many small edges first), tries
-  the colors of its domain in turn, and pins color 0 on the first decision;
+  the colors of its domain in turn, and pins color 0 on the first decision.
+  The order is by descending weight, the sum of 1/|e| over the edges e of the
+  vertex, and then by index.  When all edges have one size, as in every
+  library hypergraph, that is the order by descending degree, computed
+  without floats; float weights are summed only for mixed sizes;
 - a trail of assignments and domain changes undoes a refuted branch.
 
 stats.nodes counts assignments, branched and forced alike; rather than make
@@ -144,57 +151,69 @@ def find_proper_coloring(
     # how a builder lists its edges.
     edges = _edge_order(edges)
     stats = SearchStats(vertices=n_vertices, edges=len(edges))
-    if any(len(e) <= 1 for e in edges):
-        return SearchResult(None, stats)  # an edge of at most one vertex is always monochromatic
     if not edges:
         stats.colorings_examined = 1
         return SearchResult(tuple([0] * n_vertices), stats)
+    if len(edges[0]) <= 1:  # the smallest edge comes first
+        return SearchResult(None, stats)  # an edge of at most one vertex is always monochromatic
     if b == 1:
         stats.colorings_examined = 1
         return SearchResult(None, stats)
 
     # Static most-constrained-first order: vertices on many (small) edges first.
-    weight = [0.0] * n_vertices
     incident: list[list[int]] = [[] for _ in range(n_vertices)]
     for i, e in enumerate(edges):
         for v in e:
-            weight[v] += 1.0 / len(e)
             incident[v].append(i)
-    order = sorted(range(n_vertices), key=lambda v: (-weight[v], v))
+    if len(edges[0]) == len(edges[-1]):
+        # One edge size k: the weight of a vertex of degree d, d additions of
+        # 1/k, rises strictly with d and is bit-equal for equal d, so the
+        # degree alone orders the vertices (the sort is stable in v).
+        order = sorted(range(n_vertices), key=lambda v: -len(incident[v]))
+    else:
+        weight = [0.0] * n_vertices
+        for e in edges:
+            w = 1.0 / len(e)
+            for v in e:
+                weight[v] += w
+        order = sorted(range(n_vertices), key=lambda v: (-weight[v], v))
 
-    size = [len(e) for e in edges]
-    free = size[:]  # unassigned vertices per edge
-    count = [0] * (len(edges) * b)  # count[i * b + c]: vertices of edge i with color c
+    # short[c][i]: how many vertices of edge i besides one lack color c; at 0
+    # all vertices but one have color c, at -1 all of them do
+    short = [[len(e) - 1 for e in edges] for _ in range(b)]
     domain = [(1 << b) - 1] * n_vertices
     colors = [-1] * n_vertices
     assigned: list[int] = []  # trail of assigned vertices
     narrowed: list[tuple[int, int]] = []  # trail of (vertex, domain before a removal)
+    nodes = 0  # written to stats.nodes before every return and every cap hit
 
     def assign(v: int, c: int) -> bool:
         """Color v with c, then every vertex this forces; False on a conflict."""
+        nonlocal nodes
         pending = [(v, c)]
         while pending:
             v, c = pending.pop()
-            if stats.nodes >= cap:
+            if nodes >= cap:
+                stats.nodes = nodes
                 raise ResourceCapExceeded(f"coloring search exceeded {cap} nodes", stats)
-            stats.nodes += 1
+            nodes += 1
             colors[v] = c
             assigned.append(v)
             bit = 1 << c
+            lack = short[c]
             ok = True
             for i in incident[v]:  # every counter of v is updated, so undo can revert them all
-                left = free[i] - 1
-                free[i] = left
-                k = i * b + c
-                same = count[k] + 1
-                count[k] = same
-                if ok and left <= 1 and same + left == size[i]:
-                    if not left:
+                rest = lack[i] - 1
+                lack[i] = rest
+                if rest <= 0 and ok:
+                    if rest:
                         ok = False  # fully colored and monochromatic
                         continue
-                    for u in edges[i]:
-                        if colors[u] < 0:
+                    for u in edges[i]:  # the one vertex of the edge without color c
+                        if colors[u] != c:
                             break
+                    if colors[u] >= 0:
+                        continue  # it has another color
                     d = domain[u]
                     if d & bit:
                         narrowed.append((u, d))
@@ -211,11 +230,10 @@ def find_proper_coloring(
     def undo(n_assigned: int, n_narrowed: int) -> None:
         while len(assigned) > n_assigned:
             v = assigned.pop()
-            c = colors[v]
+            lack = short[colors[v]]
             colors[v] = -1
             for i in incident[v]:
-                free[i] += 1
-                count[i * b + c] -= 1
+                lack[i] += 1
         while len(narrowed) > n_narrowed:
             u, d = narrowed.pop()
             domain[u] = d
@@ -227,6 +245,7 @@ def find_proper_coloring(
             pos += 1
         if pos == n_vertices:
             # propagation completes only proper assignments: this is the one examined
+            stats.nodes = nodes
             stats.colorings_examined = 1
             if max_colorings == 0:
                 raise ResourceCapExceeded(
@@ -241,6 +260,7 @@ def find_proper_coloring(
             while decisions and not decisions[-1][1]:
                 decisions.pop()
             if not decisions:
+                stats.nodes = nodes
                 return SearchResult(None, stats)
             decision = decisions[-1]
             v, options, n_assigned, n_narrowed, pos = decision

@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 
-_ROW = [bytes((v,)) for v in range(256)]  # the one-byte rows: p + _ROW[v] extends p by v
+_BYTE_VALUES = 256  # a value row holds one byte per vertex, so its values lie below 256
+_ROW = [bytes((v,)) for v in range(_BYTE_VALUES)]  # the one-byte rows: p + _ROW[v] extends p by v
 
 
 def _strict_ancestors(dom: tuple) -> tuple[int, list[int]]:
@@ -183,9 +184,9 @@ def rigid_surjection_values(dom: OrderedTree, cod: OrderedTree, sealed: bool, /)
     top), and there are none onto one vertex; otherwise the only candidate, the
     identity, is sealed.
     """
-    if cod.n > len(_ROW):
+    if cod.n > _BYTE_VALUES:
         raise ResourceCapExceeded(
-            f"value rows take codomains of at most {len(_ROW)} vertices, got {cod.n}"
+            f"value rows take codomains of at most {_BYTE_VALUES} vertices, got {cod.n}"
         )
     d, c = dom.parent, cod.parent
     top = sealed and len(c) < len(d)

@@ -32,7 +32,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from . import colorsearch
 from ._record import Record
 from .colorsearch import SearchStats
-from .enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
+from .enumeration import (
+    _BYTE_VALUES,  # bytes.translate reads a composite through a 256-entry table
+    all_embeddings,
+    all_rigid_surjections,
+    rigid_surjection_values,
+)
 from .errors import (
     DomainMismatch,
     NotFoundWithinBound,
@@ -103,9 +108,6 @@ class WitnessReport(Record):
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
-
-
-_BYTE_VALUES = 256  # bytes.translate reads a composite through a 256-entry table
 
 
 def _check_byte_width(s: OrderedTree, t: OrderedTree) -> None:

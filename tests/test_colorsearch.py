@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -66,8 +67,35 @@ def test_found_colorings_are_proper():
 
 def test_node_cap():
     edges = [tuple(sorted((i, (i + 1) % 12))) for i in range(12)]
-    with pytest.raises(ResourceCapExceeded):
+    with pytest.raises(ResourceCapExceeded) as exc:
         find_proper_coloring(12, edges, 2, max_nodes=3)
+    assert exc.value.stats.nodes == 3
+
+
+def test_cap_hit_at_a_branch_and_inside_propagation_reports_exact_nodes():
+    # two paths of five vertices: the first decision forces its whole path
+    # (nodes 1 to 5), the second decision is node 6 and forces nodes 7 to 10
+    edges = [(i, i + 1) for i in (0, 1, 2, 3, 5, 6, 7, 8)]
+    assert find_proper_coloring(10, edges, 2).stats.nodes == 10
+    for cap in (5, 7):  # node 6 is a branch, node 8 is forced inside propagation
+        with pytest.raises(ResourceCapExceeded) as exc:
+            find_proper_coloring(10, edges, 2, max_nodes=cap)
+        assert str(exc.value) == f"coloring search exceeded {cap} nodes"
+        assert exc.value.stats == colorsearch.SearchStats(10, 8, cap, 0)
+
+
+def test_witness_cap_report_carries_the_exact_node_count():
+    # (2; chain 2, chain 3, chain 6) holds after 51 nodes, with branches and
+    # forced colors among them; every smaller cap stops it, at that cap exactly
+    s, t, u = trees.chain(2), trees.chain(3), trees.chain(6)
+    vertices, edges = witness._hypergraph("mn", s, t, u)
+    assert witness._decide(2, "mn", s, t, u, None).stats.nodes == 51
+    for cap in range(51):
+        with pytest.raises(ResourceCapExceeded) as exc:
+            find_proper_coloring(len(vertices), edges, 2, max_nodes=cap)
+        assert exc.value.stats.nodes == cap
+        report = witness._decide(2, "mn", s, t, u, cap)
+        assert report.verdict == "cap_exceeded" and report.stats == exc.value.stats
 
 
 @pytest.mark.parametrize("edges", [[], [(1,)], [(0, 1, 2)]])
@@ -313,3 +341,46 @@ def test_framework_rows_have_one_size(monkeypatch):
     monkeypatch.setattr(framework, "_decide_products", recording)
     framework.scan_lp_r_consistency(3, 2)
     assert len(seen) >= 50
+
+
+def _search_outcomes():
+    """What find_proper_coloring returns, or where it stops at a cap, on seeded hypergraphs.
+
+    Half the cases have edges of one size, half of mixed sizes; either kind
+    has an occasional edge of at most one vertex.  b runs over 1 to 3, and a
+    third of the cases carry a small node cap.
+    """
+    rng = random.Random(27)
+    outcomes = []
+    for i in range(2_000):
+        n, b = rng.randint(2, 16), rng.choice((1, 2, 2, 3, 3))
+        if i % 2:
+            k = rng.randint(1, min(4, n)) if rng.random() < 0.05 else rng.randint(2, min(4, n))
+            sizes = [k] * rng.randint(0, 3 * n)
+        else:
+            sizes = [
+                rng.randint(0, 1) if rng.random() < 0.05 else rng.randint(2, min(5, n))
+                for _ in range(rng.randint(0, 3 * n))
+            ]
+        edges = [tuple(sorted(rng.sample(range(n), k))) for k in sizes]
+        max_nodes = rng.choice([None, None, rng.randint(0, 60)])
+        max_colorings = 0 if rng.random() < 0.1 else None
+        try:
+            res = find_proper_coloring(n, edges, b, max_nodes, max_colorings)
+        except ResourceCapExceeded as exc:
+            outcomes.append(("cap", str(exc), exc.stats.nodes, exc.stats.edges))
+        else:
+            stats = res.stats
+            outcomes.append((res.proper, stats.nodes, stats.edges, stats.colorings_examined))
+    return outcomes
+
+
+def test_search_outcomes_are_pinned():
+    # every coloring, node count and cap hit of the propagating search on 2,000
+    # seeded hypergraphs: a change to the solver's layout must not move one
+    outcomes = _search_outcomes()
+    caps = sum(o[0] == "cap" for o in outcomes)
+    holds = sum(o[0] is None for o in outcomes)
+    assert caps and holds and len(outcomes) - caps - holds  # every kind of outcome occurs
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()[:16]
+    assert digest == "6475242a6a5bef5e"
