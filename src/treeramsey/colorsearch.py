@@ -10,10 +10,12 @@ An edge is a tuple of vertex indices in strictly increasing order, so each
 edge is its own sorted vertex set.  The witness builders produce that form by
 the order argument in the witness module, the framework sorts its rows, and a
 host embedding is increasing.  find_proper_coloring orders the distinct
-edges by size and then lexicographically, with sorted(set(edges)) and a
-stable sort by length.  On increasing tuples that is the order of the vertex
-sets by (size, sorted elements), so the propagation order and the node counts
-depend on the hypergraph only, not on how a caller lists its edges.  An edge
+edges by size and then lexicographically, with sorted(dict.fromkeys(edges))
+and a stable sort by length; the dict drops duplicates but keeps the
+listing, which the builders give partly sorted already, so the sort has runs
+to merge.  On increasing tuples that is the order of the vertex sets by
+(size, sorted elements), so the propagation order and the node counts depend
+on the hypergraph only, not on how a caller lists its edges.  An edge
 that is not a tuple raises TypeError: frozensets, say, would be sorted by
 the subset order, and that order depends on the listing.
 
@@ -119,7 +121,7 @@ def has_monochromatic_edge(coloring: Sequence[int], edges: Sequence[Sequence[int
 
 def _edge_order(edges: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The distinct edges by size, then lexicographically."""
-    ordered = sorted(set(edges))
+    ordered = sorted(dict.fromkeys(edges))  # the listing's sorted runs survive a dict, not a set
     ordered.sort(key=len)
     return ordered
 

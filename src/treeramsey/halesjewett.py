@@ -378,9 +378,9 @@ def _word_lemma_witnesses(
     candidates already compiled.  The witnesses are read off the winners'
     sets of colorings.
     """
-    _check_coloring_cap(a_sizes, l_sizes, i, b, max_colorings, pin_first)
     if b < 1:
-        raise ValueError("need k >= 0 and b >= 1")
+        raise ValueError("need b >= 1")
+    _check_coloring_cap(a_sizes, l_sizes, i, b, max_colorings, pin_first)
 
     def compile_all() -> Iterator[tuple[tuple, list[tuple[int, int]]]]:
         for p_tuple in _candidate_tuples(a_sizes, l_sizes, i, mode):

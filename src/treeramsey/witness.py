@@ -16,17 +16,19 @@ a rigid g has increasing first occurrences, so f -> f o g keeps the
 lexicographic order in which the vertices are listed (see _mn_hypergraph).
 
 The sealed hypergraph of U is a stack of per-cut layers, one for each
-initial subtree U^c: the layer holds the sealed maps U^c -> S as vertices
-and the edges of the sealed g: U^c -> T.  A layer depends on U^c alone, so it
-is cached per (S, T, U^c) and shared by every tree with that prefix; its
-positions are global for all of them, the offset being the vertex count of
-the cuts below (see _sealed_layer).
+initial subtree U^c: the layer holds the positions of the sealed maps
+U^c -> S and the edges of the sealed g: U^c -> T, which it cuts, checks and
+composes itself.  A layer depends on U^c alone, so it is cached per
+(S, T, U^c) and shared by every tree with that prefix; its positions are
+global for all of them, the offset being the vertex count of the cuts below
+(see _sealed_layer).  The sealed-to-plain derivation reads the decided
+hypergraph: its vertex list, and the top layer's edges, one per sealed g.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import colorsearch
@@ -39,7 +41,6 @@ from .enumeration import (
     rigid_surjection_values,
 )
 from .errors import (
-    DomainMismatch,
     NotFoundWithinBound,
     NotRigid,
     PrerequisiteFailed,
@@ -126,8 +127,8 @@ def _check_byte_width(s: OrderedTree, t: OrderedTree) -> None:
 def _tables(fs: Sequence[bytes]) -> list[bytes]:
     """f's row padded to 256 bytes, for each f in fs: g.translate(table) is f o g.
 
-    The padding is never read: g's values are range-checked in its value table
-    and cod(g) = dom(f) is checked once per family, so they index f's values.
+    The padding is never read: the builders translate only rows onto dom(f),
+    whose values index f's values.
     """
     return [fv.ljust(_BYTE_VALUES, b"\0") for fv in fs]
 
@@ -157,99 +158,68 @@ def _mn_hypergraph(
     return vertices, edges
 
 
-_SealedFamilies = tuple[tuple[int, OrderedTree, list[bytes]], ...]
-
-
 @lru_cache(maxsize=None)
-def _sealed_families(s: OrderedTree, t: OrderedTree, /) -> _SealedFamilies:
-    """(t, T^t, the sealed maps T^t -> S as translate tables) for every vertex t of T
-    that has such maps; S or T with more than 256 vertices raises ResourceCapExceeded."""
-    _check_byte_width(s, t)
+def _sealed_families(s: OrderedTree, t: OrderedTree, /) -> tuple[tuple[int, list[bytes]], ...]:
+    """(t, the sealed maps T^t -> S as translate tables) for every vertex t of T
+    that has such maps."""
     families = []
     for tv in range(t.n):
-        t_cut = initial_subtree(t, tv)
-        fs = rigid_surjection_values(t_cut, s, True)
+        fs = rigid_surjection_values(initial_subtree(t, tv), s, True)
         if fs:
-            families.append((tv, t_cut, _tables(fs)))
+            families.append((tv, _tables(fs)))
     return tuple(families)
 
 
-def _sealed_columns(
-    g_dom: OrderedTree,
-    g_cod: OrderedTree,
-    gvs: Sequence[bytes],
-    families: _SealedFamilies,
-) -> list[list[list[bytes]]]:
-    """The sealed edges of the maps g: g_dom -> g_cod with value rows gvs, as
-    columns: for each family t and each f of the family, the row of f o g^t
-    for every g.  A composite on the cut i(t) of g has i(t) + 1 values, so its
-    length tells its cut.
-
-    g^t is g cut at its injection i: the restriction to U^{i(t)}, which must
-    be onto 0..t (onto T^t); T^t is the prefix 0..t of cod(g), checked
-    against each family's domain once.  The injection is verified here, once
-    per g, so a g that is not rigid raises NotRigid.  A verified g takes its
-    values in increasing order of first occurrence, so a prefix of g is onto
-    0..t iff its largest value is t.  Within a family the composites come in
-    the lexicographic order of f (see _mn_hypergraph), and the cuts i(t)
-    increase with t.
-    """
-    cod = g_cod.parent
-    for tv, t_cut, _ in families:
-        if t_cut.parent != cod[: tv + 1]:
-            raise DomainMismatch("cod(g) != dom(f)")
-    anc = g_dom.anc_mask
-    injections = [_injection_values(anc, cod, gv) for gv in gvs]
-    if None in injections:
-        raise NotRigid(f"{list(gvs[injections.index(None)])} is not a rigid surjection")
-    columns = []
-    for tv, _, tables in families:
-        prefixes = [g[: e[tv] + 1] for g, e in zip(gvs, injections)]
-        for prefix, gv in zip(prefixes, gvs):
-            if max(prefix) != tv:
-                raise VerificationFailed(
-                    f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
-                )
-        columns.append([[prefix.translate(table) for prefix in prefixes] for table in tables])
-    return columns
-
-
 class _SealedLayer(NamedTuple):
-    """The part of a sealed hypergraph that the top cut c of U adds: the sealed
-    maps U^c -> S as vertices, and one edge per sealed g: U^c -> T."""
+    """The part of a sealed hypergraph that the top cut c of U adds: one edge
+    per sealed g: U^c -> T, and the positions of the sealed maps onto S of
+    every cut up to c, each cut's map keyed by value row in table order."""
 
-    vertices: list[tuple[int, bytes]]
     edges: list[tuple[int, ...]]
     positions: tuple[dict[bytes, int], ...]  # per cut 0..c: value row -> position
-    end: int  # the vertex count of the cuts 0..c
 
 
 @lru_cache(maxsize=None)
 def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree, /) -> _SealedLayer:
-    """The layer of U's top cut, on top of the layer of its prefix U^{n-2}.
+    """The layer of U's top cut c, on top of the layer of its prefix U^{c-1}.
 
     The vertices of the cuts below c are those of U^{c-1}'s hypergraph, since
     the cuts of U^{c-1} are the cuts of U below c; so every position is global
     for every tree with this prefix, the offset of cut c being the vertex
     count below it.  Each cut keeps its own position map, and the layer only
     refers to the maps below it: a composite f o g^t lies on the cut i(t) <= c.
+
+    The edge of a sealed g: U^c -> T lists f o g^t for each family t and
+    each f of it.  g^t is g cut at its injection i: the prefix of g's values
+    up to i(t), which must be onto 0..t (onto T^t).  The injection is
+    verified here, once per g, so a g that is not rigid raises NotRigid.  A
+    verified g takes its values in increasing order of first occurrence, so
+    a prefix of g is onto 0..t iff its largest value is t.  Within a family
+    the composites come in the lexicographic order of f (see _mn_hypergraph),
+    and the cuts i(t) increase with t.
     """
     c = u.n - 1
-    if c:
-        below = _sealed_layer(s, t, initial_subtree(u, c - 1))
-        offset, positions = below.end, below.positions
-    else:
-        offset, positions = 0, ()
+    positions = _sealed_layer(s, t, initial_subtree(u, c - 1)).positions if c else ()
+    offset = sum(map(len, positions))
     tops = rigid_surjection_values(u, s, True)
     positions += ({values: offset + i for i, values in enumerate(tops)},)
     gvs = rigid_surjection_values(u, t, True)
-    columns = [
-        [positions[len(x) - 1][x] for x in composites]
-        for family in _sealed_columns(u, t, gvs, _sealed_families(s, t))
-        for composites in family
-    ]
+    anc, cod = u.anc_mask, t.parent
+    injections = [_injection_values(anc, cod, gv) for gv in gvs]
+    if None in injections:
+        raise NotRigid(f"{list(gvs[injections.index(None)])} is not a rigid surjection")
+    columns = []
+    for tv, tables in _sealed_families(s, t):
+        prefixes = [g[: e[tv] + 1] for g, e in zip(gvs, injections)]
+        for prefix, gv in zip(prefixes, gvs):
+            if max(prefix) != tv:
+                raise VerificationFailed(
+                    f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
+                )
+        cuts = [positions[e[tv]] for e in injections]
+        columns += ([cut[p.translate(table)] for cut, p in zip(cuts, prefixes)] for table in tables)
     edges = list(zip(*columns)) if columns else [()] * len(gvs)
-    return _SealedLayer([(c, values) for values in tops], edges, positions, offset + len(tops))
+    return _SealedLayer(edges, positions)
 
 
 def _sealed_hypergraph(
@@ -261,7 +231,8 @@ def _sealed_hypergraph(
 
     The hypergraph is the concatenation of one cached layer per cut (see
     _sealed_layer), built from the lowest cut up, so that each layer finds
-    the one below it cached.  Each edge lists positions in increasing order:
+    the one below it cached; the vertices are the keys of the top layer's
+    position maps.  Each edge lists positions in increasing order:
     composites on a larger cut come later in the vertex list, the cuts i(t)
     increase with t, and within one cut f -> f o g^t keeps the lexicographic
     order (see _mn_hypergraph).  S or T with more than 256 vertices raises
@@ -269,7 +240,7 @@ def _sealed_hypergraph(
     """
     _check_byte_width(s, t)
     layers = [_sealed_layer(s, t, initial_subtree(u, c)) for c in range(u.n)]
-    vertices = [vertex for layer in layers for vertex in layer.vertices]
+    vertices = [(c, values) for c, cut in enumerate(layers[-1].positions) for values in cut]
     edges = [edge for layer in layers for edge in layer.edges]
     return vertices, edges
 
@@ -352,11 +323,6 @@ def replay_report(report: WitnessReport) -> bool:
     return True
 
 
-def _decide_candidate(job: tuple) -> WitnessReport:
-    """One search_witness decision; module level so worker processes can run it."""
-    return _decide(*job)
-
-
 def search_witness(
     b: int,
     s: OrderedTree,
@@ -375,7 +341,10 @@ def search_witness(
     """
     if mode not in ("mn", "sealed", "chain"):
         raise ValueError("mode must be mn, sealed or chain")
-    decide_mode = "sealed" if mode == "sealed" else "mn"
+    decide = partial(  # a module-level function, so worker processes can run it
+        _decide, b, "sealed" if mode == "sealed" else "mn", s, t,
+        max_nodes=max_nodes, max_colorings=max_colorings,
+    )
     jobs = max(1, min(jobs, os.cpu_count() or 1))
     pool = None
     if jobs > 1:
@@ -390,12 +359,11 @@ def search_witness(
     try:
         for n in range(1, max_vertices + 1):
             candidates = [chain(n)] if mode == "chain" else all_trees(n)
-            decisions = [(b, decide_mode, s, t, u, max_nodes, max_colorings) for u in candidates]
-            reports = (pool.map if pool else map)(_decide_candidate, decisions)
-            for u, rep in zip(candidates, reports):
+            for u, rep in zip(candidates, (pool.map if pool else map)(decide, candidates)):
                 if rep.verdict == "cap_exceeded":
                     raise ResourceCapExceeded(
-                        f"candidate with {u.n} vertices hit the node cap; result inconclusive"
+                        f"candidate with {u.n} vertices hit the node cap; result inconclusive",
+                        rep.stats,
                     )
                 if rep.holds:
                     return u, rep
@@ -589,13 +557,19 @@ def derive_mn_from_sealed(
 ) -> tuple[OrderedTree, WitnessReport]:
     """Assemble a plain witness for (b, S, T) out of a sealed witness for (b, S+, T+).
 
-    The preliminary sealed check must pass, else PrerequisiteFailed; the
-    assembled tree is then decided by check_witness_mn and returned with its
-    report.
+    The preliminary sealed check must pass: a check that fails raises
+    PrerequisiteFailed, and one that hits the node cap ResourceCapExceeded
+    with its stats.  The assembled tree is then decided by check_witness_mn
+    and returned with its report.
     """
     s_plus, _ = assemble_plus(s)
     t_plus, _ = assemble_plus(t)
     pre = check_witness_sealed(b, s_plus, t_plus, sealed_witness, max_nodes=max_nodes)
+    if pre.verdict == "cap_exceeded":
+        raise ResourceCapExceeded(
+            "the sealed check of the extended pair hit the node cap; result inconclusive",
+            pre.stats,
+        )
     if not pre.holds:
         raise PrerequisiteFailed(
             f"tree is not a sealed witness for the extended pair (verdict {pre.verdict})"
@@ -615,10 +589,12 @@ def derivation_intermediates(
     """Expose the constructive chain for one coloring of RS(V, S).
 
     Transports the coloring through the projections and the conjugate-leaf
-    truncation, scans the sealed hypergraph for a monochromatic full-domain
-    edge (v0 = top), and when one exists returns g+ together with g = (g+)_top
-    and the final g o pi_{y0}.  Diagnostic only; the assembled tree's witness
-    property is decided independently by check_witness_mn.
+    truncation, scans the edges of the decided sealed hypergraph's top layer
+    (v0 = top, one edge per sealed g+ in table order) for a monochromatic one
+    whose truncation g = (g+)_top ends at a leaf y0 of U, and when one exists
+    returns g+ together with g and the final g o pi_{y0}.  Diagnostic only;
+    the assembled tree's witness property is decided independently by
+    check_witness_mn.
     """
     u = sealed_witness
     s_plus, _ = assemble_plus(s)
@@ -634,13 +610,10 @@ def derivation_intermediates(
         "g_final": None,
     }
     old_top_t = t_plus.n - 2
-    families = _sealed_families(s_plus, t_plus)
-    for values in rigid_surjection_values(u, t_plus, True):
-        colors = {
-            sealed_color(len(composite) - 1, tuple(composite))
-            for family in _sealed_columns(u, t_plus, [values], families)
-            for [composite] in family
-        }
+    vertices, _ = _sealed_hypergraph(s_plus, t_plus, u)
+    top = _sealed_layer(s_plus, t_plus, u)
+    for values, edge in zip(rigid_surjection_values(u, t_plus, True), top.edges):
+        colors = {sealed_color(cut, tuple(row)) for cut, row in map(vertices.__getitem__, edge)}
         if len(colors) <= 1:
             g_plus = TreeMap(u, t_plus, values)
             g = restrict_conjugate(g_plus, old_top_t)

@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_ARGS = {
     "calculus_counts": ["--seed", "1"],
     "chain_decision": ["--b", "2", "--k", "2", "--l", "3", "--m", "5"],
+    "cli_digest": [],
     # compares this checkout with itself; --out keeps BENCH_startup.json as committed
     "startup": ["--repeat", "1", "--importtime-repeat", "1", "--out", os.devnull],
     "transfer_cells": ["--max-vertices", "2"],

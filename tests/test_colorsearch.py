@@ -305,7 +305,7 @@ def test_witness_edges_have_one_size():
     for s in [s for n in range(1, 4) for s in trees.all_trees(n)]:
         for t in [t for n in range(1, 5) for t in trees.all_trees(n)]:
             mn_size = len(all_rigid_surjections(t, s))  # f -> f o g0 is injective
-            sealed_size = sum(len(fs) for _, _, fs in witness._sealed_families(s, t))
+            sealed_size = sum(len(fs) for _, fs in witness._sealed_families(s, t))
             for u in [u for n in range(1, 7) for u in trees.all_trees(n)]:
                 _, mn_edges = witness._mn_hypergraph(s, t, u)
                 _, sealed_edges = witness._sealed_hypergraph(s, t, u)

@@ -501,6 +501,8 @@ def test_fewer_than_one_color_is_refused(b):
         hj.hj_product_check([2], [2], b, 1)
     with pytest.raises(ValueError, match="b >= 1"):
         hj.hj_product_check([1], [0], b, 1)
+    with pytest.raises(ValueError, match="b >= 1"):  # before the cap, which 0 colours would hit
+        hj.hj_product_check([1], [1], b, 1, max_colorings=0)
     with pytest.raises(ValueError, match="b >= 1"):
         _swept([1], [1], b, 1, list(hj._candidate_tuples([1], [1], 1, "direct")), False)
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import os
+import random
 
 import pytest
 
@@ -13,7 +14,15 @@ from treeramsey.errors import (
     ResourceCapExceeded,
     VerificationFailed,
 )
-from treeramsey.maps import TreeMap, classify, compose, identity, injection_of, is_sealed
+from treeramsey.maps import (
+    TreeMap,
+    classify,
+    compose,
+    identity,
+    injection_of,
+    is_sealed,
+    restrict_conjugate,
+)
 
 from _fixtures import assert_fixture, stored_fixture
 from _oracles import (
@@ -155,6 +164,14 @@ def test_cap_hit_keeps_partial_stats():
     rep = wit.check_witness_mn(2, C2, trees.chain(4), trees.chain(8), max_nodes=50)
     assert rep.verdict == "cap_exceeded"
     assert rep.stats.nodes == 50 and rep.stats.vertices == 127
+
+
+def test_search_cap_hit_carries_the_candidates_stats():
+    # chain 5 is the first candidate the cap stops; its report's stats ride on the error
+    with pytest.raises(ResourceCapExceeded, match="candidate with 5 vertices hit the node cap") as info:
+        wit.search_witness(2, C2, C3, mode="chain", max_vertices=8, max_nodes=10)
+    assert info.value.stats == wit.check_witness_mn(2, C2, C3, trees.chain(5), max_nodes=10).stats
+    assert info.value.stats.nodes == 10
 
 
 def test_search_jobs_clamped_to_cpu_count(monkeypatch):
@@ -379,6 +396,17 @@ def test_derive_mn_prerequisite_failure():
         wit.derive_mn_from_sealed(2, C2, C2, C1)
 
 
+def test_derive_mn_cap_hit_on_the_sealed_check_carries_its_stats():
+    # the sealed check of (chain 2, chain 3)+ holds on u in 96 nodes: a lower
+    # cap leaves it undecided, which is a cap hit and not a failed prerequisite
+    u = trees.tree([None, 0, 1, 1, 3, 3, 0])
+    for cap in (0, 95):
+        with pytest.raises(ResourceCapExceeded, match="hit the node cap") as info:
+            wit.derive_mn_from_sealed(2, C2, C3, u, max_nodes=cap)
+        assert info.value.stats.nodes == cap
+    wit.derive_mn_from_sealed(2, C2, C3, u, max_nodes=96)  # the check passes at 96
+
+
 def test_derivation_intermediates_produce_monochromatic_edges():
     u, _ = wit.search_witness(2, Y, Y, mode="sealed", max_vertices=5)
     assembled = wit.assemble_V(u).tree
@@ -391,6 +419,42 @@ def test_derivation_intermediates_produce_monochromatic_edges():
         g = inter["g_final"]
         edge = {coloring[compose(f, g).values] for f in all_rigid_surjections(C2, C2)}
         assert len(edge) == 1
+
+
+def _derivation_by_compose_oracle(s, t, u, coloring):
+    # the first top-cut edge of the compose-built sealed hypergraph that is
+    # monochromatic under the transported colouring and whose truncation ends
+    # at a leaf of U: (g+, g, g o pi_y0), or three Nones
+    s_plus, t_plus = wit.assemble_plus(s)[0], wit.assemble_plus(t)[0]
+    vertices, edges = sealed_hypergraph_by_compose(s_plus, t_plus, u)
+    g_pluses = [TreeMap(u, t_plus, v) for v in rigid_surjection_values(u, t_plus, True)]
+    assembly = wit.assemble_V(u)
+    leaf_coloring = wit.transport_through_projections(assembly, coloring, s)
+    color = wit.transport_through_conjugates(u, s_plus, leaf_coloring)
+    for g_plus, edge in zip(g_pluses, edges[len(edges) - len(g_pluses) :]):
+        if len({color(*vertices[i]) for i in edge}) <= 1:
+            g = restrict_conjugate(g_plus, t_plus.n - 2)
+            if g.dom.n - 1 in u.leaves:
+                return g_plus, g, compose(g, assembly.projections[g.dom.n - 1])
+    return None, None, None
+
+
+def test_derivation_intermediates_match_the_compose_oracle():
+    found = []
+    for s, t in [(C2, C2), (Y, Y), (C2, C3)]:
+        s_plus, t_plus = wit.assemble_plus(s)[0], wit.assemble_plus(t)[0]
+        u, _ = wit.search_witness(2, s_plus, t_plus, mode="sealed", max_vertices=7)
+        rs = all_rigid_surjections(wit.assemble_V(u).tree, s)
+        rng = random.Random(f"{s.parent}{t.parent}")
+        patterns = [[0] * len(rs), [i % 2 for i in range(len(rs))], [i // 2 % 2 for i in range(len(rs))]]
+        patterns += [[rng.randrange(2) for _ in rs] for _ in range(5)]
+        for pattern in patterns:
+            coloring = {m.values: c for m, c in zip(rs, pattern)}
+            inter = wit.derivation_intermediates(2, s, t, u, coloring)
+            expected = _derivation_by_compose_oracle(s, t, u, coloring)
+            assert (inter["g_plus"], inter["g"], inter["g_final"]) == expected, (s, t, pattern)
+            found.append(expected[0] is not None)
+    assert any(found)  # the scans find edges, so not only Nones are compared
 
 
 def test_sealed_edges_match_composition_space_products():
@@ -504,8 +568,9 @@ def test_sealed_layers_are_shared_with_the_prefix(cold_caches):
     prefix_vertices, prefix_edges = wit._sealed_hypergraph(C2, t, trees.initial_subtree(u, u.n - 2))
     top = wit._sealed_layer(C2, t, u)
     vertices, edges = wit._sealed_hypergraph(C2, t, u)
-    assert vertices == prefix_vertices + top.vertices and edges == prefix_edges + top.edges
-    assert top.end == len(vertices) and len(top.positions) == u.n
+    top_vertices = [(u.n - 1, values) for values in top.positions[-1]]
+    assert vertices == prefix_vertices + top_vertices and edges == prefix_edges + top.edges
+    assert sum(map(len, top.positions)) == len(vertices) and len(top.positions) == u.n
     assert wit._sealed_layer.cache_info().currsize == u.n
 
 
