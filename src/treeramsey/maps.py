@@ -22,9 +22,10 @@ verified by the rule, so the same routine decides rigidity.
 The check runs once per distinct (T, S, values) while that input is in the
 bounded table _cached_injection_values, which try_injection (and so every
 predicate, classify and the restrictions) and framework's domain elements
-read.  The witness builders call the uncached _injection_values, because
-their inputs do not repeat.  Map values must be ints, not bools or floats:
-0.0, False and 0 would be one key of the table.
+read.  The sealed witness build, whose inputs do not repeat, decides the
+same predicate for a whole table of value rows at once, in one pass of list
+operations (witness._injection_columns), and calls neither.  Map values must
+be ints, not bools or floats: 0.0, False and 0 would be one key of the table.
 """
 
 from __future__ import annotations
@@ -192,7 +193,10 @@ def _injection_values(
     """
     if len(set(values)) != len(cod_parent):
         return None
-    e = tuple(map(values.index, range(len(cod_parent))))
+    try:
+        e = tuple(map(values.index, range(len(cod_parent))))
+    except ValueError:  # as many values as S has, but one of them outside S
+        return None
     return e if _galois_pair(dom_anc, cod_parent, values, e) else None
 
 

@@ -18,11 +18,13 @@ lexicographic order in which the vertices are listed (see _mn_hypergraph).
 The sealed hypergraph of U is a stack of per-cut layers, one for each
 initial subtree U^c: the layer holds the positions of the sealed maps
 U^c -> S and the edges of the sealed g: U^c -> T, which it cuts, checks and
-composes itself.  A layer depends on U^c alone, so it is cached per
-(S, T, U^c) and shared by every tree with that prefix; its positions are
-global for all of them, the offset being the vertex count of the cuts below
-(see _sealed_layer).  The sealed-to-plain derivation reads the decided
-hypergraph: its vertex list, and the top layer's edges, one per sealed g.
+composes itself, the whole table of g at once (see _injection_columns).  A
+layer depends on U^c alone, so it is cached per (S, T, U^c) and shared by
+every tree with that prefix, and it links to the layer below it; its
+positions are global for all of them, the offset being the vertex count of
+the cuts below (see _sealed_layer).  The sealed-to-plain derivation reads
+the decided hypergraph: its vertex list, and the top layer's edges, one per
+sealed g.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from ._record import Record
 from .colorsearch import SearchStats
 from .enumeration import (
     _BYTE_VALUES,  # bytes.translate reads a composite through a 256-entry table
+    _DEPTH,  # prefix levels that one build may recurse through
     all_embeddings,
     all_rigid_surjections,
     rigid_surjection_values,
@@ -49,7 +52,6 @@ from .errors import (
 )
 from .maps import (
     TreeMap,
-    _injection_values,
     compose,
     conjugate_leaf,
     injection_of,
@@ -172,16 +174,54 @@ def _sealed_families(s: OrderedTree, t: OrderedTree, /) -> tuple[tuple[int, list
 
 class _SealedLayer(NamedTuple):
     """The part of a sealed hypergraph that the top cut c of U adds: one edge
-    per sealed g: U^c -> T, and the positions of the sealed maps onto S of
-    every cut up to c, each cut's map keyed by value row in table order."""
+    per sealed g: U^c -> T, the positions of the sealed maps onto S of every
+    cut up to c, each cut's map keyed by value row in table order, and the
+    layer of the cut below."""
 
     edges: list[tuple[int, ...]]
     positions: tuple[dict[bytes, int], ...]  # per cut 0..c: value row -> position
+    below: Optional[_SealedLayer]  # the layer of U^{c-1}; None at the root
+
+
+def _injection_columns(
+    anc: Sequence[int], cod: Sequence[Optional[int]], gvs: Sequence[bytes], /
+) -> list[list[int]]:
+    """The injections of the table gvs of value rows U -> T, one column per
+    vertex v of T: column v lists e(v), the first occurrence of v, row by row.
+
+    anc holds the ancestor masks of U, cod the parent array of T.  One pass
+    of list operations over the table decides, for every row, the predicate
+    of maps._injection_values: the row takes exactly the values of T,
+    consecutive columns increase (so e(0) = 0) and obey the consecutive meet
+    law, and every fibre lies in the subtree of its first occurrence, as its
+    last occurrence does, subtrees being index intervals (the root's fibre
+    always does); f o e = id as e is the first occurrences.  If a row fails,
+    the rows are passed one by one, so the first that fails raises NotRigid.
+    """
+    m = len(cod)
+    try:
+        columns = [[g.index(v) for g in gvs] for v in range(m)]
+    except ValueError:  # a row misses a value of T
+        columns = None
+    if (
+        columns is None
+        or list(map(len, map(set, gvs))).count(m) != len(gvs)
+        or not all([  # meet(x, y) = p: p is the highest bit of anc[x] & anc[y]
+            x < y and (anc[x] & anc[y]) >> p == 1 and anc[g.rindex(v)] >> y & 1
+            for v in range(1, m)
+            for g, x, y, p in zip(gvs, columns[v - 1], columns[v], columns[cod[v]])
+        ])
+    ):
+        if len(gvs) > 1:
+            for g in gvs:
+                _injection_columns(anc, cod, (g,))
+        raise NotRigid(f"{list(gvs[0])} is not a rigid surjection")
+    return columns
 
 
 @lru_cache(maxsize=None)
 def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree, /) -> _SealedLayer:
-    """The layer of U's top cut c, on top of the layer of its prefix U^{c-1}.
+    """The layer of U's top cut c, linked to the layer of its prefix U^{c-1}.
 
     The vertices of the cuts below c are those of U^{c-1}'s hypergraph, since
     the cuts of U^{c-1} are the cuts of U below c; so every position is global
@@ -191,35 +231,35 @@ def _sealed_layer(s: OrderedTree, t: OrderedTree, u: OrderedTree, /) -> _SealedL
 
     The edge of a sealed g: U^c -> T lists f o g^t for each family t and
     each f of it.  g^t is g cut at its injection i: the prefix of g's values
-    up to i(t), which must be onto 0..t (onto T^t).  The injection is
-    verified here, once per g, so a g that is not rigid raises NotRigid.  A
-    verified g takes its values in increasing order of first occurrence, so
-    a prefix of g is onto 0..t iff its largest value is t.  Within a family
-    the composites come in the lexicographic order of f (see _mn_hypergraph),
-    and the cuts i(t) increase with t.
+    up to i(t), which must be onto 0..t (onto T^t).  The injections of the
+    whole table are verified here in one pass (_injection_columns), so a g
+    that is not rigid raises NotRigid, and each family reads its cuts off
+    column t.  A verified g takes its values in increasing order of first
+    occurrence, so a prefix of g is onto 0..t iff its largest value is t.
+    Within a family the composites come in the lexicographic order of f (see
+    _mn_hypergraph), and the cuts i(t) increase with t.
     """
     c = u.n - 1
-    positions = _sealed_layer(s, t, initial_subtree(u, c - 1)).positions if c else ()
+    below = _sealed_layer(s, t, initial_subtree(u, c - 1)) if c else None
+    positions = below.positions if below else ()
     offset = sum(map(len, positions))
     tops = rigid_surjection_values(u, s, True)
     positions += ({values: offset + i for i, values in enumerate(tops)},)
     gvs = rigid_surjection_values(u, t, True)
-    anc, cod = u.anc_mask, t.parent
-    injections = [_injection_values(anc, cod, gv) for gv in gvs]
-    if None in injections:
-        raise NotRigid(f"{list(gvs[injections.index(None)])} is not a rigid surjection")
+    injections = _injection_columns(u.anc_mask, t.parent, gvs)
     columns = []
     for tv, tables in _sealed_families(s, t):
-        prefixes = [g[: e[tv] + 1] for g, e in zip(gvs, injections)]
-        for prefix, gv in zip(prefixes, gvs):
-            if max(prefix) != tv:
-                raise VerificationFailed(
-                    f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
-                )
-        cuts = [positions[e[tv]] for e in injections]
+        prefixes = [g[: e + 1] for g, e in zip(gvs, injections[tv])]
+        largest = list(map(max, prefixes))
+        if largest.count(tv) != len(largest):
+            gv = gvs[[x == tv for x in largest].index(False)]
+            raise VerificationFailed(
+                f"restriction of {list(gv)} to the initial subtree of {tv} is not onto"
+            )
+        cuts = list(map(positions.__getitem__, injections[tv]))
         columns += ([cut[p.translate(table)] for cut, p in zip(cuts, prefixes)] for table in tables)
     edges = list(zip(*columns)) if columns else [()] * len(gvs)
-    return _SealedLayer(edges, positions)
+    return _SealedLayer(edges, positions, below)
 
 
 def _sealed_hypergraph(
@@ -230,18 +270,24 @@ def _sealed_hypergraph(
     g: U^{v0} -> T, collecting f o g^t over t in T and sealed f: T^t -> S.
 
     The hypergraph is the concatenation of one cached layer per cut (see
-    _sealed_layer), built from the lowest cut up, so that each layer finds
-    the one below it cached; the vertices are the keys of the top layer's
-    position maps.  Each edge lists positions in increasing order:
-    composites on a larger cut come later in the vertex list, the cuts i(t)
-    increase with t, and within one cut f -> f o g^t keeps the lexicographic
-    order (see _mn_hypergraph).  S or T with more than 256 vertices raises
-    ResourceCapExceeded before any layer is built.
+    _sealed_layer), read off U's top layer and the links below it; the
+    layers of every _DEPTH-th cut are looked up first, from the lowest up,
+    so that no build recurses further than that.  The vertices are the keys
+    of the top layer's position maps.  Each edge lists positions in
+    increasing order: composites on a larger cut come later in the vertex
+    list, the cuts i(t) increase with t, and within one cut f -> f o g^t
+    keeps the lexicographic order (see _mn_hypergraph).  S or T with more
+    than 256 vertices raises ResourceCapExceeded before any layer is built.
     """
     _check_byte_width(s, t)
-    layers = [_sealed_layer(s, t, initial_subtree(u, c)) for c in range(u.n)]
-    vertices = [(c, values) for c, cut in enumerate(layers[-1].positions) for values in cut]
-    edges = [edge for layer in layers for edge in layer.edges]
+    for c in range(_DEPTH, u.n, _DEPTH):
+        _sealed_layer(s, t, initial_subtree(u, c - 1))
+    layers, layer = [], _sealed_layer(s, t, u)
+    while layer is not None:
+        layers.append(layer)
+        layer = layer.below
+    vertices = [(c, values) for c, cut in enumerate(layers[0].positions) for values in cut]
+    edges = [edge for layer in reversed(layers) for edge in layer.edges]
     return vertices, edges
 
 
@@ -580,7 +626,6 @@ def derive_mn_from_sealed(
 
 
 def derivation_intermediates(
-    b: int,
     s: OrderedTree,
     t: OrderedTree,
     sealed_witness: OrderedTree,

@@ -179,6 +179,16 @@ def test_non_rigid_map_raises_on_every_call_from_the_table(cold_injections):
     assert maps._cached_injection_values.cache_info().misses == 1
 
 
+def test_injection_values_is_none_for_a_value_outside_s():
+    # as many distinct values as S has vertices, but one of them outside S:
+    # no vertex of S is left for it, so the map is no rigid surjection
+    anc, cod = C3.anc_mask, C2.parent
+    assert maps._injection_values(anc, cod, (0, 2, 2)) is None
+    assert maps._injection_values(anc, cod, bytes((0, 2, 2))) is None
+    assert maps._injection_values(anc, cod, (0, -1, 0)) is None
+    assert maps._injection_values(anc, cod, bytes((0, 1, 1))) == (0, 1)
+
+
 def _maps_onto_small_trees():
     for s in trees_up_to(4):
         for t in trees_up_to(5):

@@ -1,11 +1,14 @@
 import concurrent.futures
+import hashlib
 import itertools
 import os
 import random
+import re
+import sys
 
 import pytest
 
-from treeramsey import enumeration, serialize, trees, witness as wit
+from treeramsey import enumeration, maps, serialize, trees, witness as wit
 from treeramsey.enumeration import all_embeddings, all_rigid_surjections, rigid_surjection_values
 from treeramsey.errors import (
     NotFoundWithinBound,
@@ -251,6 +254,46 @@ def test_a_failing_tree_transports_its_counterexample_to_its_prefix(
     assert (seen, edges_checked) == (failing, prefix_edges_checked)
 
 
+def test_sealed_sweep_to_8_vertices_keeps_every_verdict_and_node_count():
+    # every tree with at most 8 vertices decided, as bench/tree_sweep.py does,
+    # digesting each tree's verdict and node count
+    s, t = C2, trees.tree([None, 0, 1, 1])
+    digest, decisions, holds = hashlib.sha256(), 0, 0
+    for u in trees_up_to(8):
+        report = wit.check_witness_sealed(2, s, t, u)
+        decisions += 1
+        holds += report.holds
+        digest.update(f"{list(u.parent)} {report.verdict} {report.stats.nodes}\n".encode())
+    assert (decisions, holds, digest.hexdigest()[:16]) == (626, 1, "8affb05ab5970c56")
+
+
+def _mirror(t):
+    # the tree with every vertex's children in reverse order, renumbered in preorder
+    children = [[] for _ in range(t.n)]
+    for v in range(1, t.n):
+        children[t.parent[v]].append(v)
+    order, stack = [], [0]
+    while stack:  # the last child is pushed last, so it is visited first
+        order.append(stack.pop())
+        stack.extend(children[order[-1]])
+    number = {v: i for i, v in enumerate(order)}
+    return trees.tree([None] + [number[t.parent[v]] for v in order[1:]])
+
+
+def test_sealed_mode_is_not_mirror_invariant():
+    # initial subtrees are preorder prefixes, which the mirror does not keep:
+    # U is a sealed witness and its mirror image is not, S being its own
+    # mirror; so no sweep may skip a sealed tree whose mirror it decided
+    s, t, u = trees.tree([None, 0, 0]), trees.tree([None, 0, 0, 2]), trees.tree([None, 0, 0, 2, 3])
+    mt, mu = trees.tree([None, 0, 1, 0]), trees.tree([None, 0, 1, 2, 0])
+    assert (_mirror(s), _mirror(t), _mirror(u)) == (s, mt, mu)
+    report = wit.check_witness_sealed(2, s, t, u)
+    mirrored = wit.check_witness_sealed(2, s, mt, mu)
+    assert (report.verdict, report.stats.nodes) == ("holds", 2)
+    assert (mirrored.verdict, mirrored.stats.nodes) == ("fails", 7)
+    assert wit.replay_report(report) and wit.replay_report(mirrored)
+
+
 # --- bridges ------------------------------------------------------------------
 
 
@@ -413,7 +456,7 @@ def test_derivation_intermediates_produce_monochromatic_edges():
     rs = all_rigid_surjections(assembled, C2)
     for pattern in range(3):
         coloring = {m.values: (i + pattern) % 2 for i, m in enumerate(rs)}
-        inter = wit.derivation_intermediates(2, C2, C2, u, coloring)
+        inter = wit.derivation_intermediates(C2, C2, u, coloring)
         if inter["g_final"] is None:
             continue
         g = inter["g_final"]
@@ -450,7 +493,7 @@ def test_derivation_intermediates_match_the_compose_oracle():
         patterns += [[rng.randrange(2) for _ in rs] for _ in range(5)]
         for pattern in patterns:
             coloring = {m.values: c for m, c in zip(rs, pattern)}
-            inter = wit.derivation_intermediates(2, s, t, u, coloring)
+            inter = wit.derivation_intermediates(s, t, u, coloring)
             expected = _derivation_by_compose_oracle(s, t, u, coloring)
             assert (inter["g_plus"], inter["g"], inter["g_final"]) == expected, (s, t, pattern)
             found.append(expected[0] is not None)
@@ -534,7 +577,7 @@ def test_derivation_reads_the_sealed_view_under_its_one_call_form(cold_caches):
     u, _ = wit.search_witness(2, Y, Y, mode="sealed", max_vertices=5)
     rs = all_rigid_surjections(wit.assemble_V(u).tree, C2)
     rigid_surjection_values.cache_clear()
-    wit.derivation_intermediates(2, C2, C2, u, {m.values: 0 for m in rs})
+    wit.derivation_intermediates(C2, C2, u, {m.values: 0 for m in rs})
     t_plus, _ = wit.assemble_plus(C2)
     before = rigid_surjection_values.cache_info()
     rigid_surjection_values(u, t_plus, True)
@@ -579,17 +622,17 @@ def test_sealed_build_computes_each_injection_once(monkeypatch, cold_caches):
     # and the sealed build verifies exactly one injection per g
     s, t, u = C2, trees.tree([None, 0, 1, 1]), trees.tree([None, 0, 1, 2, 3, 1, 1])
     injected, made = [], [0]
-    original_injection, original_post_init = wit._injection_values, TreeMap.__post_init__
+    original_columns, original_post_init = wit._injection_columns, TreeMap.__post_init__
 
-    def counting_injection(dom_anc, cod_parent, values):
-        injected.append((dom_anc, values))
-        return original_injection(dom_anc, cod_parent, values)
+    def counting_columns(dom_anc, cod_parent, table):
+        injected.extend((dom_anc, values) for values in table)
+        return original_columns(dom_anc, cod_parent, table)
 
     def counting_post_init(self):
         made[0] += 1
         original_post_init(self)
 
-    monkeypatch.setattr(wit, "_injection_values", counting_injection)
+    monkeypatch.setattr(wit, "_injection_columns", counting_columns)
     monkeypatch.setattr(TreeMap, "__post_init__", counting_post_init)
     _clear_enumeration_caches()
     wit._mn_hypergraph(s, trees.chain(4), u)
@@ -605,6 +648,39 @@ def test_sealed_build_computes_each_injection_once(monkeypatch, cold_caches):
     ]
     assert len(gs) == 65
     assert sorted(injected) == sorted(gs)
+
+
+def test_injection_columns_refuse_exactly_what_the_per_row_kernel_refuses():
+    # seeded tables for every U up to 6 vertices onto every T up to 4: rigid
+    # rows, rigid rows with the values of T permuted, and random rows with
+    # values up to one past T, shuffled; the table pass refuses a table iff a
+    # row is not rigid, naming the first such row, and otherwise gives the
+    # kernel's injections
+    rng = random.Random(29)
+    refused = accepted = 0
+    for u in trees_up_to(6):
+        for t in trees_up_to(4):
+            anc, cod, m = u.anc_mask, t.parent, t.n
+            rigid = list(rigid_surjection_values(u, t, False))
+            for _ in range(4):
+                table = rng.sample(rigid, min(len(rigid), rng.randrange(4)))
+                for _ in range(rng.randrange(3)):
+                    row = [rng.randrange(m + 1) for _ in range(u.n)]
+                    table.insert(rng.randrange(len(table) + 1), bytes(row))
+                if rigid and rng.randrange(2):
+                    relabel = bytes(rng.sample(range(m), m)).ljust(256, b"\0")
+                    table.insert(rng.randrange(len(table) + 1), rng.choice(rigid).translate(relabel))
+                expected = [maps._injection_values(anc, cod, g) for g in table]
+                if None in expected:
+                    refused += 1
+                    bad = list(table[expected.index(None)])
+                    with pytest.raises(NotRigid, match=re.escape(f"{bad} is not a rigid surjection")):
+                        wit._injection_columns(anc, cod, table)
+                else:
+                    accepted += 1
+                    columns = wit._injection_columns(anc, cod, table)
+                    assert columns == [[e[v] for e in expected] for v in range(m)]
+    assert refused > 500 and accepted > 500
 
 
 def test_sealed_build_refuses_a_g_that_is_not_rigid(monkeypatch, cold_caches):
@@ -626,14 +702,28 @@ def test_sealed_build_refuses_a_g_that_is_not_rigid(monkeypatch, cold_caches):
 
 def test_sealed_build_refuses_a_restriction_that_is_not_onto(monkeypatch, cold_caches):
     # an injection that cuts g one position early leaves t out of g^t
-    original = wit._injection_values
+    original = wit._injection_columns
 
-    def early_injection(dom_anc, cod_parent, values):
-        return tuple(max(x - 1, 0) for x in original(dom_anc, cod_parent, values))
+    def early_injections(dom_anc, cod_parent, table):
+        return [[max(x - 1, 0) for x in column] for column in original(dom_anc, cod_parent, table)]
 
-    monkeypatch.setattr(wit, "_injection_values", early_injection)
+    monkeypatch.setattr(wit, "_injection_columns", early_injections)
     with pytest.raises(VerificationFailed, match="not onto"):
         wit._sealed_hypergraph(C2, C2, C3)
+    # cut early from the second g of each table on: the layers are built from
+    # the lowest cut up, and the message names the first g cut early
+    t, u = trees.tree([None, 0, 1, 1]), trees.tree([None, 0, 1, 2, 3, 1, 1])
+    tables = [rigid_surjection_values(trees.initial_subtree(u, c), t, True) for c in range(u.n)]
+    first = next(table[1] for table in tables if len(table) > 2)
+
+    def early_after_the_first(dom_anc, cod_parent, table):
+        columns = original(dom_anc, cod_parent, table)
+        return [column[:1] + [max(x - 1, 0) for x in column[1:]] for column in columns]
+
+    _clear_enumeration_caches()
+    monkeypatch.setattr(wit, "_injection_columns", early_after_the_first)
+    with pytest.raises(VerificationFailed, match=re.escape(f"restriction of {list(first)} to")):
+        wit._sealed_hypergraph(C2, t, u)
 
 
 def test_builders_refuse_more_than_256_vertices_before_enumerating(monkeypatch):
@@ -658,6 +748,16 @@ def test_builders_take_256_vertices():
     assert as_tuples(wit._sealed_hypergraph(t, t, t)) == ([(255, identity_values)], [(0,)])
     vertices, edges = as_tuples(wit._mn_hypergraph(C1, t, t))
     assert vertices == [(0,) * 256] and edges == [(0,)]
+
+
+def test_sealed_build_of_a_deep_tree_stays_within_the_recursion_limit(cold_caches):
+    # each layer links to the one below it; the build looks up every
+    # _DEPTH-th layer first, so a tree deeper than the recursion limit builds
+    u = trees.chain(sys.getrecursionlimit() + 200)
+    vertices, edges = wit._sealed_hypergraph(C2, C2, u)
+    # the one sealed map of each cut U^c onto chain 2, c >= 1, is 0...0 1
+    assert vertices == [(c, bytes(c) + b"\1") for c in range(1, u.n)]
+    assert edges == [(i,) for i in range(u.n - 1)]
 
 
 def test_three_engines_agree_on_witness_instances():
